@@ -9,6 +9,7 @@ from .errors import (
     CellMismatch,
     FlowError,
     InternalInvariantError,
+    InvalidArgument,
     MaxStepsExceeded,
     NonPositiveParameter,
     NonPositiveTau,
@@ -22,6 +23,7 @@ from .errors import (
     StepUnderflow,
     StratumEscape,
     TnnStrataError,
+    UndecidableRank,
     ZNotInYgeqV,
 )
 from .fiber import FiberFrame, conj_d, factor_u, pi_u, recover_shift, rho

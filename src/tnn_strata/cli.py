@@ -15,9 +15,8 @@ from fractions import Fraction
 import click
 import numpy as np
 
-from . import kernels  # noqa: F401  (applies TNN_STRATA_THREADS on import)
 from .cells import cell_of, is_tnn, lusztig_point
-from .errors import PreconditionError, TnnStrataError
+from .errors import InvalidArgument, PreconditionError, TnnStrataError
 from .fiber import factor_u, rho
 from .flow import (
     default_base,
@@ -73,9 +72,12 @@ def _float_matrix_obj(x: np.ndarray) -> dict:
 
 
 def _guard(fn):
-    """Run fn, mapping math preconditions to exit 3."""
+    """Run fn, mapping out-of-domain arguments to exit 2 and math
+    preconditions to exit 3."""
     try:
         return fn()
+    except InvalidArgument as exc:
+        _fail(EXIT_USAGE, "usage", str(exc))
     except PreconditionError as exc:
         _fail(EXIT_PRECONDITION, type(exc).__name__, str(exc))
     except TnnStrataError as exc:

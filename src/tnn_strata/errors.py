@@ -67,6 +67,11 @@ class ZNotInYgeqV(PreconditionError):
     pass
 
 
+class InvalidArgument(TnnStrataError, ValueError):
+    """A numeric argument is outside its domain (e.g. a step tolerance that
+    is not finite and positive): a usage error, not a math precondition."""
+
+
 class FlowError(TnnStrataError):
     """Numerical integration failure."""
 
@@ -81,6 +86,11 @@ class MaxStepsExceeded(FlowError):
 
 class StratumEscape(FlowError):
     """A trajectory's stratum label changed: integrator bug signal."""
+
+
+class UndecidableRank(FlowError):
+    """Float rank detection cannot tell a small minor from zero, so the
+    cell label of a float matrix is undecidable at working precision."""
 
 
 class InternalInvariantError(TnnStrataError):

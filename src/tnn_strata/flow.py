@@ -12,10 +12,12 @@ import numpy as np
 from . import kernels
 from .cells import cell_of, is_tnn, lusztig_point
 from .errors import (
+    InvalidArgument,
     MaxStepsExceeded,
     NotComparable,
     StepUnderflow,
     StratumEscape,
+    UndecidableRank,
     ZNotInYgeqV,
 )
 from .fiber import factor_u, pi_u, rho
@@ -44,15 +46,6 @@ def nu_matrix(n: int) -> RatMatrix:
     return RatMatrix.from_rows(
         [[n - i if i == j else 0 for j in range(n)] for i in range(n)]
     )
-
-
-@dataclass(frozen=True)
-class FlowField:
-    """Exact data of the tangent field on the fiber over ``base``."""
-
-    u: Permutation
-    base: RatMatrix
-    nu: RatMatrix
 
 
 def psi(x: RatMatrix, u: Permutation) -> RatMatrix:
@@ -137,6 +130,21 @@ class FlowState:
     step: float
 
 
+def _heights(x: np.ndarray) -> np.ndarray:
+    """str of each matrix in a stack (a 0-d array for one matrix)."""
+    return np.trace(x, offset=1, axis1=-2, axis2=-1)
+
+
+def _next_step(h: float, err: float, max_step: float, what: str) -> float:
+    """The step controller of the embedded 5(4) pair: grow or shrink h by
+    the usual safety-factored power of the error ratio, capped at max_step."""
+    h *= min(5.0, max(0.2, 0.9 * (1.0 / max(err, 1e-16)) ** 0.2))
+    h = math.copysign(min(abs(h), max_step), h)
+    if abs(h) < 1e-16:
+        raise StepUnderflow(f"{what} step size underflow")
+    return h
+
+
 @dataclass
 class FiberIntegrator:
     """Adaptive RK45 for xdot = psi(x) on the fiber over a fixed base,
@@ -159,62 +167,62 @@ class FiberIntegrator:
     def reproject(self, x: np.ndarray) -> np.ndarray:
         return kernels.rho_move(x, self.base, self._u0, self._uinv0)
 
-    def rk_step(self, x: np.ndarray, h: float) -> tuple[np.ndarray, float]:
-        """One embedded step; returns the 5th-order point and error estimate."""
+    def rk_step(self, x: np.ndarray, h) -> tuple[np.ndarray, float]:
+        """One embedded step of x (one matrix or a stack of shape (B, n, n))
+        by h (a scalar or one step per row); returns the 5th-order point and
+        the largest of the rows' own error estimates, each scaled by
+        tol * (1 + max|x5_row|)."""
+        h = np.asarray(h, dtype=np.float64)
+        if h.ndim:
+            h = h[:, None, None]
         k = [self.rhs(x)]
         for s in range(1, 7):
             xs = x + h * sum(a * ki for a, ki in zip(_DP_A[s], k))
             k.append(self.rhs(xs))
         x5 = x + h * sum(b * ki for b, ki in zip(_DP_B5, k))
         x4 = x + h * sum(b * ki for b, ki in zip(_DP_B4, k))
-        scale = self.tol * (1.0 + np.abs(x5).max())
-        err = float(np.abs(x5 - x4).max() / scale)
+        rows = (-2, -1)
+        scale = self.tol * (1.0 + np.abs(x5).max(axis=rows))
+        err = float((np.abs(x5 - x4).max(axis=rows) / scale).max())
         return x5, err
 
-    def advance(self, x: np.ndarray, t_span: float) -> np.ndarray:
-        """Integrate over a fixed signed time span (no stop rules)."""
-        if t_span == 0.0:
-            return x
-        t = 0.0
-        h = math.copysign(min(0.1, abs(t_span)), t_span)
-        for _ in range(self.max_steps):
-            if abs(t_span - t) <= abs(h):
-                h = t_span - t
-            xn, err = self.rk_step(x, h)
-            if err <= 1.0 or abs(h) < 1e-14:
-                x = xn
-                t += h
-                if abs(t - t_span) < 1e-15 * max(1.0, abs(t_span)):
-                    return x
-            h *= min(5.0, max(0.2, 0.9 * (1.0 / max(err, 1e-16)) ** 0.2))
-            h = math.copysign(min(abs(h), self.max_step), h)
-            if abs(h) < 1e-16:
-                raise StepUnderflow("step size underflow in fixed-span advance")
-        raise MaxStepsExceeded("fixed-span advance did not finish")
 
-
-def _float_cell_rank(x: np.ndarray, i: int, j: int, tol: float) -> int:
-    sub = x[:i, j - 1 :]
-    if sub.size == 0:
-        return 0
-    sv = np.linalg.svd(sub, compute_uv=False)
-    return int(np.sum(sv > tol * max(1.0, sv[0] if len(sv) else 1.0)))
+# Singular values at or below this fraction of the largest are zero beyond
+# doubt; those between it and cell_of_float's tol cannot be told from zero.
+RANK_ZERO_TOL = 1e-12
 
 
 def cell_of_float(x: np.ndarray, tol: float = 1e-8) -> Permutation:
-    """Float analogue of the exact cell identification, using SVD ranks."""
+    """Float analogue of the exact cell identification, using SVD ranks.
+
+    Raises UndecidableRank when some top-right submatrix has a singular
+    value between the thresholds ``tol`` and ``RANK_ZERO_TOL`` (relative),
+    so its rank is not determined at working precision, or when the rank
+    table decodes to no permutation.
+    """
     n = x.shape[0]
     r = np.zeros((n + 1, n + 2), dtype=int)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            r[i][j] = _float_cell_rank(x, i, j, tol)
+            sv = np.linalg.svd(x[:i, j - 1 :], compute_uv=False)
+            scale = max(1.0, sv[0])
+            r[i][j] = int(np.sum(sv > tol * scale))
+            if r[i][j] != int(np.sum(sv > RANK_ZERO_TOL * scale)):
+                raise UndecidableRank(f"rank of x[:{i}, {j - 1}:] is undecidable")
     img = [0] * n
     for k in range(1, n + 1):
         for i in range(1, n + 1):
             if r[i][k] - r[i - 1][k] - r[i][k + 1] + r[i - 1][k + 1] == 1:
                 img[k - 1] = i
                 break
+    if sorted(img) != list(range(1, n + 1)):
+        raise UndecidableRank(f"rank table decodes to no permutation: {img}")
     return Permutation(tuple(img))
+
+
+def _require(ok: bool, message: str):
+    if not ok:
+        raise InvalidArgument(message)
 
 
 def flow(
@@ -235,8 +243,15 @@ def flow(
     Backward runs until the field (or the height above the base) is below
     ``stationary_tol``; forward runs until ``target_str`` is reached.
     The stratum label is frozen at the start and re-checked at snapshots
-    (away from the base, where float rank detection is meaningful).
+    away from the base, where float rank detection is meaningful; a
+    snapshot whose label is undecidable (UndecidableRank) is not checked.
+    With ``check_stratum``, an undecidable label at x0 raises UndecidableRank.
     """
+    forward = direction == "forward"
+    _require(not forward or target_str is not None, "forward flow needs target_str")
+    _require(target_str is None or math.isfinite(target_str), "target_str must be finite")
+    _require(math.isfinite(tol) and tol > 0, "tol must be finite and positive")
+    _require(snapshot_every >= 1, "snapshot_every must be at least 1")
     x0 = np.asarray(x0, dtype=np.float64)
     if base is None:
         u0, uinv0 = kernels.perm_arrays(u)
@@ -244,9 +259,6 @@ def flow(
     integ = FiberIntegrator(u, base, tol=tol)
     base_str = str_of(integ.base)
     stratum = cell_of_float(x0) if check_stratum else u
-    forward = direction == "forward"
-    if forward and target_str is None:
-        raise ValueError("forward flow needs target_str")
 
     traj: list[FlowState] = [
         FlowState(x0.copy(), 0.0, str_of(x0), stratum, 0.0)
@@ -255,13 +267,13 @@ def flow(
     h = 0.01 if forward else -0.01
     accepted = 0
     for _ in range(max_steps):
-        p = integ.rhs(x)
-        pnorm = float(np.abs(p).max())
-        if not forward and (
-            pnorm < stationary_tol or str_of(x) - base_str < stationary_tol
+        if forward:
+            if str_of(x) >= target_str:
+                break
+        elif (
+            str_of(x) - base_str < stationary_tol
+            or float(np.abs(integ.rhs(x)).max()) < stationary_tol
         ):
-            break
-        if forward and str_of(x) >= target_str:
             break
         xn, err = integ.rk_step(x, h)
         if err <= 1.0:
@@ -274,21 +286,30 @@ def flow(
                 if (
                     check_stratum
                     and s - base_str > STRATUM_CHECK_FLOOR
-                    and cell_of_float(x) != stratum
+                    and _label_changed(x, stratum)
                 ):
                     raise StratumEscape(
                         f"stratum label changed along trajectory at t={t}"
                     )
                 traj.append(FlowState(x.copy(), t, s, stratum, h))
-        h *= min(5.0, max(0.2, 0.9 * (1.0 / max(err, 1e-16)) ** 0.2))
-        h = math.copysign(min(abs(h), integ.max_step), h)
-        if abs(h) < 1e-16:
-            raise StepUnderflow("flow step size underflow")
+        h = _next_step(h, err, integ.max_step, "flow")
     else:
         raise MaxStepsExceeded(f"flow did not terminate in {max_steps} steps")
     if traj[-1].time != t:
         traj.append(FlowState(x.copy(), t, str_of(x), stratum, h))
     return traj
+
+
+def _label_changed(x: np.ndarray, stratum: Permutation) -> bool:
+    """True iff x's cell label is decidable and differs from ``stratum``."""
+    try:
+        return cell_of_float(x) != stratum
+    except UndecidableRank:
+        return False
+
+
+def _require_epsilon(epsilon: float):
+    _require(math.isfinite(epsilon) and epsilon > 0, "epsilon must be finite and positive")
 
 
 def link_point(
@@ -302,45 +323,80 @@ def link_point(
     tol: float = 1e-12,
 ) -> np.ndarray:
     """The unique point with str = str(base) + epsilon on the trajectory
-    through x, located by bisection on integration time."""
+    through x, for one matrix x or for each row of a stack (B, n, n).
+
+    A row already within ``str_tol`` of the level is returned unchanged.
+    The others are integrated as one stack with a shared step magnitude,
+    each in its own direction; a row leaves the stack at the accepted step
+    that crosses the level, and the crossing is then located by an Illinois
+    iteration on the time offset inside that step.
+    """
+    _require_epsilon(epsilon)
     integ = FiberIntegrator(u, base, tol=tol)
     target = str_of(base) + epsilon
-    if abs(str_of(x) - target) <= str_tol:
-        return x
-    forward = str_of(x) < target
-    sign = 1.0 if forward else -1.0
+    x = np.asarray(x, dtype=np.float64)
+    out = x.reshape((-1,) + x.shape[-2:]).copy()
+    g = _heights(out) - target
+    rows = np.flatnonzero(~(np.abs(g) <= str_tol))
+    lo, g_lo = out[rows], g[rows]
+    sign = np.where(g_lo < 0.0, 1.0, -1.0)
 
-    # bracket the crossing with adaptive whole steps
-    h = sign * 0.01
-    lo = x
+    # bracket each crossing with adaptive whole steps
+    brackets = []
+    h = 0.01
     for _ in range(100_000):
-        xn, err = integ.rk_step(lo, h)
+        if not rows.size:
+            break
+        xn, err = integ.rk_step(lo, sign * h)
         if err <= 1.0:
-            if (str_of(xn) - target) * sign >= 0.0:
-                break
-            lo = xn
-        h *= min(5.0, max(0.2, 0.9 * (1.0 / max(err, 1e-16)) ** 0.2))
-        h = math.copysign(min(abs(h), integ.max_step), h)
-        if abs(h) < 1e-16:
-            raise StepUnderflow("link_point bracketing underflow")
+            g_n = _heights(xn) - target
+            crossed = g_n * sign >= 0.0
+            if crossed.any():
+                brackets.append(
+                    (rows[crossed], lo[crossed], sign[crossed] * h, g_lo[crossed], xn[crossed], g_n[crossed])
+                )
+            stay = ~crossed
+            rows, lo, g_lo, sign = rows[stay], xn[stay], g_n[stay], sign[stay]
+        h = _next_step(h, err, integ.max_step, "link_point bracketing")
     else:
         raise MaxStepsExceeded("link_point failed to bracket the level set")
 
-    # bisection on the time offset inside the bracketing step
-    dt_lo, dt_hi = 0.0, h
+    if brackets:
+        rows, lo, dt, g_lo, xn, g_n = (np.concatenate(c) for c in zip(*brackets))
+        out[rows] = _locate_level(integ, lo, dt, g_lo, xn, g_n, target, str_tol)
+    return out.reshape(x.shape)
+
+
+def _locate_level(integ, lo, dt, g_lo, x_hi, g_hi, target, str_tol):
+    """Illinois (modified regula falsi) on each row's time offset in
+    [0, dt], where str - target changes sign between lo and x_hi = the step
+    of lo by dt; stops a row at |str - target| <= min(str_tol, 1e-12)."""
+    stop = min(str_tol, 1e-12)
+    best, best_g = x_hi.copy(), np.abs(g_hi)
+    # bracket [a, b] in time offset; b is the latest iterate
+    a, ga = np.zeros_like(dt), g_lo
+    b, gb = dt, g_hi
+    rows = np.flatnonzero(~(best_g <= stop))
+    a, ga, b, gb, lo = a[rows], ga[rows], b[rows], gb[rows], lo[rows]
     for _ in range(200):
-        dt = 0.5 * (dt_lo + dt_hi)
-        xm, _ = integ.rk_step(lo, dt)
-        if abs(str_of(xm) - target) <= min(str_tol, 1e-12):
-            return xm
-        if (str_of(xm) - target) * sign < 0.0:
-            dt_lo = dt
-        else:
-            dt_hi = dt
-    xm, _ = integ.rk_step(lo, 0.5 * (dt_lo + dt_hi))
-    if abs(str_of(xm) - target) > str_tol:
-        raise StepUnderflow("link_point bisection stalled above tolerance")
-    return xm
+        if not rows.size:
+            return best
+        c = (a * gb - b * ga) / (gb - ga)
+        outside = ~((c - a) * (c - b) < 0.0)
+        c[outside] = 0.5 * (a + b)[outside]
+        xc, _ = integ.rk_step(lo, c)
+        gc = _heights(xc) - target
+        better = np.abs(gc) < best_g[rows]
+        best[rows[better]] = xc[better]
+        best_g[rows[better]] = np.abs(gc[better])
+        flip = gc * gb < 0.0
+        a, ga = np.where(flip, b, a), np.where(flip, gb, 0.5 * ga)
+        b, gb = c, gc
+        live = ~(np.abs(gc) <= stop)  # a nan row stays until the cap
+        rows, a, ga, b, gb, lo = rows[live], a[live], ga[live], b[live], gb[live], lo[live]
+    if (best_g[rows] > str_tol).any():
+        raise StepUnderflow("link_point root finding stalled above tolerance")
+    return best
 
 
 @dataclass(frozen=True)
@@ -379,9 +435,11 @@ def link_sample(
 ) -> LinkSample:
     """Sample the link of the u-cell inside Y_[u,v]: for each stratum label
     w in (u,v], draw cell points, move them into the fiber over the
-    canonical base with rho, and flow to the epsilon level set."""
+    canonical base with rho, and flow them, as one stack, to the epsilon
+    level set."""
     import random as _random
 
+    _require_epsilon(epsilon)
     if not bruhat_less(u, v):
         raise NotComparable(f"{u.serialize()} must be strictly below {v.serialize()}")
     rng = _random.Random(seed)
@@ -391,17 +449,13 @@ def link_sample(
         (w for w in interval(u, v).elements if w != u),
         key=lambda w: (w.length, w.image),
     )
-    points: list[tuple[np.ndarray, Permutation]] = []
-    dims = {}
-    for w in labels:
-        dims[w] = w.length - u.length - 1
-        for _ in range(count):
-            x = rho(random_cell_point(w, rng), base, u)
-            pt = link_point(
-                np.array(x.to_floats()), u, v, epsilon, base=base_f, str_tol=str_tol
-            )
-            points.append((pt, w))
-    return LinkSample(u, v, epsilon, base, tuple(points), dims)
+    dims = {w: w.length - u.length - 1 for w in labels}
+    drawn = [(rho(random_cell_point(w, rng), base, u), w) for w in labels for _ in range(count)]
+    if not drawn:
+        return LinkSample(u, v, epsilon, base, (), dims)
+    stack = np.array([x.to_floats() for x, _ in drawn])
+    pts = link_point(stack, u, v, epsilon, base=base_f, str_tol=str_tol)
+    return LinkSample(u, v, epsilon, base, tuple(zip(pts, (w for _, w in drawn))), dims)
 
 
 def conj_d_float(tau: float, x: np.ndarray) -> np.ndarray:

@@ -1,104 +1,84 @@
 """Float kernels for the flow integrator.
 
 Mirrors the exact-arithmetic maps (Gaussian factors, fiber factorization,
-the tangent field, rho) on float64 numpy arrays.  The hot kernels are
-compiled with numba when it is available; set ``TNN_STRATA_BACKEND=numpy``
-to force the pure-numpy path, ``numba`` to require the jit path, or leave
-unset/``auto`` to use numba opportunistically.
+the tangent field, rho) on float64 numpy arrays.  Every kernel takes one
+matrix of shape ``(n, n)`` or a stack of shape ``(..., n, n)`` and works on
+the last two axes, so a whole batch of points costs one call.
 
 Permutations enter as 0-based index arrays: ``u0[j] = u(j+1)-1`` and
-``uinv0`` for the inverse.  Column permutation ``x[:, uinv0]`` is x*P_u^-1;
-row permutation ``y[uinv0, :]`` is P_u*y.
+``uinv0`` for the inverse.  Column permutation ``x[..., :, uinv0]`` is
+x*P_u^-1; row permutation ``y[..., uinv0, :]`` is P_u*y.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
 
 import numpy as np
 
-BACKEND_ENV = "TNN_STRATA_BACKEND"
-THREADS_ENV = "TNN_STRATA_THREADS"
+# The package has one backend, numpy; the flag stays for reports that stamp it.
+USING_NUMBA = False
 
 
-def _ldu_factors(M):
+@lru_cache(maxsize=None)
+def _upper_mask(n: int, k: int) -> np.ndarray:
+    """Float mask of the entries on and above the k-th diagonal."""
+    mask = np.triu(np.ones((n, n)), k)
+    mask.flags.writeable = False
+    return mask
+
+
+def _eliminate(M, lower=None):
+    """Unipotent upper Gaussian factor U of M = L D U (no pivoting); the
+    multipliers of L are written into ``lower`` when it is given."""
+    work = np.array(M, dtype=np.float64)
+    n = work.shape[-1]
+    for k in range(n - 1):
+        f = work[..., k + 1 :, k] / work[..., k, k, None]
+        if lower is not None:
+            lower[..., k + 1 :, k] = f
+        work[..., k + 1 :, k + 1 :] -= f[..., :, None] * work[..., None, k, k + 1 :]
+    return work * _upper_mask(n, 0) / np.diagonal(work, axis1=-2, axis2=-1)[..., :, None]
+
+
+def ldu_factors(M):
     """Unipotent lower and upper Gaussian factors of M (no pivoting)."""
-    n = M.shape[0]
-    work = M.copy()
-    lower = np.eye(n)
-    for k in range(n):
-        for i in range(k + 1, n):
-            f = work[i, k] / work[k, k]
-            lower[i, k] = f
-            for j in range(n):
-                work[i, j] -= f * work[k, j]
-    upper = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            upper[i, j] = work[i, j] / work[i, i]
-    return lower, upper
+    M = np.asarray(M, dtype=np.float64)
+    lower = np.broadcast_to(np.eye(M.shape[-1]), M.shape).copy()
+    return lower, _eliminate(M, lower)
 
 
-def _fiber_parts(x, u0, uinv0):
+def _conj(plus, u0):
+    """u^-1 * plus * u: rows and columns of plus both taken in u0 order."""
+    return plus[..., u0[:, None], u0]
+
+
+def fiber_parts(x, u0, uinv0):
     """(x_u, x^u, A) of the factorization of x with respect to u."""
-    plus = _ldu_factors(x[:, uinv0].copy())[1]
-    A = plus[u0, :][:, u0].copy()
-    y, x_upper = _ldu_factors(A)
-    x_u = _ldu_factors(y[uinv0, :].copy())[1]
+    A = _conj(_eliminate(x[..., :, uinv0]), u0)
+    y, x_upper = ldu_factors(A)
+    x_u = _eliminate(y[..., uinv0, :])
     return x_u, x_upper, A
 
 
-def _psi_tangent(x, u0, uinv0, nu):
-    """The gradient-like field at x: x * (strict upper part of A^-1 nu A)."""
-    n = x.shape[0]
-    _, _, A = _fiber_parts(x, u0, uinv0)
-    M = np.linalg.inv(A) @ (nu.reshape(-1, 1) * A)
-    for i in range(n):
-        for j in range(i + 1):
-            M[i, j] = 0.0
-    return x @ M
+def psi_tangent(x, u0, uinv0, nu):
+    """The gradient-like field at x: x * (strict upper part of A^-1 nu A).
+
+    Only A is needed: one upper Gaussian factor of x u^-1, conjugated by u.
+    """
+    A = _conj(_eliminate(x[..., :, uinv0]), u0)
+    M = np.linalg.solve(A, nu[:, None] * A)
+    return x @ (M * _upper_mask(x.shape[-1], 1))
 
 
-def _rho_move(xt, x_u, u0, uinv0):
+def rho_move(xt, x_u, u0, uinv0):
     """Float rho: move xt into the fiber over x_u (same cell)."""
-    xt_u, xt_upper, _ = _fiber_parts(xt, u0, uinv0)
-    a = np.linalg.inv(_ldu_factors(xt_u[:, uinv0].copy())[1])
-    b = _ldu_factors(x_u[:, uinv0].copy())[1]
-    prod = a @ b
-    n1 = prod[u0, :][:, u0].copy()
-    n_minus = _ldu_factors(np.linalg.inv(xt_upper) @ n1)[0]
-    return _ldu_factors(xt @ n_minus)[1]
-
-
-def _want_numba() -> str:
-    return os.environ.get(BACKEND_ENV, "auto").strip().lower() or "auto"
-
-
-_mode = _want_numba()
-if _mode not in ("auto", "numba", "numpy"):
-    raise ValueError(f"{BACKEND_ENV} must be auto, numba, or numpy, not {_mode!r}")
-
-USING_NUMBA = False
-if _mode in ("auto", "numba"):
-    try:
-        import numba
-
-        if THREADS_ENV in os.environ:
-            numba.set_num_threads(max(1, int(os.environ[THREADS_ENV])))
-        _jit = numba.njit(cache=True)
-        _ldu_factors = _jit(_ldu_factors)
-        _fiber_parts = _jit(_fiber_parts)
-        _psi_tangent = _jit(_psi_tangent)
-        _rho_move = _jit(_rho_move)
-        USING_NUMBA = True
-    except ImportError:
-        if _mode == "numba":
-            raise
-
-ldu_factors = _ldu_factors
-fiber_parts = _fiber_parts
-psi_tangent = _psi_tangent
-rho_move = _rho_move
+    xt_u, xt_upper, _ = fiber_parts(xt, u0, uinv0)
+    a = _eliminate(xt_u[..., :, uinv0])
+    b = _eliminate(x_u[..., :, uinv0])
+    n1 = _conj(np.linalg.solve(a, b), u0)
+    n_minus = ldu_factors(np.linalg.solve(xt_upper, n1))[0]
+    return _eliminate(xt @ n_minus)
 
 
 def perm_arrays(u) -> tuple[np.ndarray, np.ndarray]:

@@ -625,14 +625,10 @@ def suite_retraction(config: RunConfig) -> VerificationReport:
     base_f = np.array(base.to_floats())
     eps = config.epsilon
     samples = config.samples or 20
-    pts = []
     from .flow import link_point
 
-    for _ in range(samples):
-        x = rho(random_cell_point(v, rng), base, u)
-        pts.append(
-            link_point(np.array(x.to_floats()), u, v, eps, base=base_f)
-        )
+    drawn = [rho(random_cell_point(v, rng), base, u).to_floats() for _ in range(samples)]
+    pts = list(link_point(np.array(drawn), u, v, eps, base=base_f))
     ends = []
     for i, x in enumerate(pts):
         r0 = retraction(x, 0.0, u, v, z, eps, base=base_f)

@@ -198,3 +198,26 @@ class TestDeterminism:
             "5",
         ]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["link-sample", "--u", "1,2,3", "--v", "3,2,1", "--epsilon", "0"],
+        ["link-sample", "--u", "1,2,3", "--v", "3,2,1", "--epsilon", "-1"],
+        ["link-sample", "--u", "1,2,3", "--v", "3,2,1", "--epsilon", "nan"],
+        ["link-census", "--u", "1,2,3", "--v", "3,2,1", "--epsilon", "nan"],
+        ["flow", "--u", "1,2,3", "--snapshot-every", "0"],
+        ["flow", "--u", "1,2,3", "--direction", "forward", "--target-str", "nan"],
+        ["flow", "--u", "1,2,3", "--tol", "-1"],
+        ["flow", "--u", "1,2,3", "--tol", "0"],
+        ["flow", "--u", "1,2,3", "--tol", "nan"],
+        ["flow", "--u", "1,2,3", "--tol", "inf"],
+    ],
+)
+def test_bad_numeric_option_exit_2(runner, argv):
+    res = runner.invoke(main, argv, input=UPPER3)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"

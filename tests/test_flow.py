@@ -4,9 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tnn_strata.errors import NotComparable, ZNotInYgeqV
+from tnn_strata.errors import (
+    InvalidArgument,
+    NotComparable,
+    StratumEscape,
+    UndecidableRank,
+    ZNotInYgeqV,
+)
 from tnn_strata.fiber import pi_u, rho
 from tnn_strata.flow import (
+    FiberIntegrator,
     cell_of_float,
     conj_d_float,
     default_base,
@@ -109,6 +116,61 @@ class TestCellOfFloat:
             x = random_cell_point(w, rng)
             assert cell_of_float(np.array(x.to_floats())) == w
 
+    def test_minor_between_thresholds_is_undecidable(self):
+        x = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1e-10], [0.0, 0.0, 1.0]])
+        with pytest.raises(UndecidableRank):
+            cell_of_float(x)
+
+    def test_minor_below_both_thresholds_reads_zero(self):
+        x = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1e-14], [0.0, 0.0, 1.0]])
+        assert cell_of_float(x) == Permutation.parse("2,1,3")
+
+
+# Backward flows that pass close to the base with snapshots above
+# STRATUM_CHECK_FLOOR, where the minors that tell the stratum from the u-cell
+# shrink like a power of the height and a rank test at tol 1e-8 misreads them
+# (a changed label, or a rank table that decodes to no permutation).
+NEAR_BASE_REPROS = [
+    (
+        "3,2,1,4",
+        [["1", "73/15", "79/20", "21/20"], ["0", "1", "9/4", "7/8"],
+         ["0", "0", "1", "1/2"], ["0", "0", "0", "1"]],
+    ),
+    (
+        "1,3,2,4",
+        [["1", "127/72", "63/32", "63/20"], ["0", "1", "9/4", "18/5"],
+         ["0", "0", "1", "8/5"], ["0", "0", "0", "1"]],
+    ),
+]
+
+
+class TestStratumCheck:
+    @pytest.mark.parametrize("u_text, entries", NEAR_BASE_REPROS)
+    def test_backward_flow_near_base_reaches_base(self, u_text, entries):
+        x = RatMatrix.from_json_obj({"n": 4, "entries": entries})
+        u = Permutation.parse(u_text)
+        base = np.array(pi_u(x, u).to_floats())
+        traj = flow(np.array(x.to_floats()), u, "backward")
+        assert np.max(np.abs(traj[-1].point - base)) <= 1e-6
+
+    def test_changed_label_raises(self, monkeypatch):
+        # a reprojection that fills x23 moves the point out of the s1 cell
+        def leave_cell(self, x):
+            y = x.copy()
+            y[1, 2] += 1.0
+            return y
+
+        monkeypatch.setattr(FiberIntegrator, "reproject", leave_cell)
+        x0 = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(StratumEscape):
+            flow(
+                x0,
+                Permutation.identity(3),
+                "forward",
+                target_str=10.0,
+                snapshot_every=10,
+            )
+
 
 class TestLink:
     def test_link_point_hits_level(self):
@@ -134,6 +196,34 @@ class TestLink:
         assert sorted(sample.dimensions.values()) == [0, 0, 1, 1, 2]
         for pt, _ in sample.points:
             assert abs(str_of(pt) - 1.0) <= 1e-9
+
+    def test_stacked_rows_below_above_and_on_level(self):
+        u, v = Permutation.identity(3), Permutation.longest(3)
+        base = np.array(default_base(u).to_floats())
+        stack = np.array(
+            [
+                [[1.0, 0.2, 0.0], [0.0, 1.0, 0.1], [0.0, 0.0, 1.0]],
+                [[1.0, 3.0, 3.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]],
+                [[1.0, 1.0, 0.5], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]],
+            ]
+        )
+        eps = str_of(stack[2]) - str_of(base)
+        out = link_point(stack, u, v, eps, base=base)
+        assert out.shape == stack.shape
+        for row, x in zip(out, stack):
+            assert abs(str_of(row) - (str_of(base) + eps)) <= 1e-9
+            alone = link_point(x, u, v, eps, base=base)
+            assert np.max(np.abs(row - alone)) <= 1e-9
+        assert np.array_equal(out[2], stack[2])
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_epsilon_rejected(self, eps):
+        u, v = Permutation.identity(3), Permutation.longest(3)
+        base = np.array(default_base(u).to_floats())
+        with pytest.raises(InvalidArgument):
+            link_point(np.eye(3), u, v, eps, base=base)
+        with pytest.raises(InvalidArgument):
+            link_sample(u, v, eps, 1, 0)
 
     def test_incomparable_rejected(self):
         with pytest.raises(NotComparable):
