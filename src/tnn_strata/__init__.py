@@ -30,12 +30,14 @@ from .fiber import FiberFrame, conj_d, factor_u, pi_u, recover_shift, rho
 from .flow import (
     FiberIntegrator,
     FlowState,
+    LinkCensus,
     LinkSample,
     SignReport,
     cell_of_float,
     conj_d_float,
     default_base,
     flow,
+    link_census,
     link_point,
     link_sample,
     pi_n,
@@ -77,4 +79,4 @@ from .ratmat import (
 )
 from .verify import RunConfig, VerificationReport, run_suite
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -13,7 +13,7 @@ from .errors import (
     RankTooLarge,
     Singular,
 )
-from .perms import Permutation, ReducedWord, bruhat_leq
+from .perms import Permutation, ReducedWord, bruhat_leq, decode_rank_jumps
 from .ratmat import (
     RatMatrix,
     all_minors_nonnegative,
@@ -69,8 +69,7 @@ def cell_of(x: RatMatrix) -> Permutation:
     """The w with x in B_- w B_-, recovered from northwest/southeast ranks.
 
     r(i,j) = rank of the submatrix on rows 1..i and columns j..n is constant
-    on each double coset B_- x B_-; w(k) = i exactly where the double
-    difference of r jumps.
+    on each double coset B_- x B_-, and decodes to w.
     """
     n = x.n
     if rank(x) < n:
@@ -79,13 +78,7 @@ def cell_of(x: RatMatrix) -> Permutation:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             r[i][j] = rank(x, range(1, i + 1), range(j, n + 1))
-    img = [0] * n
-    for k in range(1, n + 1):
-        for i in range(1, n + 1):
-            if r[i][k] - r[i - 1][k] - r[i][k + 1] + r[i - 1][k + 1] == 1:
-                img[k - 1] = i
-                break
-    return Permutation(tuple(img))
+    return decode_rank_jumps(r)
 
 
 def in_Y_geq_u(x: RatMatrix, u: Permutation) -> bool:

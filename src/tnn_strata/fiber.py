@@ -22,7 +22,6 @@ from .ratmat import (
     gauss_decompose,
     gauss_minus,
     gauss_plus,
-    g0u_witness,
     is_in_N,
     mul_perm_left,
     mul_perm_right,
@@ -48,15 +47,18 @@ def factor_u(x: RatMatrix, u: Permutation) -> FiberFrame:
         A   = u^-1 [x u^-1]_+ u,
         y   = [A]_-,   x^u = [A]_+,
         x_u = [u y]_+.
+
+    Raises NotInG0u, with the size of the first vanishing leading
+    principal minor of x u^-1, when x is outside G_0 u.
     """
     if not is_in_N(x):
         raise NotUnipotentUpper("factor_u expects x in N")
-    w = g0u_witness(x, u)
-    if w is not None:
-        raise NotInG0u(w)
     try:
         plus = gauss_plus(mul_perm_right(x, u.inverse()))
-        A = conj_by_perm(u, plus)
+    except NotInG0 as exc:
+        raise NotInG0u(exc.witness) from exc
+    A = conj_by_perm(u, plus)
+    try:
         fac = gauss_decompose(A)
         y, x_upper = fac.lower, fac.upper
         x_u = gauss_plus(mul_perm_left(u, y))

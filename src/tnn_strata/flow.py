@@ -4,13 +4,14 @@ its numerical integration, link sampling, and the retraction of a link."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import kernels
-from .cells import cell_of, is_tnn, lusztig_point
+from .cells import is_tnn, lusztig_point
 from .errors import (
     InvalidArgument,
     MaxStepsExceeded,
@@ -20,11 +21,25 @@ from .errors import (
     UndecidableRank,
     ZNotInYgeqV,
 )
-from .fiber import factor_u, pi_u, rho
-from .perms import Permutation, bruhat_leq, bruhat_less, interval, reduced_word
+from .fiber import factor_u, rho
+from .perms import Permutation, bruhat_less, decode_rank_jumps, interval, reduced_word
 from .ratmat import RatMatrix, is_in_G0_u
 
+# The fixed tolerances of the float path.  flow re-checks the stratum label
+# only above STRATUM_CHECK_FLOOR over the base, where float ranks mean
+# something; cell_of_float counts singular values above RANK_TOL (relative)
+# and cannot tell those between RANK_ZERO_TOL and RANK_TOL from zero.
 STRATUM_CHECK_FLOOR = 1e-3
+RANK_TOL = 1e-8
+RANK_ZERO_TOL = 1e-12
+STATIONARY_TOL = 1e-10  # a backward flow's stop: height or field below this
+# A link point lies within LEVEL_TOL of its level: link_point integrates at
+# RK tolerance LINK_STEP_TOL and stops locating a crossing at LEVEL_STOP.
+LEVEL_TOL = 1e-9
+LEVEL_STOP = 1e-12
+LINK_STEP_TOL = 1e-12
+REPROJECT_EVERY = 10  # accepted steps between re-projections onto the fiber
+MAX_STEP = 1.0
 
 
 def str_of(x) -> float | Fraction:
@@ -135,11 +150,11 @@ def _heights(x: np.ndarray) -> np.ndarray:
     return np.trace(x, offset=1, axis1=-2, axis2=-1)
 
 
-def _next_step(h: float, err: float, max_step: float, what: str) -> float:
+def _next_step(h: float, err: float, what: str) -> float:
     """The step controller of the embedded 5(4) pair: grow or shrink h by
-    the usual safety-factored power of the error ratio, capped at max_step."""
+    the usual safety-factored power of the error ratio, capped at MAX_STEP."""
     h *= min(5.0, max(0.2, 0.9 * (1.0 / max(err, 1e-16)) ** 0.2))
-    h = math.copysign(min(abs(h), max_step), h)
+    h = math.copysign(min(abs(h), MAX_STEP), h)
     if abs(h) < 1e-16:
         raise StepUnderflow(f"{what} step size underflow")
     return h
@@ -153,9 +168,6 @@ class FiberIntegrator:
     u: Permutation
     base: np.ndarray
     tol: float = 1e-9
-    max_steps: int = 200_000
-    reproject_every: int = 10
-    max_step: float = 1.0
 
     def __post_init__(self):
         self._u0, self._uinv0 = kernels.perm_arrays(self.u)
@@ -187,18 +199,13 @@ class FiberIntegrator:
         return x5, err
 
 
-# Singular values at or below this fraction of the largest are zero beyond
-# doubt; those between it and cell_of_float's tol cannot be told from zero.
-RANK_ZERO_TOL = 1e-12
-
-
-def cell_of_float(x: np.ndarray, tol: float = 1e-8) -> Permutation:
+def cell_of_float(x: np.ndarray) -> Permutation:
     """Float analogue of the exact cell identification, using SVD ranks.
 
     Raises UndecidableRank when some top-right submatrix has a singular
-    value between the thresholds ``tol`` and ``RANK_ZERO_TOL`` (relative),
-    so its rank is not determined at working precision, or when the rank
-    table decodes to no permutation.
+    value between the thresholds ``RANK_TOL`` and ``RANK_ZERO_TOL``
+    (relative), so its rank is not determined at working precision, or
+    when the rank table decodes to no permutation.
     """
     n = x.shape[0]
     r = np.zeros((n + 1, n + 2), dtype=int)
@@ -206,18 +213,13 @@ def cell_of_float(x: np.ndarray, tol: float = 1e-8) -> Permutation:
         for j in range(1, n + 1):
             sv = np.linalg.svd(x[:i, j - 1 :], compute_uv=False)
             scale = max(1.0, sv[0])
-            r[i][j] = int(np.sum(sv > tol * scale))
+            r[i][j] = int(np.sum(sv > RANK_TOL * scale))
             if r[i][j] != int(np.sum(sv > RANK_ZERO_TOL * scale)):
                 raise UndecidableRank(f"rank of x[:{i}, {j - 1}:] is undecidable")
-    img = [0] * n
-    for k in range(1, n + 1):
-        for i in range(1, n + 1):
-            if r[i][k] - r[i - 1][k] - r[i][k + 1] + r[i - 1][k + 1] == 1:
-                img[k - 1] = i
-                break
-    if sorted(img) != list(range(1, n + 1)):
-        raise UndecidableRank(f"rank table decodes to no permutation: {img}")
-    return Permutation(tuple(img))
+    try:
+        return decode_rank_jumps(r)
+    except ValueError as exc:
+        raise UndecidableRank(f"rank table decodes to no permutation: {exc}") from exc
 
 
 def _require(ok: bool, message: str):
@@ -235,17 +237,15 @@ def flow(
     max_steps: int = 200_000,
     snapshot_every: int = 50,
     target_str: float | None = None,
-    stationary_tol: float = 1e-10,
-    check_stratum: bool = True,
 ) -> list[FlowState]:
     """Integrate the fiber field from x0.
 
     Backward runs until the field (or the height above the base) is below
-    ``stationary_tol``; forward runs until ``target_str`` is reached.
+    ``STATIONARY_TOL``; forward runs until ``target_str`` is reached.
     The stratum label is frozen at the start and re-checked at snapshots
     away from the base, where float rank detection is meaningful; a
-    snapshot whose label is undecidable (UndecidableRank) is not checked.
-    With ``check_stratum``, an undecidable label at x0 raises UndecidableRank.
+    snapshot whose label is undecidable (UndecidableRank) is not checked,
+    and an undecidable label at x0 raises UndecidableRank.
     """
     forward = direction == "forward"
     _require(not forward or target_str is not None, "forward flow needs target_str")
@@ -258,7 +258,7 @@ def flow(
         base = kernels.fiber_parts(x0, u0, uinv0)[0]
     integ = FiberIntegrator(u, base, tol=tol)
     base_str = str_of(integ.base)
-    stratum = cell_of_float(x0) if check_stratum else u
+    stratum = cell_of_float(x0)
 
     traj: list[FlowState] = [
         FlowState(x0.copy(), 0.0, str_of(x0), stratum, 0.0)
@@ -271,28 +271,24 @@ def flow(
             if str_of(x) >= target_str:
                 break
         elif (
-            str_of(x) - base_str < stationary_tol
-            or float(np.abs(integ.rhs(x)).max()) < stationary_tol
+            str_of(x) - base_str < STATIONARY_TOL
+            or float(np.abs(integ.rhs(x)).max()) < STATIONARY_TOL
         ):
             break
         xn, err = integ.rk_step(x, h)
         if err <= 1.0:
             x, t = xn, t + h
             accepted += 1
-            if accepted % integ.reproject_every == 0:
+            if accepted % REPROJECT_EVERY == 0:
                 x = integ.reproject(x)
             if accepted % snapshot_every == 0:
                 s = str_of(x)
-                if (
-                    check_stratum
-                    and s - base_str > STRATUM_CHECK_FLOOR
-                    and _label_changed(x, stratum)
-                ):
+                if s - base_str > STRATUM_CHECK_FLOOR and _label_changed(x, stratum):
                     raise StratumEscape(
                         f"stratum label changed along trajectory at t={t}"
                     )
                 traj.append(FlowState(x.copy(), t, s, stratum, h))
-        h = _next_step(h, err, integ.max_step, "flow")
+        h = _next_step(h, err, "flow")
     else:
         raise MaxStepsExceeded(f"flow did not terminate in {max_steps} steps")
     if traj[-1].time != t:
@@ -319,25 +315,23 @@ def link_point(
     epsilon: float,
     *,
     base: np.ndarray,
-    str_tol: float = 1e-9,
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """The unique point with str = str(base) + epsilon on the trajectory
     through x, for one matrix x or for each row of a stack (B, n, n).
 
-    A row already within ``str_tol`` of the level is returned unchanged.
+    A row already within ``LEVEL_TOL`` of the level is returned unchanged.
     The others are integrated as one stack with a shared step magnitude,
     each in its own direction; a row leaves the stack at the accepted step
     that crosses the level, and the crossing is then located by an Illinois
     iteration on the time offset inside that step.
     """
     _require_epsilon(epsilon)
-    integ = FiberIntegrator(u, base, tol=tol)
+    integ = FiberIntegrator(u, base, tol=LINK_STEP_TOL)
     target = str_of(base) + epsilon
     x = np.asarray(x, dtype=np.float64)
     out = x.reshape((-1,) + x.shape[-2:]).copy()
     g = _heights(out) - target
-    rows = np.flatnonzero(~(np.abs(g) <= str_tol))
+    rows = np.flatnonzero(~(np.abs(g) <= LEVEL_TOL))
     lo, g_lo = out[rows], g[rows]
     sign = np.where(g_lo < 0.0, 1.0, -1.0)
 
@@ -357,26 +351,25 @@ def link_point(
                 )
             stay = ~crossed
             rows, lo, g_lo, sign = rows[stay], xn[stay], g_n[stay], sign[stay]
-        h = _next_step(h, err, integ.max_step, "link_point bracketing")
+        h = _next_step(h, err, "link_point bracketing")
     else:
         raise MaxStepsExceeded("link_point failed to bracket the level set")
 
     if brackets:
         rows, lo, dt, g_lo, xn, g_n = (np.concatenate(c) for c in zip(*brackets))
-        out[rows] = _locate_level(integ, lo, dt, g_lo, xn, g_n, target, str_tol)
+        out[rows] = _locate_level(integ, lo, dt, g_lo, xn, g_n, target)
     return out.reshape(x.shape)
 
 
-def _locate_level(integ, lo, dt, g_lo, x_hi, g_hi, target, str_tol):
+def _locate_level(integ, lo, dt, g_lo, x_hi, g_hi, target):
     """Illinois (modified regula falsi) on each row's time offset in
     [0, dt], where str - target changes sign between lo and x_hi = the step
-    of lo by dt; stops a row at |str - target| <= min(str_tol, 1e-12)."""
-    stop = min(str_tol, 1e-12)
+    of lo by dt; stops a row at |str - target| <= LEVEL_STOP."""
     best, best_g = x_hi.copy(), np.abs(g_hi)
     # bracket [a, b] in time offset; b is the latest iterate
     a, ga = np.zeros_like(dt), g_lo
     b, gb = dt, g_hi
-    rows = np.flatnonzero(~(best_g <= stop))
+    rows = np.flatnonzero(~(best_g <= LEVEL_STOP))
     a, ga, b, gb, lo = a[rows], ga[rows], b[rows], gb[rows], lo[rows]
     for _ in range(200):
         if not rows.size:
@@ -392,9 +385,9 @@ def _locate_level(integ, lo, dt, g_lo, x_hi, g_hi, target, str_tol):
         flip = gc * gb < 0.0
         a, ga = np.where(flip, b, a), np.where(flip, gb, 0.5 * ga)
         b, gb = c, gc
-        live = ~(np.abs(gc) <= stop)  # a nan row stays until the cap
+        live = ~(np.abs(gc) <= LEVEL_STOP)  # a nan row stays until the cap
         rows, a, ga, b, gb, lo = rows[live], a[live], ga[live], b[live], gb[live], lo[live]
-    if (best_g[rows] > str_tol).any():
+    if (best_g[rows] > LEVEL_TOL).any():
         raise StepUnderflow("link_point root finding stalled above tolerance")
     return best
 
@@ -406,7 +399,33 @@ class LinkSample:
     epsilon: float
     base: RatMatrix
     points: tuple[tuple[np.ndarray, Permutation], ...]
-    dimensions: dict = field(hash=False, default_factory=dict)
+    dimensions: dict = field(hash=False)
+
+
+@dataclass(frozen=True)
+class LinkCensus:
+    """The strata of the link of the u-cell inside Y_[u,v]: one per label w
+    in (u, v], in (length, image) order, of dimension l(w) - l(u) - 1, with
+    the number of counted points that carry its label; ``euler`` is the
+    sum of (-1)^dim over the strata, which is 1 for the link."""
+
+    dimensions: dict[Permutation, int]
+    counts: dict[Permutation, int]
+    euler: int
+
+
+def link_census(u: Permutation, v: Permutation, points=()) -> LinkCensus:
+    """The census of the link of the u-cell inside Y_[u,v], counting the
+    labels of ``points``, (point, label) pairs such as LinkSample.points."""
+    if not bruhat_less(u, v):
+        raise NotComparable(f"{u.serialize()} must be strictly below {v.serialize()}")
+    labels = sorted(
+        (w for w in interval(u, v).elements if w != u),
+        key=lambda w: (w.length, w.image),
+    )
+    dims = {w: w.length - u.length - 1 for w in labels}
+    found = Counter(w for _, w in points)
+    return LinkCensus(dims, {w: found[w] for w in labels}, sum((-1) ** d for d in dims.values()))
 
 
 def default_base(u: Permutation) -> RatMatrix:
@@ -430,31 +449,22 @@ def link_sample(
     epsilon: float,
     count: int,
     seed: int,
-    *,
-    str_tol: float = 1e-9,
 ) -> LinkSample:
     """Sample the link of the u-cell inside Y_[u,v]: for each stratum label
-    w in (u,v], draw cell points, move them into the fiber over the
-    canonical base with rho, and flow them, as one stack, to the epsilon
-    level set."""
+    w in (u,v], draw ``count`` cell points, move them into the fiber over
+    the canonical base with rho, and flow them, as one stack, to the
+    epsilon level set."""
     import random as _random
 
     _require_epsilon(epsilon)
-    if not bruhat_less(u, v):
-        raise NotComparable(f"{u.serialize()} must be strictly below {v.serialize()}")
+    _require(count >= 1, "count must be at least 1")
+    dims = link_census(u, v).dimensions
     rng = _random.Random(seed)
     base = default_base(u)
     base_f = np.array(base.to_floats())
-    labels = sorted(
-        (w for w in interval(u, v).elements if w != u),
-        key=lambda w: (w.length, w.image),
-    )
-    dims = {w: w.length - u.length - 1 for w in labels}
-    drawn = [(rho(random_cell_point(w, rng), base, u), w) for w in labels for _ in range(count)]
-    if not drawn:
-        return LinkSample(u, v, epsilon, base, (), dims)
+    drawn = [(rho(random_cell_point(w, rng), base, u), w) for w in dims for _ in range(count)]
     stack = np.array([x.to_floats() for x, _ in drawn])
-    pts = link_point(stack, u, v, epsilon, base=base_f, str_tol=str_tol)
+    pts = link_point(stack, u, v, epsilon, base=base_f)
     return LinkSample(u, v, epsilon, base, tuple(zip(pts, (w for _, w in drawn))), dims)
 
 
@@ -477,7 +487,6 @@ def retraction(
     epsilon: float,
     *,
     base: np.ndarray,
-    str_tol: float = 1e-9,
 ) -> np.ndarray:
     """One stage of the deformation retraction of the link to a point:
     scale z up and x down with the torus, project onto the v-cell, move
@@ -498,4 +507,4 @@ def retraction(
         )
     u0, uinv0 = kernels.perm_arrays(u)
     moved = kernels.rho_move(y_v, base, u0, uinv0)
-    return link_point(moved, u, v, epsilon, base=base, str_tol=str_tol)
+    return link_point(moved, u, v, epsilon, base=base)

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NotComparable, RankTooLarge
+from .errors import InvalidArgument, NotComparable, RankTooLarge
 
 INTERVAL_GUARD = 7
 ALL_WORDS_GUARD = 4
@@ -56,7 +56,7 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition (self*other)(i) = self(other(i))."""
         if self.n != other.n:
-            raise ValueError("rank mismatch")
+            raise InvalidArgument("rank mismatch")
         return Permutation(tuple(self.image[other.image[i] - 1] for i in range(self.n)))
 
     def inverse(self) -> "Permutation":
@@ -93,14 +93,27 @@ class Permutation:
         return tuple(table)
 
 
-def length(w: Permutation) -> int:
-    return w.length
+def decode_rank_jumps(r) -> Permutation:
+    """The w whose rank table is r, where r[i][j] (1 <= i, j <= n) is the
+    rank of rows 1..i and columns j..n, and r[0][*] = r[*][n+1] = 0:
+    w(k) = i exactly where the double difference of r at (i, k) is 1.
+
+    Raises ValueError when r decodes to no permutation.
+    """
+    n = len(r) - 1
+    img = [0] * n
+    for k in range(1, n + 1):
+        for i in range(1, n + 1):
+            if r[i][k] - r[i - 1][k] - r[i][k + 1] + r[i - 1][k + 1] == 1:
+                img[k - 1] = i
+                break
+    return Permutation(tuple(img))
 
 
 def bruhat_leq(u: Permutation, v: Permutation) -> bool:
     """Bruhat order via rank-table dominance: u <= v iff r_u >= r_v entrywise."""
     if u.n != v.n:
-        raise ValueError("rank mismatch")
+        raise InvalidArgument("rank mismatch")
     ru, rv = u.rank_table, v.rank_table
     return all(ru[i][j] >= rv[i][j] for i in range(u.n) for j in range(u.n + 1))
 
@@ -160,7 +173,12 @@ class ReducedWord:
     @staticmethod
     def parse(text: str, n: int) -> "ReducedWord":
         letters = tuple(int(p[1:]) for p in text.split(".")) if text else ()
-        return ReducedWord(letters, word_product(letters, n))
+        if not all(1 <= a <= n - 1 for a in letters):
+            raise InvalidArgument(f"letters of {text!r} must lie in 1..{n - 1}")
+        target = word_product(letters, n)
+        if len(letters) != target.length:
+            raise InvalidArgument(f"{text!r} is not a reduced word")
+        return ReducedWord(letters, target)
 
 
 def word_product(letters: tuple[int, ...], n: int) -> Permutation:

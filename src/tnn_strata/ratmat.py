@@ -62,10 +62,6 @@ class RatMatrix:
     def transpose(self) -> "RatMatrix":
         return RatMatrix(tuple(zip(*self.rows)))
 
-    def scale_entries(self, factor) -> "RatMatrix":
-        f = _rat(factor)
-        return RatMatrix(tuple(tuple(f * v for v in r) for r in self.rows))
-
     def inverse(self) -> "RatMatrix":
         n = self.n
         aug = [list(r) + [Fraction(int(i == j)) for j in range(n)]
@@ -107,10 +103,6 @@ class RatMatrix:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
-
-    @staticmethod
-    def from_json(text: str) -> "RatMatrix":
-        return RatMatrix.from_json_obj(json.loads(text))
 
 
 def det_bareiss(rows: list[list[Fraction]]) -> Fraction:
@@ -299,15 +291,6 @@ def conj_by_perm(w: Permutation, x: RatMatrix) -> RatMatrix:
 def is_in_G0_u(x: RatMatrix, u: Permutation) -> bool:
     """x in G_0 u, tested as x u^-1 in G_0."""
     return is_in_G0(mul_perm_right(x, u.inverse()))
-
-
-def g0u_witness(x: RatMatrix, u: Permutation) -> int | None:
-    """Size of the first vanishing leading principal minor of x u^-1, if any."""
-    y = mul_perm_right(x, u.inverse())
-    for k in range(1, x.n + 1):
-        if minor(y, range(1, k + 1), range(1, k + 1)) == 0:
-            return k
-    return None
 
 
 # --- subgroup predicates -----------------------------------------------

@@ -176,6 +176,13 @@ class TestVerify:
         b = runner.invoke(main, args).output
         assert a == b
 
+    def test_verma_too_large_exit_3(self, runner):
+        res = runner.invoke(main, ["verify", "verma", "--n", "8"])
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "RankTooLarge"
+
     def test_timings_flag_adds_wall_time(self, runner):
         res = runner.invoke(
             main, ["verify", "bruhat", "--n", "3", "--timings"]
@@ -213,6 +220,16 @@ class TestDeterminism:
         ["flow", "--u", "1,2,3", "--tol", "0"],
         ["flow", "--u", "1,2,3", "--tol", "nan"],
         ["flow", "--u", "1,2,3", "--tol", "inf"],
+        ["verify", "param-cell", "--n", "3", "--samples", "-1"],
+        ["verify", "retraction", "--n", "3", "--samples", "-1"],
+        ["link-sample", "--u", "1,2,3", "--v", "3,2,1", "--count", "0"],
+        ["link-sample", "--u", "1,2,3", "--v", "3,2,1", "--count", "-2"],
+        ["link-census", "--u", "1,2,3", "--v", "3,2,1", "--count", "0"],
+        ["link-census", "--u", "1,2,3", "--v", "3,2,1", "--count", "-2"],
+        ["link-sample", "--u", "1,2,3", "--v", "3,2,1,4"],
+        ["link-census", "--u", "1,2,3,4", "--v", "1,2,3"],
+        ["param", "--word", "s0", "--n", "3", "--params", "1"],
+        ["param", "--word", "s1.s1", "--n", "3", "--params", "1,1"],
     ],
 )
 def test_bad_numeric_option_exit_2(runner, argv):

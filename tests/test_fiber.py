@@ -13,7 +13,7 @@ from tnn_strata.errors import (
 from tnn_strata.fiber import conj_d, factor_u, pi_u, recover_shift, rho
 from tnn_strata.flow import random_cell_point
 from tnn_strata.perms import Permutation, all_permutations, bruhat_leq
-from tnn_strata.ratmat import RatMatrix, in_N_of_w
+from tnn_strata.ratmat import RatMatrix, in_N_of_w, minor, mul_perm_right
 
 
 def fiber_case(rng, n=4):
@@ -50,6 +50,31 @@ class TestFactorU:
         u = Permutation.parse("2,1,3")
         with pytest.raises(NotInG0u):
             factor_u(RatMatrix.identity(3), u)
+
+
+@pytest.mark.parametrize(
+    "u", all_permutations(3) + all_permutations(4), ids=lambda u: u.serialize()
+)
+def test_factor_u_rejects_exactly_outside_G0u(u):
+    """factor_u raises NotInG0u iff x u^-1 has a vanishing leading principal
+    minor, with the size of the first one as its witness; for x in the
+    w-cell that happens iff u is not below w."""
+    rng = random.Random(3)
+    for w in all_permutations(u.n):
+        x = random_cell_point(w, rng)
+        y = mul_perm_right(x, u.inverse())
+        witness = next(
+            (k for k in range(1, u.n + 1) if minor(y, range(1, k + 1), range(1, k + 1)) == 0),
+            None,
+        )
+        assert (witness is None) == bruhat_leq(u, w)
+        if witness is None:
+            fr = factor_u(x, u)
+            assert fr.x_u @ fr.x_upper_u == x
+        else:
+            with pytest.raises(NotInG0u) as info:
+                factor_u(x, u)
+            assert info.value.witness == witness
 
 
 class TestRho:

@@ -3,14 +3,16 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from tnn_strata.errors import NotComparable, RankTooLarge
+from tnn_strata.errors import InvalidArgument, NotComparable, RankTooLarge
 from tnn_strata.perms import (
     Permutation,
+    ReducedWord,
     all_permutations,
     all_reduced_words,
     bruhat_leq,
     bruhat_leq_subword,
     bruhat_less,
+    decode_rank_jumps,
     interval,
     mobius,
     reduced_word,
@@ -116,8 +118,40 @@ class TestWords:
 
     def test_word_serialize_parse(self):
         rw = reduced_word(Permutation.longest(3))
-        from tnn_strata.perms import ReducedWord
-
         back = ReducedWord.parse(rw.serialize(), 3)
         assert back.letters == rw.letters
         assert back.target == rw.target
+
+    @pytest.mark.parametrize("text", ["s0", "s3", "s1.s1", "s1.s2.s1.s2"])
+    def test_parse_rejects_bad_letters_and_unreduced_words(self, text):
+        with pytest.raises(InvalidArgument):
+            ReducedWord.parse(text, 3)
+
+
+class TestRankMismatch:
+    def test_bruhat_leq(self):
+        with pytest.raises(InvalidArgument):
+            bruhat_leq(Permutation.identity(3), Permutation.identity(4))
+
+    def test_composition(self):
+        with pytest.raises(InvalidArgument):
+            Permutation.identity(3) * Permutation.identity(4)
+
+
+class TestDecodeRankJumps:
+    def _table(self, w):
+        # r[i][j] = #{k >= j : w(k) <= i}, the rank of rows 1..i, columns
+        # j..n of the permutation matrix with its ones at (w(k), k)
+        n = w.n
+        return [
+            [sum(1 for k in range(max(j, 1), n + 1) if w(k) <= i) for j in range(n + 2)]
+            for i in range(n + 1)
+        ]
+
+    def test_decodes_every_permutation_of_s4(self):
+        for w in all_permutations(4):
+            assert decode_rank_jumps(self._table(w)) == w
+
+    def test_table_of_no_permutation_raises(self):
+        with pytest.raises(ValueError):
+            decode_rank_jumps([[0] * 5 for _ in range(4)])
