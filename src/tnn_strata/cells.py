@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from .errors import (
     InternalInvariantError,
+    InvalidArgument,
     NonPositiveParameter,
     NotUnipotentUpper,
     RankTooLarge,
@@ -46,7 +47,7 @@ def lusztig_point(word: ReducedWord, params) -> CellPoint:
     parameters; lands in the cell of the word's target."""
     params = [Fraction(t) for t in params]
     if len(params) != len(word.letters):
-        raise ValueError("parameter count must match word length")
+        raise InvalidArgument(f"need {len(word.letters)} parameters, got {len(params)}")
     if any(t <= 0 for t in params):
         raise NonPositiveParameter("all parameters must be > 0")
     n = word.target.n

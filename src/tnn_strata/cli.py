@@ -47,14 +47,14 @@ def _read_matrix(path: str | None) -> RatMatrix:
         return RatMatrix.from_json_obj(json.loads(text))
     except OSError as exc:
         _fail(EXIT_USAGE, "io", str(exc))
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
         _fail(EXIT_USAGE, "parse", f"bad matrix JSON: {exc}")
 
 
 def _parse_perm(text: str, name: str = "permutation") -> Permutation:
     try:
         return Permutation.parse(text)
-    except (ValueError, TnnStrataError) as exc:
+    except ValueError as exc:
         _fail(EXIT_USAGE, "parse", f"bad {name} {text!r}: {exc}")
 
 
@@ -66,20 +66,32 @@ def _float_matrix_obj(x: np.ndarray) -> dict:
     return {"n": int(x.shape[0]), "entries": [[float(v) for v in row] for row in x]}
 
 
-def _guard(fn):
-    """Run fn, mapping out-of-domain arguments to exit 2 and math
-    preconditions to exit 3."""
-    try:
-        return fn()
-    except InvalidArgument as exc:
-        _fail(EXIT_USAGE, "usage", str(exc))
-    except PreconditionError as exc:
-        _fail(EXIT_PRECONDITION, type(exc).__name__, str(exc))
-    except TnnStrataError as exc:
-        _fail(EXIT_INVARIANT, type(exc).__name__, str(exc))
+# The one error boundary: the first row whose class matches an error gives
+# its exit code and its JSON "error" kind (None: the error's class name).
+_EXITS = (
+    (click.UsageError, EXIT_USAGE, "usage"),
+    (InvalidArgument, EXIT_USAGE, "usage"),
+    (PreconditionError, EXIT_PRECONDITION, None),
+    (TnnStrataError, EXIT_INVARIANT, None),
+    (click.Abort, EXIT_INVARIANT, "aborted"),
+)
 
 
-@click.group()
+class _JsonErrors(click.Group):
+    """A group whose every error, click's own included, leaves as an exit
+    code and one JSON line on stderr, by the table _EXITS."""
+
+    def main(self, args=None, prog_name=None, **extra):
+        try:
+            code = super().main(args, prog_name, standalone_mode=False, **extra)
+        except tuple(cls for cls, _, _ in _EXITS) as exc:
+            code, kind = next((c, k) for cls, c, k in _EXITS if isinstance(exc, cls))
+            message = exc.format_message() if isinstance(exc, click.UsageError) else str(exc)
+            _fail(code, kind or type(exc).__name__, message)
+        sys.exit(code or EXIT_OK)
+
+
+@click.group(cls=_JsonErrors)
 def main():
     """Exact-arithmetic toolkit for cells of totally nonnegative unipotent
     matrices: Bruhat combinatorics, cell projections, fiber flows, links."""
@@ -95,16 +107,12 @@ _u_opt = click.option("--u", "u_text", required=True, help="permutation in one-l
 @click.option("--params", required=True, help="comma-separated positive rationals, one per letter")
 def param(word, n, params):
     """Build the cell point with the given Lusztig parameters."""
+    rw = ReducedWord.parse(word, n)
     try:
-        rw = ReducedWord.parse(word, n)
         ts = [Fraction(p) for p in params.split(",")] if params else []
-    except InvalidArgument as exc:
-        _fail(EXIT_USAGE, "usage", str(exc))
-    except (ValueError, ZeroDivisionError, IndexError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         _fail(EXIT_USAGE, "parse", str(exc))
-    if len(ts) != len(rw.letters):
-        _fail(EXIT_USAGE, "usage", f"need {len(rw.letters)} parameters, got {len(ts)}")
-    pt = _guard(lambda: lusztig_point(rw, ts))
+    pt = lusztig_point(rw, ts)
     obj = pt.matrix.to_json_obj()
     obj["cell"] = pt.cell.serialize()
     obj["tnn"] = pt.tnn
@@ -116,7 +124,7 @@ def param(word, n, params):
 def cmd_cell_of(path):
     """Identify which cell a totally nonnegative matrix lies in."""
     x = _read_matrix(path)
-    w = _guard(lambda: cell_of(x))
+    w = cell_of(x)
     _emit({"cell": w.serialize(), "length": w.length})
 
 
@@ -125,7 +133,7 @@ def cmd_cell_of(path):
 def tnn(path):
     """Test a matrix for total nonnegativity (all minors >= 0)."""
     x = _read_matrix(path)
-    _emit({"tnn": _guard(lambda: is_tnn(x))})
+    _emit({"tnn": is_tnn(x)})
 
 
 @main.command()
@@ -135,7 +143,7 @@ def project(path, u_text):
     """Project a matrix onto the u-cell (the x_u factor of x = x_u x^u)."""
     x = _read_matrix(path)
     u = _parse_perm(u_text)
-    frame = _guard(lambda: factor_u(x, u))
+    frame = factor_u(x, u)
     _emit(
         {
             "x_u": frame.x_u.to_json_obj(),
@@ -154,7 +162,7 @@ def cmd_rho(path, u_text, base_path):
     xt = _read_matrix(path)
     base = _read_matrix(base_path)
     u = _parse_perm(u_text)
-    out = _guard(lambda: rho(xt, base, u))
+    out = rho(xt, base, u)
     _emit(out.to_json_obj())
 
 
@@ -165,7 +173,7 @@ def cmd_psi(path, u_text):
     """Evaluate the fiber vector field at a point (exact rational)."""
     x = _read_matrix(path)
     u = _parse_perm(u_text)
-    out = _guard(lambda: psi(x, u))
+    out = psi(x, u)
     obj = out.to_json_obj()
     obj["str"] = str(str_of(out))
     _emit(obj)
@@ -184,18 +192,14 @@ def cmd_flow(path, u_text, direction, target_str, tol, max_steps, snapshot_every
     """Integrate the gradient-like fiber flow from a point."""
     x = _read_matrix(path)
     u = _parse_perm(u_text)
-    if direction == "forward" and target_str is None:
-        _fail(EXIT_USAGE, "usage", "forward flow needs --target-str")
-    traj = _guard(
-        lambda: run_flow(
-            np.array(x.to_floats()),
-            u,
-            direction,
-            tol=tol,
-            max_steps=max_steps,
-            snapshot_every=snapshot_every,
-            target_str=target_str,
-        )
+    traj = run_flow(
+        np.array(x.to_floats()),
+        u,
+        direction,
+        tol=tol,
+        max_steps=max_steps,
+        snapshot_every=snapshot_every,
+        target_str=target_str,
     )
     if dump:
         for st in traj:
@@ -231,7 +235,7 @@ def cmd_link_sample(u_text, v_text, epsilon, count, seed):
     """Sample points of the link of the u-cell inside Y_[u,v]."""
     u = _parse_perm(u_text, "u")
     v = _parse_perm(v_text, "v")
-    sample = _guard(lambda: link_sample(u, v, epsilon, count, seed))
+    sample = link_sample(u, v, epsilon, count, seed)
     base_str = float(str_of(np.array(sample.base.to_floats())))
     _emit(
         {
@@ -264,7 +268,7 @@ def cmd_link_census(u_text, v_text, epsilon, count, seed):
     per-stratum point counts, and the combinatorial Euler characteristic."""
     u = _parse_perm(u_text, "u")
     v = _parse_perm(v_text, "v")
-    census = _guard(lambda: link_census(u, v, link_sample(u, v, epsilon, count, seed).points))
+    census = link_census(u, v, link_sample(u, v, epsilon, count, seed).points)
     _emit(
         {
             "u": u.serialize(),
@@ -296,14 +300,8 @@ def cmd_retract(path, u_text, v_text, z_path, tau, epsilon):
     u = _parse_perm(u_text, "u")
     v = _parse_perm(v_text, "v")
     z = _read_matrix(z_path)
-    if not 0.0 <= tau <= 1.0:
-        _fail(EXIT_USAGE, "usage", "--tau must lie in [0, 1]")
     base = np.array(default_base(u).to_floats())
-    out = _guard(
-        lambda: run_retraction(
-            np.array(x.to_floats()), tau, u, v, z, epsilon, base=base
-        )
-    )
+    out = run_retraction(np.array(x.to_floats()), tau, u, v, z, epsilon, base=base)
     obj = _float_matrix_obj(out)
     obj["str"] = float(str_of(out))
     _emit(obj)
@@ -314,20 +312,10 @@ def cmd_retract(path, u_text, v_text, z_path, tau, epsilon):
 @click.option("--n", type=int, default=4, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--samples", type=int, default=0, help="cases per suite, at least 0; 0 uses each suite's default size")
-@click.option("--epsilon", type=float, default=1.0, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.option("--max-steps", type=int, default=200_000, show_default=True)
 @click.option("--timings", is_flag=True, help="include wall times (breaks byte-stability)")
-def cmd_verify(suite, n, seed, samples, epsilon, tol, max_steps, timings):
+def cmd_verify(suite, n, seed, samples, timings):
     """Run a named invariant suite (or 'all'); exit 0 iff no failures."""
-    if n < 2:
-        _fail(EXIT_USAGE, "usage", "--n must be at least 2")
-    if tol <= 0 or epsilon <= 0:
-        _fail(EXIT_USAGE, "usage", "--tol and --epsilon must be positive")
-    config = RunConfig(
-        n=n, seed=seed, epsilon=epsilon, tol=tol, max_steps=max_steps, samples=samples
-    )
-    reports = _guard(lambda: run_suite(suite, config))
+    reports = run_suite(suite, RunConfig(n=n, seed=seed, samples=samples))
     _emit([r.to_json_obj(timings=timings) for r in reports])
     if any(not r.ok for r in reports):
         sys.exit(EXIT_INVARIANT)

@@ -10,6 +10,7 @@ from .cells import cell_of
 from .errors import (
     CellMismatch,
     InternalInvariantError,
+    InvalidArgument,
     NonPositiveTau,
     NotInG0u,
     NotUnipotentUpper,
@@ -51,6 +52,8 @@ def factor_u(x: RatMatrix, u: Permutation) -> FiberFrame:
     Raises NotInG0u, with the size of the first vanishing leading
     principal minor of x u^-1, when x is outside G_0 u.
     """
+    if x.n != u.n:
+        raise InvalidArgument("rank mismatch")
     if not is_in_N(x):
         raise NotUnipotentUpper("factor_u expects x in N")
     try:
@@ -81,6 +84,8 @@ def recover_shift(x_w: RatMatrix, xt_w: RatMatrix, w: Permutation) -> RatMatrix:
 
         n_1 = w^-1 ([xt_w w^-1]_+)^-1 [x_w w^-1]_+ w.
     """
+    if not x_w.n == xt_w.n == w.n:
+        raise InvalidArgument("rank mismatch")
     for m in (x_w, xt_w):
         if cell_of(m) != w:
             raise CellMismatch(

@@ -16,6 +16,7 @@ from .errors import (
     InvalidArgument,
     MaxStepsExceeded,
     NotComparable,
+    RankTooLarge,
     StepUnderflow,
     StratumEscape,
     UndecidableRank,
@@ -40,6 +41,7 @@ LEVEL_STOP = 1e-12
 LINK_STEP_TOL = 1e-12
 REPROJECT_EVERY = 10  # accepted steps between re-projections onto the fiber
 MAX_STEP = 1.0
+LINK_POINT_BUDGET = 10_000  # most points one link_sample may draw
 
 
 def str_of(x) -> float | Fraction:
@@ -252,7 +254,9 @@ def flow(
     _require(target_str is None or math.isfinite(target_str), "target_str must be finite")
     _require(math.isfinite(tol) and tol > 0, "tol must be finite and positive")
     _require(snapshot_every >= 1, "snapshot_every must be at least 1")
+    _require(max_steps >= 1, "max_steps must be at least 1")
     x0 = np.asarray(x0, dtype=np.float64)
+    _require(x0.shape == (u.n, u.n), "rank mismatch")
     if base is None:
         u0, uinv0 = kernels.perm_arrays(u)
         base = kernels.fiber_parts(x0, u0, uinv0)[0]
@@ -459,6 +463,10 @@ def link_sample(
     _require_epsilon(epsilon)
     _require(count >= 1, "count must be at least 1")
     dims = link_census(u, v).dimensions
+    if count * len(dims) > LINK_POINT_BUDGET:
+        raise RankTooLarge(
+            f"{count} points on each of {len(dims)} strata exceed the budget of {LINK_POINT_BUDGET}"
+        )
     rng = _random.Random(seed)
     base = default_base(u)
     base_f = np.array(base.to_floats())
@@ -491,10 +499,10 @@ def retraction(
     """One stage of the deformation retraction of the link to a point:
     scale z up and x down with the torus, project onto the v-cell, move
     into the fiber over the base with rho, and land on the level set."""
+    _require(0.0 <= tau <= 1.0, "tau must lie in [0, 1]")
+    _require(np.shape(x) == (u.n, u.n) and u.n == v.n == z.n, "rank mismatch")
     if not (is_tnn(z) and is_in_G0_u(z, v)):
         raise ZNotInYgeqV("z must be totally nonnegative with cell >= v")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
     zf = conj_d_float(tau, np.array(z.to_floats()))
     xf = conj_d_float(1.0 - tau, np.asarray(x, dtype=np.float64))
     y = zf @ xf

@@ -172,7 +172,12 @@ class ReducedWord:
 
     @staticmethod
     def parse(text: str, n: int) -> "ReducedWord":
-        letters = tuple(int(p[1:]) for p in text.split(".")) if text else ()
+        if n < 1:
+            raise InvalidArgument(f"rank {n} must be at least 1")
+        parts = text.split(".") if text else []
+        if not all(p[:1] == "s" and p[1:].isdecimal() for p in parts):
+            raise InvalidArgument(f"{text!r} is not a word of letters s<i> joined by '.'")
+        letters = tuple(int(p[1:]) for p in parts)
         if not all(1 <= a <= n - 1 for a in letters):
             raise InvalidArgument(f"letters of {text!r} must lie in 1..{n - 1}")
         target = word_product(letters, n)

@@ -97,6 +97,8 @@ class RatMatrix:
     @staticmethod
     def from_json_obj(obj: dict) -> "RatMatrix":
         m = RatMatrix.from_rows([[Fraction(s) for s in r] for r in obj["entries"]])
+        if m.n < 1:
+            raise ValueError("matrix must be at least 1x1")
         if m.n != obj["n"]:
             raise ValueError("declared size disagrees with entries")
         return m

@@ -15,10 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cells import cell_of, is_tnn, lusztig_point
+from .cells import TNN_GUARD, cell_of, is_tnn, lusztig_point
 from .errors import InvalidArgument, RankTooLarge, TnnStrataError
 from .fiber import conj_d, factor_u, pi_u, recover_shift, rho
 from .flow import (
+    LINK_POINT_BUDGET,
     default_base,
     flow,
     link_census,
@@ -60,9 +61,6 @@ SUITES: dict = {}
 class RunConfig:
     n: int = 4
     seed: int = 0
-    epsilon: float = 1.0
-    tol: float = 1e-9
-    max_steps: int = 200_000
     samples: int = 0  # 0 means each suite's spec-mandated default
 
 
@@ -123,6 +121,8 @@ class _Run:
                 f"tnn-strata verify {self.report.suite} --n {self.config.n} "
                 f"--seed {self.config.seed}"
             )
+            if self.config.samples:
+                repro += f" --samples {self.config.samples}"
             self.report.failures.append(Failure(case, detail, repro))
 
     def done(self) -> VerificationReport:
@@ -312,6 +312,8 @@ def suite_param_cell(config: RunConfig) -> VerificationReport:
     run = _Run("param-cell", config)
     rng = _rng(config)
     n = config.n
+    if n > TNN_GUARD:
+        raise RankTooLarge(f"param-cell suite guarded at n <= {TNN_GUARD}")
     reps = config.samples or 3
     for w in all_permutations(n):
         word = reduced_word(w)
@@ -511,14 +513,7 @@ def suite_flow(config: RunConfig) -> VerificationReport:
         base_f = np.array(base.to_floats())
         x_f = np.array(x.to_floats())
         try:
-            traj = flow(
-                x_f,
-                u,
-                "backward",
-                base=base_f,
-                tol=config.tol,
-                max_steps=config.max_steps,
-            )
+            traj = flow(x_f, u, "backward", base=base_f)
         except TnnStrataError as exc:
             run.check(False, f"backward[{i}]", f"{type(exc).__name__}: {exc}")
             continue
@@ -532,8 +527,6 @@ def suite_flow(config: RunConfig) -> VerificationReport:
                 u,
                 "forward",
                 base=base_f,
-                tol=config.tol,
-                max_steps=config.max_steps,
                 target_str=str_of(x_f) + 2.0,
                 snapshot_every=20,
             )
@@ -575,6 +568,8 @@ def suite_link_census(config: RunConfig) -> VerificationReport:
         for eps in (0.5, 1.0, 2.0):
             try:
                 ls = link_sample(u, v, eps, count, seed=config.seed)
+            except RankTooLarge:
+                raise
             except TnnStrataError as exc:
                 run.check(
                     False,
@@ -613,8 +608,10 @@ def suite_retraction(config: RunConfig) -> VerificationReport:
     z = default_base(v)
     base = default_base(u)
     base_f = np.array(base.to_floats())
-    eps = config.epsilon
+    eps = 1.0
     samples = config.samples or 20
+    if samples > LINK_POINT_BUDGET:
+        raise RankTooLarge(f"retraction suite guarded at {LINK_POINT_BUDGET} samples")
     drawn = [rho(random_cell_point(v, rng), base, u).to_floats() for _ in range(samples)]
     pts = list(link_point(np.array(drawn), u, v, eps, base=base_f))
     ends = []
@@ -641,6 +638,8 @@ def suite_retraction(config: RunConfig) -> VerificationReport:
 
 
 def run_suite(name: str, config: RunConfig) -> list[VerificationReport]:
+    if config.n < 2:
+        raise InvalidArgument("n must be at least 2")
     if config.samples < 0:
         raise InvalidArgument("samples must be at least 0")
     if name == "all":

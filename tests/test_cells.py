@@ -10,7 +10,12 @@ from tnn_strata.cells import (
     is_tnn,
     lusztig_point,
 )
-from tnn_strata.errors import NonPositiveParameter, NotUnipotentUpper, RankTooLarge
+from tnn_strata.errors import (
+    InvalidArgument,
+    NonPositiveParameter,
+    NotUnipotentUpper,
+    RankTooLarge,
+)
 from tnn_strata.perms import (
     ReducedWord,
     Permutation,
@@ -42,6 +47,11 @@ class TestLusztig:
         word = reduced_word(Permutation.parse("2,1,3"))
         with pytest.raises(NonPositiveParameter):
             lusztig_point(word, [Fraction(0)])
+
+    def test_param_count_must_match_word(self):
+        word = reduced_word(Permutation.parse("2,1,3"))
+        with pytest.raises(InvalidArgument):
+            lusztig_point(word, [Fraction(1), Fraction(2)])
 
     def test_cell_independent_of_word_choice(self):
         w0 = Permutation.longest(3)

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from tnn_strata import cli
 from tnn_strata.cli import main
 
 IDENTITY3 = json.dumps(
@@ -56,6 +57,13 @@ class TestQueries:
         res = runner.invoke(main, ["cell-of"], input="not json")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("obj", [{"n": 0, "entries": []}, {"n": -1, "entries": []}])
+    def test_empty_matrix_parse_error(self, runner, obj):
+        res = runner.invoke(main, ["cell-of"], input=json.dumps(obj))
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "parse"
+
     def test_bad_entry_exit_2(self, runner):
         bad = json.dumps({"n": 2, "entries": [["1", "x"], ["0", "1"]]})
         res = runner.invoke(main, ["cell-of"], input=bad)
@@ -72,6 +80,14 @@ class TestProjectRho:
     def test_project_precondition_exit_3(self, runner):
         res = runner.invoke(main, ["project", "--u", "2,1,3"], input=IDENTITY3)
         assert res.exit_code == 3
+
+    def test_rho_base_rank_mismatch_exit_2(self, runner, tmp_path):
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"n": 2, "entries": [["1", "2"], ["0", "1"]]}))
+        res = runner.invoke(main, ["rho", "--u", "2,1,3", "--base", str(base)], input=UPPER3)
+        assert res.exit_code == 2
+        err = json.loads(res.stderr)
+        assert err == {"error": "usage", "message": "rank mismatch"}
 
     def test_rho_roundtrip(self, runner, tmp_path):
         base = tmp_path / "base.json"
@@ -130,6 +146,14 @@ class TestLinkVerbs:
         obj = json.loads(res.output)
         assert obj["euler"] == 1
         assert sorted(s["dim"] for s in obj["strata"]) == [0, 0, 1, 1, 2]
+
+    def test_census_point_budget_exit_3(self, runner):
+        res = runner.invoke(
+            main, ["link-census", "--u", "1,2", "--v", "2,1", "--count", "100000000"]
+        )
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "RankTooLarge"
 
     def test_census_incomparable_exit_3(self, runner):
         res = runner.invoke(
@@ -230,6 +254,14 @@ class TestDeterminism:
         ["link-census", "--u", "1,2,3,4", "--v", "1,2,3"],
         ["param", "--word", "s0", "--n", "3", "--params", "1"],
         ["param", "--word", "s1.s1", "--n", "3", "--params", "1,1"],
+        ["param", "--word", "", "--n", "0", "--params", ""],
+        ["param", "--word", "", "--n", "-3", "--params", ""],
+        ["param", "--word", "x1", "--n", "3", "--params", "1"],
+        ["project", "--u", "2,1"],
+        ["psi", "--u", "2,1"],
+        ["flow", "--u", "1,2,3,4"],
+        ["flow", "--u", "1,2,3", "--max-steps", "0"],
+        ["verify", "bruhat", "--n", "1"],
     ],
 )
 def test_bad_numeric_option_exit_2(runner, argv):
@@ -238,3 +270,43 @@ def test_bad_numeric_option_exit_2(runner, argv):
     assert res.stdout == ""
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["link-sample", "--u", "1,2,3", "--v", "3,2,1", "--count", "abc"],
+        ["verify", "nope"],
+        ["nope"],
+        ["--bogus"],
+        ["link-sample", "--u", "1,2,3"],
+    ],
+)
+def test_click_errors_are_one_json_line(runner, argv):
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "usage" and err["message"]
+
+
+def test_interrupt_is_one_json_line(runner, monkeypatch):
+    def interrupted(x):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cell_of", interrupted)
+    res = runner.invoke(main, ["cell-of"], input=IDENTITY3)
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    # click ends the terminal's ^C line with a newline before the JSON line
+    assert res.stderr.startswith("\n") and len(res.stderr.splitlines()) == 2
+    assert json.loads(res.stderr.splitlines()[-1])["error"] == "aborted"
+
+
+def test_help_is_not_an_error(runner):
+    res = runner.invoke(main, ["link-sample", "--help"])
+    assert res.exit_code == 0
+    assert res.stdout.startswith("Usage:") and "--count" in res.stdout
+    assert res.stderr == ""

@@ -6,6 +6,7 @@ import pytest
 from tnn_strata.cells import cell_of, is_tnn
 from tnn_strata.errors import (
     CellMismatch,
+    InvalidArgument,
     NonPositiveTau,
     NotInG0u,
     NotUnipotentUpper,
@@ -116,6 +117,15 @@ class TestRho:
         bad_base = RatMatrix.identity(4)  # identity is not in the u-cell
         with pytest.raises(CellMismatch):
             rho(xt, bad_base, u)
+
+    def test_rank_mismatch_rejected(self):
+        rng = random.Random(47)
+        xt = random_cell_point(Permutation.longest(3), rng)
+        u = Permutation.parse("2,1,3")
+        with pytest.raises(InvalidArgument, match="rank mismatch"):
+            factor_u(xt, Permutation.parse("2,1"))
+        with pytest.raises(InvalidArgument, match="rank mismatch"):
+            rho(xt, RatMatrix.identity(2), u)
 
     def test_sl3_closed_forms(self):
         rng = random.Random(47)

@@ -7,12 +7,14 @@ import pytest
 from tnn_strata.errors import (
     InvalidArgument,
     NotComparable,
+    RankTooLarge,
     StratumEscape,
     UndecidableRank,
     ZNotInYgeqV,
 )
 from tnn_strata.fiber import pi_u, rho
 from tnn_strata.flow import (
+    LINK_POINT_BUDGET,
     FiberIntegrator,
     cell_of_float,
     conj_d_float,
@@ -107,6 +109,13 @@ class TestFlow:
         x0 = np.array(x.to_floats())
         traj = flow(x0, u, "forward", target_str=str_of(x0) + 1.0)
         assert all(s.stratum == w for s in traj)
+
+    def test_bad_arguments_rejected(self):
+        u = Permutation.identity(3)
+        with pytest.raises(InvalidArgument, match="rank mismatch"):
+            flow(np.eye(3), Permutation.identity(4), "backward")
+        with pytest.raises(InvalidArgument, match="max_steps"):
+            flow(np.eye(3), u, "backward", max_steps=0)
 
 
 class TestCellOfFloat:
@@ -225,6 +234,14 @@ class TestLink:
         with pytest.raises(InvalidArgument):
             link_sample(u, v, eps, 1, 0)
 
+    def test_point_budget_checked_before_drawing(self):
+        u, v = Permutation.identity(2), Permutation.longest(2)
+        with pytest.raises(RankTooLarge):
+            link_sample(u, v, 1.0, 10**8, 0)
+        u, v = Permutation.identity(4), Permutation.longest(4)  # 23 strata
+        with pytest.raises(RankTooLarge):
+            link_sample(u, v, 1.0, LINK_POINT_BUDGET // 23 + 1, 0)
+
     def test_incomparable_rejected(self):
         with pytest.raises(NotComparable):
             link_sample(
@@ -266,6 +283,26 @@ class TestRetraction:
                 1.0,
                 base=np.array(default_base(u).to_floats()),
             )
+
+
+    def test_bad_tau_rejected_before_target(self):
+        u, v = Permutation.identity(3), Permutation.longest(3)
+        bad = RatMatrix.from_rows([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
+        base = np.array(default_base(u).to_floats())
+        for tau in (-0.5, 1.5, float("nan")):
+            with pytest.raises(InvalidArgument, match="tau"):
+                retraction(np.eye(3), tau, u, v, bad, 1.0, base=base)
+
+    def test_rank_mismatch_rejected(self):
+        u, v = Permutation.identity(3), Permutation.longest(3)
+        z = default_base(v)
+        base = np.array(default_base(u).to_floats())
+        with pytest.raises(InvalidArgument, match="rank mismatch"):
+            retraction(np.eye(4), 0.5, u, v, z, 1.0, base=base)
+        with pytest.raises(InvalidArgument, match="rank mismatch"):
+            retraction(np.eye(3), 0.5, u, v, RatMatrix.identity(2), 1.0, base=base)
+        with pytest.raises(InvalidArgument, match="rank mismatch"):
+            retraction(np.eye(3), 0.5, u, Permutation.longest(4), z, 1.0, base=base)
 
 
 class TestConjDFloat:

@@ -122,10 +122,17 @@ class TestWords:
         assert back.letters == rw.letters
         assert back.target == rw.target
 
-    @pytest.mark.parametrize("text", ["s0", "s3", "s1.s1", "s1.s2.s1.s2"])
+    @pytest.mark.parametrize(
+        "text", ["s0", "s3", "s1.s1", "s1.s2.s1.s2", "x1", "1", "s", "s1.", "s-1", "s 1", "s1.t2"]
+    )
     def test_parse_rejects_bad_letters_and_unreduced_words(self, text):
         with pytest.raises(InvalidArgument):
             ReducedWord.parse(text, 3)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_parse_rejects_rank_below_one(self, n):
+        with pytest.raises(InvalidArgument):
+            ReducedWord.parse("", n)
 
 
 class TestRankMismatch:

@@ -73,6 +73,11 @@ class TestArithmetic:
         x = RatMatrix.from_rows([[1, 2], [3, 4]])
         assert x[(2, 1)] == 3
 
+    @pytest.mark.parametrize("obj", [{"n": 0, "entries": []}, {"n": 3, "entries": []}])
+    def test_json_rejects_empty_matrix(self, obj):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            RatMatrix.from_json_obj(obj)
+
     def test_json_roundtrip_bit_exact(self):
         x = RatMatrix.from_rows([[Fraction(1, 3), 2], [0, Fraction(-7, 5)]])
         blob = json.dumps(x.to_json_obj(), sort_keys=True)

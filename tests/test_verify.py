@@ -1,7 +1,7 @@
 import pytest
 
 from tnn_strata.errors import InvalidArgument, RankTooLarge
-from tnn_strata.verify import RunConfig, VerificationReport, run_suite
+from tnn_strata.verify import RunConfig, VerificationReport, _Run, run_suite
 
 
 def test_report_with_no_cases_fails():
@@ -17,3 +17,32 @@ def test_negative_samples_rejected():
 def test_verma_guarded_before_allocating():
     with pytest.raises(RankTooLarge):
         run_suite("verma", RunConfig(n=8))
+
+
+def test_n_below_two_rejected():
+    with pytest.raises(InvalidArgument):
+        run_suite("bruhat", RunConfig(n=1))
+
+
+def test_param_cell_guarded_before_listing_permutations():
+    with pytest.raises(RankTooLarge):
+        run_suite("param-cell", RunConfig(n=11))
+
+
+def test_retraction_guarded_before_drawing():
+    with pytest.raises(RankTooLarge):
+        run_suite("retraction", RunConfig(n=3, samples=10**8))
+
+
+@pytest.mark.parametrize(
+    "samples, repro",
+    [
+        (0, "tnn-strata verify gauss --n 3 --seed 7"),
+        (20, "tnn-strata verify gauss --n 3 --seed 7 --samples 20"),
+    ],
+)
+def test_repro_replays_the_sample_size(samples, repro):
+    run = _Run("gauss", RunConfig(n=3, seed=7, samples=samples))
+    run.check(False, "roundtrip[0]")
+    [failure] = run.done().failures
+    assert failure.repro == repro
