@@ -4,7 +4,7 @@ parametrization and identification, fiber projections, a gradient-like
 fiber flow, link sampling, and a link retraction — all at desk scale.
 """
 
-from .cells import CellPoint, cell_of, chevalley_x, in_Y_geq_u, is_tnn, lusztig_point
+from .cells import CellPoint, cell_of, chevalley_x, is_tnn, lusztig_point
 from .errors import (
     CellMismatch,
     FlowError,
@@ -58,11 +58,9 @@ from .perms import (
     interval,
     mobius,
     reduced_word,
-    verma_sum,
     word_product,
 )
 from .ratmat import (
-    Rat,
     RatMatrix,
     all_minors_nonnegative,
     conj_by_perm,

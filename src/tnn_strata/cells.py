@@ -7,18 +7,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    InternalInvariantError,
     InvalidArgument,
     NonPositiveParameter,
     NotUnipotentUpper,
     RankTooLarge,
     Singular,
 )
-from .perms import Permutation, ReducedWord, bruhat_leq, decode_rank_jumps
+from .perms import Permutation, ReducedWord, decode_rank_jumps
 from .ratmat import (
     RatMatrix,
     all_minors_nonnegative,
-    is_in_G0_u,
     is_in_N,
     rank,
 )
@@ -81,15 +79,3 @@ def cell_of(x: RatMatrix) -> Permutation:
             r[i][j] = rank(x, range(1, i + 1), range(j, n + 1))
     return decode_rank_jumps(r)
 
-
-def in_Y_geq_u(x: RatMatrix, u: Permutation) -> bool:
-    """x in Y_{>=u}, computed by two routes that must agree: TNN and
-    x u^-1 in G_0, versus TNN and u <= cell_of(x)."""
-    tnn = is_tnn(x)
-    via_g0u = tnn and is_in_G0_u(x, u)
-    via_cell = tnn and bruhat_leq(u, cell_of(x))
-    if via_g0u != via_cell:
-        raise InternalInvariantError(
-            f"G_0 u and Bruhat-cell routes disagree for u={u.serialize()}"
-        )
-    return via_g0u

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 
 import click
 import numpy as np
@@ -27,7 +26,7 @@ from .flow import (
     str_of,
 )
 from .perms import Permutation, ReducedWord
-from .ratmat import RatMatrix
+from .ratmat import RatMatrix, _rat
 from .verify import RunConfig, SUITES, run_suite
 
 EXIT_OK = 0
@@ -109,7 +108,7 @@ def param(word, n, params):
     """Build the cell point with the given Lusztig parameters."""
     rw = ReducedWord.parse(word, n)
     try:
-        ts = [Fraction(p) for p in params.split(",")] if params else []
+        ts = [_rat(p) for p in params.split(",")] if params else []
     except (ValueError, ZeroDivisionError) as exc:
         _fail(EXIT_USAGE, "parse", str(exc))
     pt = lusztig_point(rw, ts)

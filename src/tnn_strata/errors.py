@@ -34,13 +34,16 @@ class NotInG0(PreconditionError):
 
 
 class NotInG0u(PreconditionError):
-    """x * u^-1 has no Gaussian decomposition, i.e. x is outside G_0 u."""
+    """x * u^-1 has no Gaussian decomposition, i.e. x is outside G_0 u.
 
-    def __init__(self, witness: int):
+    ``witness`` is the size of the first vanishing leading principal minor
+    of x * u^-1, or None when a float test found x outside G_0 u.
+    """
+
+    def __init__(self, witness: int | None):
         self.witness = witness
-        super().__init__(
-            f"x*u^-1 outside G_0: leading principal {witness}x{witness} minor vanishes"
-        )
+        where = f": leading principal {witness}x{witness} minor vanishes" if witness else ""
+        super().__init__(f"x*u^-1 outside G_0{where}")
 
 
 class NotUnipotentUpper(PreconditionError):

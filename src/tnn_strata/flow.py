@@ -16,6 +16,7 @@ from .errors import (
     InvalidArgument,
     MaxStepsExceeded,
     NotComparable,
+    NotInG0u,
     RankTooLarge,
     StepUnderflow,
     StratumEscape,
@@ -23,7 +24,7 @@ from .errors import (
     ZNotInYgeqV,
 )
 from .fiber import factor_u, rho
-from .perms import Permutation, bruhat_less, decode_rank_jumps, interval, reduced_word
+from .perms import Permutation, bruhat_leq, bruhat_less, decode_rank_jumps, interval, reduced_word
 from .ratmat import RatMatrix, is_in_G0_u
 
 # The fixed tolerances of the float path.  flow re-checks the stratum label
@@ -144,7 +145,6 @@ class FlowState:
     time: float
     str_value: float
     stratum: Permutation
-    step: float
 
 
 def _heights(x: np.ndarray) -> np.ndarray:
@@ -244,6 +244,8 @@ def flow(
 
     Backward runs until the field (or the height above the base) is below
     ``STATIONARY_TOL``; forward runs until ``target_str`` is reached.
+    x0 must lie in G_0 u: NotInG0u is raised, before any step, when the
+    float fiber parts of x0 are not finite or u is not below its label.
     The stratum label is frozen at the start and re-checked at snapshots
     away from the base, where float rank detection is meaningful; a
     snapshot whose label is undecidable (UndecidableRank) is not checked,
@@ -257,15 +259,19 @@ def flow(
     _require(max_steps >= 1, "max_steps must be at least 1")
     x0 = np.asarray(x0, dtype=np.float64)
     _require(x0.shape == (u.n, u.n), "rank mismatch")
+    stratum = cell_of_float(x0)
+    u0, uinv0 = kernels.perm_arrays(u)
+    with np.errstate(all="ignore"):  # a zero pivot shows as inf or nan
+        parts = kernels.fiber_parts(x0, u0, uinv0)
+    if not (all(np.isfinite(p).all() for p in parts) and bruhat_leq(u, stratum)):
+        raise NotInG0u(None)
     if base is None:
-        u0, uinv0 = kernels.perm_arrays(u)
-        base = kernels.fiber_parts(x0, u0, uinv0)[0]
+        base = parts[0]
     integ = FiberIntegrator(u, base, tol=tol)
     base_str = str_of(integ.base)
-    stratum = cell_of_float(x0)
 
     traj: list[FlowState] = [
-        FlowState(x0.copy(), 0.0, str_of(x0), stratum, 0.0)
+        FlowState(x0.copy(), 0.0, str_of(x0), stratum)
     ]
     x, t = x0.copy(), 0.0
     h = 0.01 if forward else -0.01
@@ -291,12 +297,12 @@ def flow(
                     raise StratumEscape(
                         f"stratum label changed along trajectory at t={t}"
                     )
-                traj.append(FlowState(x.copy(), t, s, stratum, h))
+                traj.append(FlowState(x.copy(), t, s, stratum))
         h = _next_step(h, err, "flow")
     else:
         raise MaxStepsExceeded(f"flow did not terminate in {max_steps} steps")
     if traj[-1].time != t:
-        traj.append(FlowState(x.copy(), t, str_of(x), stratum, h))
+        traj.append(FlowState(x.copy(), t, str_of(x), stratum))
     return traj
 
 

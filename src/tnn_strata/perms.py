@@ -157,11 +157,6 @@ def mobius(u: Permutation, v: Permutation) -> int:
     return mu[v]
 
 
-def verma_sum(u: Permutation, v: Permutation) -> int:
-    box = interval(u, v)
-    return sum((-1) ** w.length for w in box.elements)
-
-
 @dataclass(frozen=True)
 class ReducedWord:
     letters: tuple[int, ...]
@@ -174,6 +169,8 @@ class ReducedWord:
     def parse(text: str, n: int) -> "ReducedWord":
         if n < 1:
             raise InvalidArgument(f"rank {n} must be at least 1")
+        if n > INTERVAL_GUARD:
+            raise RankTooLarge(f"reduced words guarded at n <= {INTERVAL_GUARD}")
         parts = text.split(".") if text else []
         if not all(p[:1] == "s" and p[1:].isdecimal() for p in parts):
             raise InvalidArgument(f"{text!r} is not a word of letters s<i> joined by '.'")

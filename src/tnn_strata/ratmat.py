@@ -15,11 +15,15 @@ from fractions import Fraction
 from .errors import NotInG0, Singular
 from .perms import Permutation
 
-Rat = Fraction
-
 
 def _rat(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+    """v as a Fraction.  Text in exponent notation is rejected: Fraction
+    would build the whole power, and "1e999999999" has a billion digits."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, str) and ("e" in v or "E" in v):
+        raise ValueError(f"{v!r}: exponent notation is not accepted")
+    return Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -59,25 +63,20 @@ class RatMatrix:
             )
         )
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(tuple(zip(*self.rows)))
-
     def inverse(self) -> "RatMatrix":
+        """Forward elimination of [x | I], then back substitution: the pivot
+        rows, last pivot column first, eliminated over the columns n-1..0."""
         n = self.n
         aug = [list(r) + [Fraction(int(i == j)) for j in range(n)]
                for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise Singular("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            p = aug[col][col]
-            aug[col] = [v / p for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return RatMatrix.from_rows([r[n:] for r in aug])
+        pivots = _eliminate(aug, range(n))
+        if len(pivots) < n:
+            raise Singular("matrix is singular")
+        back = [aug[i] for i in sorted(pivots, key=pivots.get, reverse=True)]
+        _eliminate(back, range(n - 1, -1, -1))
+        return RatMatrix(
+            tuple(tuple(v / r[c] for v in r[n:]) for c, r in enumerate(reversed(back)))
+        )
 
     def to_floats(self):
         return [[float(v) for v in r] for r in self.rows]
@@ -96,7 +95,7 @@ class RatMatrix:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "RatMatrix":
-        m = RatMatrix.from_rows([[Fraction(s) for s in r] for r in obj["entries"]])
+        m = RatMatrix.from_rows(obj["entries"])
         if m.n < 1:
             raise ValueError("matrix must be at least 1x1")
         if m.n != obj["n"]:
@@ -107,36 +106,36 @@ class RatMatrix:
         return json.dumps(self.to_json_obj())
 
 
-def det_bareiss(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant: clear denominators, then fraction-free Bareiss."""
-    m = len(rows)
-    if m == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    work: list[list[int]] = []
-    for r in rows:
-        lcm = math.lcm(*(v.denominator for v in r))
-        scale *= lcm
-        work.append([int(v * lcm) for v in r])
-    sign = 1
-    prev = 1
-    for k in range(m - 1):
-        if work[k][k] == 0:
-            piv = next((r for r in range(k + 1, m) if work[r][k] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            work[k], work[piv] = work[piv], work[k]
-            sign = -sign
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = work[k][k]
-    return Fraction(sign * work[m - 1][m - 1]) / scale
+def _eliminate(work: list[list[Fraction]], cols, lower=None) -> dict[int, int]:
+    """Forward Gaussian elimination of the rows ``work``, in place, with no
+    row swaps; returns {pivot row: pivot column}.
+
+    The columns are taken in the order of ``cols``.  A column's pivot is the
+    topmost row that is not yet a pivot row and has a nonzero entry there,
+    and the column is cleared from the non-pivot rows below it; each
+    multiplier is written to ``lower[i][c]`` when ``lower`` is given.  A
+    column with no such row gets no pivot.
+    """
+    pivots: dict[int, int] = {}
+    for c in cols:
+        p = next((i for i, r in enumerate(work) if i not in pivots and r[c] != 0), None)
+        if p is None:
+            continue
+        pivots[p] = c
+        prow = work[p]
+        for i in range(p + 1, len(work)):
+            if i not in pivots and work[i][c] != 0:
+                f = work[i][c] / prow[c]
+                if lower is not None:
+                    lower[i][c] = f
+                work[i] = [a - f * b for a, b in zip(work[i], prow)]
+    return pivots
 
 
 def minor(x: RatMatrix, rows, cols) -> Fraction:
-    """Determinant of the submatrix on 1-based, strictly increasing index sets."""
+    """Determinant of the submatrix on 1-based, strictly increasing index
+    sets: the sign of the row -> column pivot permutation times the product
+    of the pivots, or 0 when a column has no pivot."""
     rows, cols = list(rows), list(cols)
     if len(rows) != len(cols):
         raise ValueError("row and column sets must have equal size")
@@ -145,12 +144,17 @@ def minor(x: RatMatrix, rows, cols) -> Fraction:
             raise ValueError("index out of range")
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError("index sets must be strictly increasing")
-    sub = [[x.rows[i - 1][j - 1] for j in cols] for i in rows]
-    return det_bareiss(sub)
+    work = [[x.rows[i - 1][j - 1] for j in cols] for i in rows]
+    pivots = _eliminate(work, range(len(cols)))
+    if len(pivots) < len(cols):
+        return Fraction(0)
+    order = [pivots[i] for i in range(len(rows))]
+    sign = (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
+    return math.prod((work[i][c] for i, c in pivots.items()), start=Fraction(sign))
 
 
 def det(x: RatMatrix) -> Fraction:
-    return det_bareiss([list(r) for r in x.rows])
+    return minor(x, range(1, x.n + 1), range(1, x.n + 1))
 
 
 def rank(x: RatMatrix, rows=None, cols=None) -> int:
@@ -158,22 +162,7 @@ def rank(x: RatMatrix, rows=None, cols=None) -> int:
     rows = list(rows) if rows is not None else list(range(1, x.n + 1))
     cols = list(cols) if cols is not None else list(range(1, x.n + 1))
     work = [[x.rows[i - 1][j - 1] for j in cols] for i in rows]
-    nr, nc = len(work), len(cols)
-    rk = 0
-    for col in range(nc):
-        piv = next((r for r in range(rk, nr) if work[r][col] != 0), None)
-        if piv is None:
-            continue
-        work[rk], work[piv] = work[piv], work[rk]
-        p = work[rk][col]
-        for r in range(rk + 1, nr):
-            if work[r][col] != 0:
-                f = work[r][col] / p
-                work[r] = [a - f * b for a, b in zip(work[r], work[rk])]
-        rk += 1
-        if rk == nr:
-            break
-    return rk
+    return len(_eliminate(work, range(len(cols))))
 
 
 @dataclass(frozen=True)
@@ -186,21 +175,17 @@ class GaussFactors:
 def gauss_decompose(x: RatMatrix) -> GaussFactors:
     """LDU factorization x = [x]_- [x]_0 [x]_+, defined iff x is in G_0.
 
-    A zero pivot at column k certifies that the (k+1)x(k+1) leading
-    principal minor vanishes (all earlier ones are nonzero), which is the
-    NotInG0 witness.
+    The first k whose pivot is not (k, k) certifies that the (k+1)x(k+1)
+    leading principal minor vanishes (all earlier ones are nonzero), which
+    is the NotInG0 witness.
     """
     n = x.n
     work = [list(r) for r in x.rows]
     lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        if work[k][k] == 0:
-            raise NotInG0(k + 1)
-        for i in range(k + 1, n):
-            if work[i][k] != 0:
-                f = work[i][k] / work[k][k]
-                lower[i][k] = f
-                work[i] = [a - f * b for a, b in zip(work[i], work[k])]
+    pivots = _eliminate(work, range(n), lower)
+    k = next((k for k in range(n) if pivots.get(k) != k), None)
+    if k is not None:
+        raise NotInG0(k + 1)
     diag = [[work[i][i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     upper = [[work[i][j] / work[i][i] for j in range(n)] for i in range(n)]
     return GaussFactors(
@@ -237,26 +222,11 @@ def is_in_N_minus(x: RatMatrix) -> bool:
     )
 
 
-def is_in_B(x: RatMatrix) -> bool:
-    return all(x.rows[i][j] == 0 for i in range(x.n) for j in range(i)) and all(
-        x.rows[i][i] != 0 for i in range(x.n)
-    )
-
-
-def is_in_B_minus(x: RatMatrix) -> bool:
-    return is_in_B(x.transpose())
-
-
-def is_in_H(x: RatMatrix) -> bool:
-    return all(
-        (x.rows[i][j] == 0) == (i != j) for i in range(x.n) for j in range(x.n)
-    )
-
-
 def is_in_G0(x: RatMatrix) -> bool:
-    return all(
-        minor(x, range(1, k + 1), range(1, k + 1)) != 0 for k in range(1, x.n + 1)
-    )
+    """All leading principal minors are nonzero: every pivot of one
+    elimination in column order lies on the diagonal."""
+    pivots = _eliminate([list(r) for r in x.rows], range(x.n))
+    return all(pivots.get(k) == k for k in range(x.n))
 
 
 def perm_matrix(w: Permutation) -> RatMatrix:

@@ -6,7 +6,6 @@ import pytest
 from tnn_strata.cells import (
     cell_of,
     chevalley_x,
-    in_Y_geq_u,
     is_tnn,
     lusztig_point,
 )
@@ -24,7 +23,7 @@ from tnn_strata.perms import (
     bruhat_leq,
     reduced_word,
 )
-from tnn_strata.ratmat import RatMatrix
+from tnn_strata.ratmat import RatMatrix, is_in_G0_u
 
 
 class TestChevalley:
@@ -98,4 +97,6 @@ class TestCellOf:
         for w in all_permutations(3):
             word = reduced_word(w)
             pt = lusztig_point(word, [Fraction(1)] * len(word.letters))
-            assert in_Y_geq_u(pt.matrix, u) == bruhat_leq(u, w)
+            # x in Y_{>=u} by two routes: TNN and x u^-1 in G_0, or TNN and u <= cell_of(x)
+            assert is_tnn(pt.matrix)
+            assert is_in_G0_u(pt.matrix, u) == bruhat_leq(u, cell_of(pt.matrix)) == bruhat_leq(u, w)

@@ -70,6 +70,23 @@ class TestQueries:
         assert res.exit_code == 2
 
 
+    @pytest.mark.parametrize(
+        "argv, entry",
+        [
+            (["cell-of"], "1e999999999"),
+            (["tnn"], "-2E-3"),
+            (["param", "--word", "s1", "--n", "3", "--params", "1e999999999"], None),
+            (["param", "--word", "s1.s2", "--n", "3", "--params", "1,1E2"], None),
+        ],
+    )
+    def test_exponent_notation_parse_error(self, runner, argv, entry):
+        x = json.dumps({"n": 2, "entries": [["1", entry], ["0", "1"]]})
+        res = runner.invoke(main, argv, input=x)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "parse"
+
+
 class TestProjectRho:
     def test_project(self, runner):
         res = runner.invoke(main, ["project", "--u", "2,1,3"], input=UPPER3)
@@ -116,6 +133,23 @@ class TestFlowVerbs:
         assert res.exit_code == 0
         obj = json.loads(res.output)
         assert abs(obj["str"]) < 1e-6
+
+    # x outside G_0 u: a zero float pivot (identity, u = 2,1,3), and a cell
+    # point of w = 2,3,1 with u = 3,1,2 not below w, whose float pivots are not zero
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "x, u",
+        [
+            (IDENTITY3, "2,1,3"),
+            (json.dumps({"n": 3, "entries": [["1", "9/7", "81/28"], ["0", "1", "9/4"], ["0", "0", "1"]]}), "3,1,2"),
+        ],
+        ids=["zero-pivot", "not-below-label"],
+    )
+    def test_outside_G0u_exit_3(self, runner, x, u):
+        res = runner.invoke(main, ["flow", "--u", u], input=x)
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "NotInG0u"
 
     def test_forward_needs_target(self, runner):
         res = runner.invoke(

@@ -1,7 +1,7 @@
 """Fuzz the CLI's error contract: whatever the matrix JSON or the `param`
 argv, a verb exits 0-3 without a traceback; exit 0 prints one JSON line on
 stdout, and every other exit prints nothing on stdout and one JSON object
-line on stderr.  (`flow` is left out: it integrates any x it is given.)"""
+line on stderr."""
 
 import json
 from fractions import Fraction
@@ -21,7 +21,7 @@ scalars = st.one_of(
     st.text(max_size=6),
     st.integers(-10**6, 10**6),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([float("inf"), float("nan"), None, True, "1/0", ""]),
+    st.sampled_from([float("inf"), float("nan"), None, True, "1/0", "", "1e999999999", "-2E-3"]),
 )
 junk = scalars | st.lists(scalars, max_size=2)
 # at most one defect per matrix; hypothesis draws early choices most often
@@ -105,6 +105,16 @@ def test_matrix_and_permutation(verb, data, n):
 
 
 @FUZZ
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy warns on stderr
+@given(data=st.data(), n=sizes, forward=st.booleans())
+def test_flow(data, n, forward):
+    x, u = data.draw(matrix_json(n)), data.draw(perm_text(n))
+    argv = ["flow", "--u", u, "--max-steps", "100"]
+    argv += ["--direction", "forward", "--target-str", "3"] if forward else []
+    assert_contract(CliRunner().invoke(main, argv, input=x))
+
+
+@FUZZ
 @given(data=st.data(), n=sizes)
 def test_rho(base_file, data, n):
     x, base, u = data.draw(matrix_json(n)), data.draw(matrix_json(n)), data.draw(perm_text(n))
@@ -121,7 +131,7 @@ letters = st.builds(lambda i: f"s{i}", st.integers(0, 5)) | st.text(max_size=3)
 @given(
     word=st.lists(letters, max_size=5).map(".".join),
     n=st.integers(-3, 5),
-    params=st.lists(rationals | st.text(max_size=4), max_size=5).map(",".join),
+    params=st.lists(rationals | st.text(max_size=4) | st.just("1e999999999"), max_size=5).map(",".join),
 )
 def test_param(word, n, params):
     argv = ["param", "--word", word, "--n", str(n), "--params", params]

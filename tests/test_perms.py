@@ -16,7 +16,6 @@ from tnn_strata.perms import (
     interval,
     mobius,
     reduced_word,
-    verma_sum,
     word_product,
 )
 
@@ -97,7 +96,7 @@ class TestBruhat:
         for u in perms:
             for v in perms:
                 if bruhat_less(u, v):
-                    assert verma_sum(u, v) == 0
+                    assert sum((-1) ** w.length for w in interval(u, v).elements) == 0
 
     @given(perm_strategy(4), perm_strategy(4))
     def test_leq_antisymmetry(self, u, v):
@@ -133,6 +132,12 @@ class TestWords:
     def test_parse_rejects_rank_below_one(self, n):
         with pytest.raises(InvalidArgument):
             ReducedWord.parse("", n)
+
+    def test_parse_guards_rank_before_allocating(self):
+        assert ReducedWord.parse("s6", 7).target.n == 7
+        for n in (8, 100_000):
+            with pytest.raises(RankTooLarge):
+                ReducedWord.parse("", n)
 
 
 class TestRankMismatch:

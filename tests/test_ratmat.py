@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -15,11 +16,8 @@ from tnn_strata.ratmat import (
     gauss_decompose,
     gauss_minus,
     gauss_plus,
-    is_in_B,
-    is_in_B_minus,
     is_in_G0,
     is_in_G0_u,
-    is_in_H,
     is_in_N,
     is_in_N_minus,
     minor,
@@ -34,10 +32,32 @@ rats = st.fractions(
 )
 
 
-def mat_strategy(n):
+def mat_strategy(n, entries=rats):
     return st.lists(
-        st.lists(rats, min_size=n, max_size=n), min_size=n, max_size=n
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
     ).map(RatMatrix.from_rows)
+
+
+# n = 1..5, about half the entries zero: singular and rank-deficient
+# matrices and vanishing leading minors are common
+sparse_matrices = st.integers(1, 5).flatmap(
+    lambda n: mat_strategy(n, st.just(Fraction(0)) | rats)
+)
+ORACLE = settings(max_examples=100, deadline=None)
+
+
+def is_in_B(x):
+    return all(x.rows[i][j] == 0 for i in range(x.n) for j in range(i)) and all(
+        x.rows[i][i] != 0 for i in range(x.n)
+    )
+
+
+def is_in_B_minus(x):
+    return is_in_B(RatMatrix(tuple(zip(*x.rows))))
+
+
+def is_in_H(x):
+    return all((x.rows[i][j] == 0) == (i != j) for i in range(x.n) for j in range(x.n))
 
 
 def naive_det(rows):
@@ -49,6 +69,14 @@ def naive_det(rows):
         sub = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * naive_det(sub)
     return total
+
+
+def naive_minor(x, rows, cols):
+    return naive_det([[x[i, j] for j in cols] for i in rows])
+
+
+def leading_minors(x):
+    return [naive_minor(x, range(1, k + 1), range(1, k + 1)) for k in range(1, x.n + 1)]
 
 
 class TestArithmetic:
@@ -64,10 +92,24 @@ class TestArithmetic:
         with pytest.raises(Singular):
             RatMatrix.from_rows([[1, 2], [2, 4]]).inverse()
 
+    @ORACLE
+    @given(sparse_matrices)
+    def test_inverse_iff_nonzero_det(self, x):
+        if naive_det([list(r) for r in x.rows]) == 0:
+            with pytest.raises(Singular):
+                x.inverse()
+        else:
+            assert x @ x.inverse() == RatMatrix.identity(x.n)
+
     @settings(max_examples=60)
-    @given(mat_strategy(3))
+    @given(mat_strategy(3) | sparse_matrices)
     def test_det_matches_cofactor_expansion(self, x):
         assert det(x) == naive_det([list(r) for r in x.rows])
+        idx = range(1, x.n + 1)
+        for k in idx:
+            for rows in itertools.combinations(idx, k):
+                for cols in itertools.combinations(idx, k):
+                    assert minor(x, rows, cols) == naive_minor(x, rows, cols)
 
     def test_one_based_indexing(self):
         x = RatMatrix.from_rows([[1, 2], [3, 4]])
@@ -77,6 +119,11 @@ class TestArithmetic:
     def test_json_rejects_empty_matrix(self, obj):
         with pytest.raises(ValueError, match="at least 1x1"):
             RatMatrix.from_json_obj(obj)
+
+    @pytest.mark.parametrize("entry", ["1e999999999", "2E-3", "-1.5e2"])
+    def test_json_rejects_exponent_notation(self, entry):
+        with pytest.raises(ValueError, match="exponent notation"):
+            RatMatrix.from_json_obj({"n": 1, "entries": [[entry]]})
 
     def test_json_roundtrip_bit_exact(self):
         x = RatMatrix.from_rows([[Fraction(1, 3), 2], [0, Fraction(-7, 5)]])
@@ -93,6 +140,19 @@ class TestMinorsRank:
     def test_rank_of_rank_one(self):
         x = RatMatrix.from_rows([[1, 2], [2, 4]])
         assert rank(x) == 1
+
+    @ORACLE
+    @given(sparse_matrices)
+    def test_rank_is_largest_nonzero_minor(self, x):
+        idx = range(1, x.n + 1)
+        nonzero = [
+            k
+            for k in idx
+            for rows in itertools.combinations(idx, k)
+            for cols in itertools.combinations(idx, k)
+            if naive_minor(x, rows, cols) != 0
+        ]
+        assert rank(x) == max(nonzero, default=0)
 
     def test_all_minors_nonnegative_detects_negative(self):
         assert not all_minors_nonnegative(RatMatrix.from_rows([[1, 2], [3, 4]]))
@@ -122,6 +182,20 @@ class TestGauss:
             assert is_in_N_minus(f.lower)
             assert is_in_H(f.diag)
             assert is_in_N(f.upper)
+
+    @ORACLE
+    @given(sparse_matrices)
+    def test_leading_minors_decide_g0(self, x):
+        vanishing = [k for k, d in enumerate(leading_minors(x), 1) if d == 0]
+        assert is_in_G0(x) == (not vanishing)
+        if vanishing:
+            with pytest.raises(NotInG0) as exc:
+                gauss_decompose(x)
+            assert exc.value.witness == vanishing[0]
+        else:
+            f = gauss_decompose(x)
+            assert f.lower @ f.diag @ f.upper == x
+            assert is_in_N_minus(f.lower) and is_in_H(f.diag) and is_in_N(f.upper)
 
     def test_zero_pivot_witness(self):
         x = RatMatrix.from_rows([[0, 1], [1, 0]])
