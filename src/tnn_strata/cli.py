@@ -61,8 +61,12 @@ def _emit(obj):
     click.echo(json.dumps(obj, sort_keys=True))
 
 
+def _float_rows(x: np.ndarray) -> list:
+    return [[float(v) for v in row] for row in x]
+
+
 def _float_matrix_obj(x: np.ndarray) -> dict:
-    return {"n": int(x.shape[0]), "entries": [[float(v) for v in row] for row in x]}
+    return {"n": int(x.shape[0]), "entries": _float_rows(x)}
 
 
 # The one error boundary: the first row whose class matches an error gives
@@ -98,6 +102,9 @@ def main():
 
 _in_opt = click.option("--in", "path", default=None, help="matrix JSON file ('-' or omitted: stdin)")
 _u_opt = click.option("--u", "u_text", required=True, help="permutation in one-line notation, e.g. 2,1,3")
+_v_opt = click.option("--v", "v_text", required=True, help="upper permutation, one-line notation")
+_epsilon_opt = click.option("--epsilon", type=float, default=1.0, show_default=True)
+_seed_opt = click.option("--seed", type=int, default=0, show_default=True)
 
 
 @main.command()
@@ -207,7 +214,7 @@ def cmd_flow(path, u_text, direction, target_str, tol, max_steps, snapshot_every
                     {
                         "t": st.time,
                         "str": st.str_value,
-                        "entries": [[float(v) for v in row] for row in st.point],
+                        "entries": _float_rows(st.point),
                     }
                 )
             )
@@ -226,10 +233,10 @@ def cmd_flow(path, u_text, direction, target_str, tol, max_steps, snapshot_every
 
 @main.command("link-sample")
 @_u_opt
-@click.option("--v", "v_text", required=True, help="upper permutation, one-line notation")
-@click.option("--epsilon", type=float, default=1.0, show_default=True)
+@_v_opt
+@_epsilon_opt
 @click.option("--count", type=int, default=3, show_default=True, help="points per stratum, at least 1")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_opt
 def cmd_link_sample(u_text, v_text, epsilon, count, seed):
     """Sample points of the link of the u-cell inside Y_[u,v]."""
     u = _parse_perm(u_text, "u")
@@ -247,7 +254,7 @@ def cmd_link_sample(u_text, v_text, epsilon, count, seed):
                     "stratum": w.serialize(),
                     "dim": sample.dimensions[w],
                     "str": float(str_of(pt)),
-                    "entries": [[float(x) for x in row] for row in pt],
+                    "entries": _float_rows(pt),
                 }
                 for pt, w in sample.points
             ],
@@ -258,10 +265,10 @@ def cmd_link_sample(u_text, v_text, epsilon, count, seed):
 
 @main.command("link-census")
 @_u_opt
-@click.option("--v", "v_text", required=True, help="upper permutation, one-line notation")
-@click.option("--epsilon", type=float, default=1.0, show_default=True)
+@_v_opt
+@_epsilon_opt
 @click.option("--count", type=int, default=2, show_default=True, help="points per stratum, at least 1")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_opt
 def cmd_link_census(u_text, v_text, epsilon, count, seed):
     """Census of link strata over (u, v]: labels, dimensions, sampled
     per-stratum point counts, and the combinatorial Euler characteristic."""
@@ -289,10 +296,10 @@ def cmd_link_census(u_text, v_text, epsilon, count, seed):
 @main.command("retract")
 @_in_opt
 @_u_opt
-@click.option("--v", "v_text", required=True, help="upper permutation, one-line notation")
+@_v_opt
 @click.option("--z", "z_path", required=True, help="retraction target point, matrix JSON file")
 @click.option("--tau", type=float, required=True, help="deformation time in [0, 1]")
-@click.option("--epsilon", type=float, default=1.0, show_default=True)
+@_epsilon_opt
 def cmd_retract(path, u_text, v_text, z_path, tau, epsilon):
     """Evaluate the deformation retraction of the link toward a point z."""
     x = _read_matrix(path)
@@ -309,7 +316,7 @@ def cmd_retract(path, u_text, v_text, z_path, tau, epsilon):
 @main.command("verify")
 @click.argument("suite", type=click.Choice(sorted(SUITES) + ["all"]))
 @click.option("--n", type=int, default=4, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_opt
 @click.option("--samples", type=int, default=0, help="cases per suite, at least 0; 0 uses each suite's default size")
 @click.option("--timings", is_flag=True, help="include wall times (breaks byte-stability)")
 def cmd_verify(suite, n, seed, samples, timings):

@@ -17,6 +17,7 @@ from .errors import (
     MaxStepsExceeded,
     NotComparable,
     NotInG0u,
+    PreconditionError,
     RankTooLarge,
     StepUnderflow,
     StratumEscape,
@@ -234,13 +235,13 @@ def flow(
     u: Permutation,
     direction: str = "backward",
     *,
-    base: np.ndarray | None = None,
     tol: float = 1e-9,
     max_steps: int = 200_000,
     snapshot_every: int = 50,
     target_str: float | None = None,
 ) -> list[FlowState]:
-    """Integrate the fiber field from x0.
+    """Integrate the fiber field from x0, in the fiber over the base that
+    x0 projects to (the float x_u of x0).
 
     Backward runs until the field (or the height above the base) is below
     ``STATIONARY_TOL``; forward runs until ``target_str`` is reached.
@@ -265,9 +266,7 @@ def flow(
         parts = kernels.fiber_parts(x0, u0, uinv0)
     if not (all(np.isfinite(p).all() for p in parts) and bruhat_leq(u, stratum)):
         raise NotInG0u(None)
-    if base is None:
-        base = parts[0]
-    integ = FiberIntegrator(u, base, tol=tol)
+    integ = FiberIntegrator(u, parts[0], tol=tol)
     base_str = str_of(integ.base)
 
     traj: list[FlowState] = [
@@ -293,7 +292,7 @@ def flow(
                 x = integ.reproject(x)
             if accepted % snapshot_every == 0:
                 s = str_of(x)
-                if s - base_str > STRATUM_CHECK_FLOOR and _label_changed(x, stratum):
+                if s - base_str > STRATUM_CHECK_FLOOR and _float_label(x, stratum) != stratum:
                     raise StratumEscape(
                         f"stratum label changed along trajectory at t={t}"
                     )
@@ -306,12 +305,12 @@ def flow(
     return traj
 
 
-def _label_changed(x: np.ndarray, stratum: Permutation) -> bool:
-    """True iff x's cell label is decidable and differs from ``stratum``."""
+def _float_label(x: np.ndarray, fallback: Permutation) -> Permutation:
+    """cell_of_float(x), or ``fallback`` where that label is undecidable."""
     try:
-        return cell_of_float(x) != stratum
+        return cell_of_float(x)
     except UndecidableRank:
-        return False
+        return fallback
 
 
 def _require_epsilon(epsilon: float):
@@ -331,9 +330,12 @@ def link_point(
 
     A row already within ``LEVEL_TOL`` of the level is returned unchanged.
     The others are integrated as one stack with a shared step magnitude,
-    each in its own direction; a row leaves the stack at the accepted step
-    that crosses the level, and the crossing is then located by an Illinois
-    iteration on the time offset inside that step.
+    each in its own direction.  str(psi) > 0 off the base on the totally
+    nonnegative part, so every step moves a row toward its level there; a
+    step that moves one away raises PreconditionError.  A row leaves the
+    stack at the accepted step that crosses the level, and the crossing is
+    then located by an Illinois iteration on the time offset inside that
+    step.
     """
     _require_epsilon(epsilon)
     integ = FiberIntegrator(u, base, tol=LINK_STEP_TOL)
@@ -354,6 +356,11 @@ def link_point(
         xn, err = integ.rk_step(lo, sign * h)
         if err <= 1.0:
             g_n = _heights(xn) - target
+            if ((g_n - g_lo) * sign < -LEVEL_TOL).any():
+                raise PreconditionError(
+                    "the field moves a point away from its level: str(psi) < 0 there, "
+                    "so the point is not totally nonnegative"
+                )
             crossed = g_n * sign >= 0.0
             if crossed.any():
                 brackets.append(
@@ -424,11 +431,16 @@ class LinkCensus:
     euler: int
 
 
+def _require_below(u: Permutation, v: Permutation):
+    """The link of the u-cell inside Y_[u,v] needs u < v."""
+    if not bruhat_less(u, v):
+        raise NotComparable(f"{u.serialize()} must be strictly below {v.serialize()}")
+
+
 def link_census(u: Permutation, v: Permutation, points=()) -> LinkCensus:
     """The census of the link of the u-cell inside Y_[u,v], counting the
     labels of ``points``, (point, label) pairs such as LinkSample.points."""
-    if not bruhat_less(u, v):
-        raise NotComparable(f"{u.serialize()} must be strictly below {v.serialize()}")
+    _require_below(u, v)
     labels = sorted(
         (w for w in interval(u, v).elements if w != u),
         key=lambda w: (w.length, w.image),
@@ -507,13 +519,15 @@ def retraction(
     into the fiber over the base with rho, and land on the level set."""
     _require(0.0 <= tau <= 1.0, "tau must lie in [0, 1]")
     _require(np.shape(x) == (u.n, u.n) and u.n == v.n == z.n, "rank mismatch")
+    _require_below(u, v)
     if not (is_tnn(z) and is_in_G0_u(z, v)):
         raise ZNotInYgeqV("z must be totally nonnegative with cell >= v")
     zf = conj_d_float(tau, np.array(z.to_floats()))
     xf = conj_d_float(1.0 - tau, np.asarray(x, dtype=np.float64))
     y = zf @ xf
     v0, vinv0 = kernels.perm_arrays(v)
-    y_v = kernels.fiber_parts(y, v0, vinv0)[0]
+    with np.errstate(all="ignore"):  # a zero pivot shows as inf or nan
+        y_v = kernels.fiber_parts(y, v0, vinv0)[0]
     if not np.all(np.isfinite(y_v)):
         raise ZNotInYgeqV(
             "projection onto the v-cell blew up; the input point must lie in "

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInG0, Singular
+from .errors import InvalidArgument, NotInG0, Singular
 from .perms import Permutation
 
 
@@ -79,7 +79,10 @@ class RatMatrix:
         )
 
     def to_floats(self):
-        return [[float(v) for v in r] for r in self.rows]
+        try:
+            return [[float(v) for v in r] for r in self.rows]
+        except OverflowError:
+            raise InvalidArgument("matrix entry too large for a float") from None
 
     # --- serialization -------------------------------------------------
 

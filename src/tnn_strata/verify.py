@@ -20,6 +20,7 @@ from .errors import InvalidArgument, RankTooLarge, TnnStrataError
 from .fiber import conj_d, factor_u, pi_u, recover_shift, rho
 from .flow import (
     LINK_POINT_BUDGET,
+    _float_label,
     default_base,
     flow,
     link_census,
@@ -50,6 +51,7 @@ from .ratmat import (
     in_N_of_w,
     in_Nminus_of_w,
     is_in_G0,
+    is_in_N_minus,
     conj_by_perm,
     perm_matrix,
 )
@@ -98,9 +100,18 @@ class VerificationReport:
         return obj
 
 
-def _suite(name):
+def _suite(name: str, samples: int = 0):
+    """Register fn(run, rng, samples) as the suite ``name``: suite(config)
+    checks into one _Run, draws from random.Random(config.seed) and passes
+    config.samples, or the default size ``samples`` when that is 0."""
+
     def wrap(fn):
-        SUITES[name] = fn
+        def suite(config: RunConfig) -> VerificationReport:
+            run = _Run(name, config)
+            fn(run, random.Random(config.seed), config.samples or samples)
+            return run.done()
+
+        SUITES[name] = suite
         return fn
 
     return wrap
@@ -128,10 +139,6 @@ class _Run:
     def done(self) -> VerificationReport:
         self.report.wall_time = time.perf_counter() - self._t0
         return self.report
-
-
-def _rng(config: RunConfig) -> random.Random:
-    return random.Random(config.seed)
 
 
 def _rand_rat(rng, lo=-9, hi=9) -> Fraction:
@@ -173,12 +180,8 @@ def _leq_matrix(perms: list[Permutation]) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-@_suite("gauss")
-def suite_gauss(config: RunConfig) -> VerificationReport:
-    run = _Run("gauss", config)
-    rng = _rng(config)
-    samples = config.samples or 500
-
+@_suite("gauss", samples=500)
+def suite_gauss(run, rng, samples):
     for i in range(samples):
         n = 2 + i % 5  # ranks 2..6
         x = _rand_g0(rng, n)
@@ -206,17 +209,7 @@ def suite_gauss(config: RunConfig) -> VerificationReport:
         if is_in_G0(z2):
             f2 = gauss_decompose(z2)
             winv = w.inverse()
-            back_l = conj_by_perm(winv, f2.lower)
-            back_u = conj_by_perm(winv, f2.upper)
-            ok = all(
-                back_l.rows[a][b] == (1 if a == b else 0)
-                for a in range(n)
-                for b in range(a, n)
-            ) and all(
-                back_u.rows[a][b] == (1 if a == b else 0)
-                for a in range(n)
-                for b in range(a, n)
-            )
+            ok = all(is_in_N_minus(conj_by_perm(winv, f)) for f in (f2.lower, f2.upper))
             run.check(ok, f"factors-in-conj-lower[{i}]", f"w={w.serialize()}")
 
     for i in range(100):
@@ -229,12 +222,10 @@ def suite_gauss(config: RunConfig) -> VerificationReport:
         except TnnStrataError:
             continue  # one side undefined; identity only claimed otherwise
         run.check(lhs == rhs, f"plus-absorb[{i}]", f"n={n}")
-    return run.done()
 
 
 @_suite("bruhat")
-def suite_bruhat(config: RunConfig) -> VerificationReport:
-    run = _Run("bruhat", config)
+def suite_bruhat(run, rng, samples):
     perms = all_permutations(4)
     for u in perms:
         run.check(u.length == u.inverse().length, f"len-inv[{u.serialize()}]")
@@ -264,20 +255,17 @@ def suite_bruhat(config: RunConfig) -> VerificationReport:
         all_reduced_words(w0) == {(1, 2, 1), (2, 1, 2)}, "all-words-s3"
     )
     # permutation representatives multiply like the group
-    rng = _rng(config)
     for i in range(50):
         u, v = rng.choice(perms), rng.choice(perms)
         run.check(
             perm_matrix(u) @ perm_matrix(v) == perm_matrix(u * v),
             f"perm-matrix[{i}]",
         )
-    return run.done()
 
 
 @_suite("verma")
-def suite_verma(config: RunConfig) -> VerificationReport:
-    run = _Run("verma", config)
-    n = config.n
+def suite_verma(run, rng, samples):
+    n = run.config.n
     if n > INTERVAL_GUARD:
         raise RankTooLarge(f"verma suite guarded at n <= {INTERVAL_GUARD}")
     perms = all_permutations(n)
@@ -304,17 +292,13 @@ def suite_verma(config: RunConfig) -> VerificationReport:
                     f"mobius[{u.serialize()};{v.serialize()}]",
                     f"mu={mu}",
                 )
-    return run.done()
 
 
-@_suite("param-cell")
-def suite_param_cell(config: RunConfig) -> VerificationReport:
-    run = _Run("param-cell", config)
-    rng = _rng(config)
-    n = config.n
+@_suite("param-cell", samples=3)
+def suite_param_cell(run, rng, reps):
+    n = run.config.n
     if n > TNN_GUARD:
         raise RankTooLarge(f"param-cell suite guarded at n <= {TNN_GUARD}")
-    reps = config.samples or 3
     for w in all_permutations(n):
         word = reduced_word(w)
         for i in range(reps):
@@ -328,7 +312,6 @@ def suite_param_cell(config: RunConfig) -> VerificationReport:
             run.check(
                 is_tnn(pt.matrix), f"tnn[{w.serialize()}#{i}]", f"params={params}"
             )
-    return run.done()
 
 
 def _rand_pair_below(rng, perms):
@@ -338,12 +321,9 @@ def _rand_pair_below(rng, perms):
     return w, u
 
 
-@_suite("factorization")
-def suite_factorization(config: RunConfig) -> VerificationReport:
-    run = _Run("factorization", config)
-    rng = _rng(config)
+@_suite("factorization", samples=500)
+def suite_factorization(run, rng, samples):
     perms = all_permutations(4)
-    samples = config.samples or 500
     for i in range(samples):
         w, u = _rand_pair_below(rng, perms)
         x = random_cell_point(w, rng)
@@ -360,16 +340,12 @@ def suite_factorization(config: RunConfig) -> VerificationReport:
             fr2.x_u == fr.x_u and fr2.x_upper_u == fr.x_upper_u,
             f"unique[{i}]",
         )
-        run.check(pi_u(pi_u(x, u), u) == pi_u(x, u), f"idempotent[{i}]")
-    return run.done()
+        run.check(pi_u(fr.x_u, u) == fr.x_u, f"idempotent[{i}]")
 
 
-@_suite("rho")
-def suite_rho(config: RunConfig) -> VerificationReport:
-    run = _Run("rho", config)
-    rng = _rng(config)
+@_suite("rho", samples=500)
+def suite_rho(run, rng, samples):
     perms = all_permutations(4)
-    samples = config.samples or 500
     for i in range(samples):
         w, u = _rand_pair_below(rng, perms)
         xt = random_cell_point(w, rng)
@@ -405,16 +381,12 @@ def suite_rho(config: RunConfig) -> VerificationReport:
         run.check(
             nm[2, 1] == 1 / a - 1 / x12, f"shift-entry[{i}]", f"got={nm[2, 1]}"
         )
-    return run.done()
 
 
-@_suite("equivariance")
-def suite_equivariance(config: RunConfig) -> VerificationReport:
-    run = _Run("equivariance", config)
-    rng = _rng(config)
+@_suite("equivariance", samples=200)
+def suite_equivariance(run, rng, samples):
     perms = all_permutations(4)
     taus = [Fraction(1, 3), Fraction(2), Fraction(7, 5)]
-    samples = config.samples or 200
     for i in range(samples):
         w, u = _rand_pair_below(rng, perms)
         x = random_cell_point(w, rng)
@@ -439,14 +411,10 @@ def suite_equivariance(config: RunConfig) -> VerificationReport:
         run.check(
             moved == x @ gauss_plus(expr).inverse(), f"pullback[{i}]", f"tau={tau}"
         )
-    return run.done()
 
 
-@_suite("signs")
-def suite_signs(config: RunConfig) -> VerificationReport:
-    run = _Run("signs", config)
-    rng = _rng(config)
-    samples = config.samples or 1000
+@_suite("signs", samples=1000)
+def suite_signs(run, rng, samples):
     for i in range(samples):
         n = 3 if i % 2 == 0 else 4
         perms = all_permutations(n)
@@ -460,26 +428,20 @@ def suite_signs(config: RunConfig) -> VerificationReport:
             f"violations={[(v.i, v.j, str(v.value)) for v in rep.violations]} "
             f"str={rep.str_value}",
         )
-    return run.done()
 
 
-@_suite("psi-positivity")
-def suite_psi_positivity(config: RunConfig) -> VerificationReport:
-    run = _Run("psi-positivity", config)
-    rng = _rng(config)
-    samples = config.samples or 10_000
-    zero = None
+@_suite("psi-positivity", samples=10_000)
+def suite_psi_positivity(run, rng, samples):
+    zero = {n: RatMatrix.from_rows([[0] * n for _ in range(n)]) for n in (3, 4)}
     for i in range(samples):
         n = 3 if i % 2 == 0 else 4
         perms = all_permutations(n)
         w, u = _rand_pair_below(rng, perms)
-        xt = random_cell_point(w, rng)
-        base = pi_u(xt, u)
-        x = rho(xt, base, u)
-        if zero is None or zero.n != n:
-            zero = RatMatrix.from_rows([[0] * n for _ in range(n)])
-        if x == base:
-            run.check(psi(x, u) == zero, f"stationary[{i}]")
+        # x lies in the fiber over its own projection, so rho would return
+        # x itself; x is that base point iff it lies in the u-cell: w = u
+        x = random_cell_point(w, rng)
+        if w == u:
+            run.check(psi(x, u) == zero[n], f"stationary[{i}]")
             continue
         s = str_of(psi(x, u))
         run.check(
@@ -492,28 +454,21 @@ def suite_psi_positivity(config: RunConfig) -> VerificationReport:
     for n in (3, 4):
         for w in all_permutations(n):
             xw = random_cell_point(w, rng)
-            zero_n = RatMatrix.from_rows([[0] * n for _ in range(n)])
             run.check(
-                psi(xw, w) == zero_n, f"base-stationary[{n}:{w.serialize()}]"
+                psi(xw, w) == zero[n], f"base-stationary[{n}:{w.serialize()}]"
             )
-    return run.done()
 
 
-@_suite("flow")
-def suite_flow(config: RunConfig) -> VerificationReport:
-    run = _Run("flow", config)
-    rng = _rng(config)
+@_suite("flow", samples=100)
+def suite_flow(run, rng, samples):
     perms = all_permutations(3)
-    samples = config.samples or 100
     for i in range(samples):
         w, u = _rand_pair_below(rng, perms)
-        xt = random_cell_point(w, rng)
-        base = pi_u(xt, u)
-        x = rho(xt, base, u)
-        base_f = np.array(base.to_floats())
+        x = random_cell_point(w, rng)
+        base_f = np.array(pi_u(x, u).to_floats())
         x_f = np.array(x.to_floats())
         try:
-            traj = flow(x_f, u, "backward", base=base_f)
+            traj = flow(x_f, u, "backward")
         except TnnStrataError as exc:
             run.check(False, f"backward[{i}]", f"{type(exc).__name__}: {exc}")
             continue
@@ -526,7 +481,6 @@ def suite_flow(config: RunConfig) -> VerificationReport:
                 x_f,
                 u,
                 "forward",
-                base=base_f,
                 target_str=str_of(x_f) + 2.0,
                 snapshot_every=20,
             )
@@ -539,13 +493,11 @@ def suite_flow(config: RunConfig) -> VerificationReport:
             f"monotone[{i}]",
             f"strs={strs[:5]}...",
         )
-    return run.done()
 
 
-@_suite("link-census")
-def suite_link_census(config: RunConfig) -> VerificationReport:
-    run = _Run("link-census", config)
-    n = min(config.n, 4)
+@_suite("link-census", samples=1)
+def suite_link_census(run, rng, count):
+    n = min(run.config.n, 4)
     perms = all_permutations(n)
     pairs = [(u, v) for u in perms for v in perms if bruhat_less(u, v)]
     # combinatorial census: strata biject with (u,v], Euler characteristic 1
@@ -560,14 +512,14 @@ def suite_link_census(config: RunConfig) -> VerificationReport:
             f"euler[{u.serialize()};{v.serialize()}]",
             f"chi={census.euler}",
         )
-    # sampled census: link points sit on the level set and keep their label,
+    # sampled census: link points sit on the level set and land in the
+    # stratum they were drawn in (an undecidable label counts as drawn),
     # with per-stratum counts stable across epsilon
-    count = config.samples or 1
     for u, v in pairs:
         per_eps = {}
         for eps in (0.5, 1.0, 2.0):
             try:
-                ls = link_sample(u, v, eps, count, seed=config.seed)
+                ls = link_sample(u, v, eps, count, seed=run.config.seed)
             except RankTooLarge:
                 raise
             except TnnStrataError as exc:
@@ -584,7 +536,8 @@ def suite_link_census(config: RunConfig) -> VerificationReport:
                 f"level[{u.serialize()};{v.serialize()};eps={eps}]",
                 f"worst={worst}",
             )
-            counts = link_census(u, v, ls.points).counts
+            landed = [(p, _float_label(p, w)) for p, w in ls.points]
+            counts = link_census(u, v, landed).counts
             per_eps[eps] = counts
             run.check(
                 all(counts.values()),
@@ -596,20 +549,16 @@ def suite_link_census(config: RunConfig) -> VerificationReport:
                 vals[0] == vals[1] == vals[2],
                 f"eps-stable[{u.serialize()};{v.serialize()}]",
             )
-    return run.done()
 
 
-@_suite("retraction")
-def suite_retraction(config: RunConfig) -> VerificationReport:
-    run = _Run("retraction", config)
-    rng = _rng(config)
+@_suite("retraction", samples=20)
+def suite_retraction(run, rng, samples):
     u = Permutation.identity(3)
     v = Permutation.longest(3)
     z = default_base(v)
     base = default_base(u)
     base_f = np.array(base.to_floats())
     eps = 1.0
-    samples = config.samples or 20
     if samples > LINK_POINT_BUDGET:
         raise RankTooLarge(f"retraction suite guarded at {LINK_POINT_BUDGET} samples")
     drawn = [rho(random_cell_point(v, rng), base, u).to_floats() for _ in range(samples)]
@@ -634,7 +583,6 @@ def suite_retraction(config: RunConfig) -> VerificationReport:
             jump = float(np.abs(r - prev).max())
             run.check(jump < 0.5, f"grid[{k}]", f"jump={jump}")
         prev = r
-    return run.done()
 
 
 def run_suite(name: str, config: RunConfig) -> list[VerificationReport]:

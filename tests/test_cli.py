@@ -12,6 +12,9 @@ IDENTITY3 = json.dumps(
 UPPER3 = json.dumps(
     {"n": 3, "entries": [["1", "1", "0"], ["0", "1", "1"], ["0", "0", "1"]]}
 )
+BIG3 = json.dumps(
+    {"n": 3, "entries": [["1", "1" + "0" * 400, "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+)
 
 
 @pytest.fixture
@@ -150,6 +153,28 @@ class TestFlowVerbs:
         assert res.exit_code == 3
         assert res.stdout == ""
         assert json.loads(res.stderr)["error"] == "NotInG0u"
+
+    # a 401-digit entry has no float, in flow's x and in retract's x or z
+    @pytest.mark.parametrize(
+        "argv, x, z",
+        [
+            (["flow", "--u", "1,2,3"], BIG3, None),
+            (["retract", "--u", "1,2,3", "--v", "3,2,1", "--tau", "0.5"], BIG3, UPPER3),
+            (["retract", "--u", "1,2,3", "--v", "2,1,3", "--tau", "0.5"], UPPER3, BIG3),
+        ],
+        ids=["flow", "retract-x", "retract-z"],
+    )
+    def test_entry_too_large_for_float_exit_2(self, runner, tmp_path, argv, x, z):
+        if z is not None:
+            (tmp_path / "z.json").write_text(z)
+            argv = argv + ["--z", str(tmp_path / "z.json")]
+        res = runner.invoke(main, argv, input=x)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert json.loads(res.stderr) == {
+            "error": "usage",
+            "message": "matrix entry too large for a float",
+        }
 
     def test_forward_needs_target(self, runner):
         res = runner.invoke(

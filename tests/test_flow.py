@@ -7,6 +7,7 @@ import pytest
 from tnn_strata.errors import (
     InvalidArgument,
     NotComparable,
+    PreconditionError,
     RankTooLarge,
     StratumEscape,
     UndecidableRank,
@@ -292,6 +293,26 @@ class TestRetraction:
         for tau in (-0.5, 1.5, float("nan")):
             with pytest.raises(InvalidArgument, match="tau"):
                 retraction(np.eye(3), tau, u, v, bad, 1.0, base=base)
+
+    # with u = v the moved point is the base, where the field vanishes: the
+    # level set is never reached
+    @pytest.mark.parametrize("u, v", [("1,2,3", "1,2,3"), ("2,1,3", "1,3,2"), ("3,2,1", "1,2,3")])
+    def test_u_not_below_v_rejected(self, u, v):
+        u, v = Permutation.parse(u), Permutation.parse(v)
+        z = default_base(Permutation.longest(3))
+        base = np.array(default_base(u).to_floats())
+        with pytest.raises(NotComparable):
+            retraction(np.eye(3), 0.5, u, v, z, 1.0, base=base)
+
+    def test_point_off_the_tnn_part_rejected(self):
+        # the field lowers str at the moved point, so the level is never
+        # reached: the first step away from it raises
+        x = np.array([[1.0, -8 / 7, -5 / 7], [0.0, 1.0, -4 / 3], [0.0, 0.0, 1.0]])
+        u, v = Permutation.identity(3), Permutation.parse("2,1,3")
+        z = RatMatrix.from_rows([[1, 2, 1], [0, 1, 2], [0, 0, 1]])
+        base = np.array(default_base(u).to_floats())
+        with pytest.raises(PreconditionError, match="away from its level"):
+            retraction(x, 0.1, u, v, z, 0.1, base=base)
 
     def test_rank_mismatch_rejected(self):
         u, v = Permutation.identity(3), Permutation.longest(3)

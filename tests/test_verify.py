@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from tnn_strata import verify
 from tnn_strata.errors import InvalidArgument, RankTooLarge
 from tnn_strata.verify import RunConfig, VerificationReport, _Run, run_suite
 
@@ -46,3 +49,21 @@ def test_repro_replays_the_sample_size(samples, repro):
     run.check(False, "roundtrip[0]")
     [failure] = run.done().failures
     assert failure.repro == repro
+
+
+def test_census_counts_the_stratum_a_point_lands_in(monkeypatch):
+    # the first point of each sample lands where the sample's last point,
+    # drawn in another stratum, did; its drawn label is kept
+    real = verify.link_sample
+
+    def moved(u, v, epsilon, count, seed):
+        ls = real(u, v, epsilon, count, seed)
+        (_, w), *rest = ls.points
+        if not rest:
+            return ls
+        return dataclasses.replace(ls, points=((rest[-1][0], w), *rest))
+
+    monkeypatch.setattr(verify, "link_sample", moved)
+    [rep] = run_suite("link-census", RunConfig(n=3))
+    assert rep.failures
+    assert {f.case.split("[")[0] for f in rep.failures} == {"labels"}
