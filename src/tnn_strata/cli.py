@@ -17,7 +17,6 @@ from .cells import cell_of, is_tnn, lusztig_point
 from .errors import InvalidArgument, PreconditionError, TnnStrataError
 from .fiber import factor_u, rho
 from .flow import (
-    default_base,
     flow as run_flow,
     link_census,
     link_sample,
@@ -285,11 +284,10 @@ def cmd_link_census(u_text, v_text, epsilon, count, seed):
             ],
             "euler": census.euler,
             "euler_ok": census.euler == 1,
-            # the census labels are (u, v] by construction
-            "labels_ok": True,
+            "labels_ok": census.labels_ok,
         }
     )
-    if census.euler != 1:
+    if census.euler != 1 or not census.labels_ok:
         sys.exit(EXIT_INVARIANT)
 
 
@@ -306,8 +304,7 @@ def cmd_retract(path, u_text, v_text, z_path, tau, epsilon):
     u = _parse_perm(u_text, "u")
     v = _parse_perm(v_text, "v")
     z = _read_matrix(z_path)
-    base = np.array(default_base(u).to_floats())
-    out = run_retraction(np.array(x.to_floats()), tau, u, v, z, epsilon, base=base)
+    out = run_retraction(np.array(x.to_floats()), tau, u, v, z, epsilon)
     obj = _float_matrix_obj(out)
     obj["str"] = float(str_of(out))
     _emit(obj)

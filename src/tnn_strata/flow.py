@@ -36,11 +36,12 @@ STRATUM_CHECK_FLOOR = 1e-3
 RANK_TOL = 1e-8
 RANK_ZERO_TOL = 1e-12
 STATIONARY_TOL = 1e-10  # a backward flow's stop: height or field below this
-# A link point lies within LEVEL_TOL of its level: link_point integrates at
-# RK tolerance LINK_STEP_TOL and stops locating a crossing at LEVEL_STOP.
+# A link point lies within LEVEL_TOL of its level: link_point integrates the
+# field normalised by height at RK tolerance LINK_STEP_TOL, and lands on the
+# level by construction.  It takes epsilon up to LINK_EPSILON_GUARD.
 LEVEL_TOL = 1e-9
-LEVEL_STOP = 1e-12
 LINK_STEP_TOL = 1e-12
+LINK_EPSILON_GUARD = 1e3
 REPROJECT_EVERY = 10  # accepted steps between re-projections onto the fiber
 MAX_STEP = 1.0
 LINK_POINT_BUDGET = 10_000  # most points one link_sample may draw
@@ -315,98 +316,61 @@ def _float_label(x: np.ndarray, fallback: Permutation) -> Permutation:
 
 def _require_epsilon(epsilon: float):
     _require(math.isfinite(epsilon) and epsilon > 0, "epsilon must be finite and positive")
+    if epsilon > LINK_EPSILON_GUARD:
+        raise RankTooLarge(f"epsilon {epsilon} exceeds the guard of {LINK_EPSILON_GUARD}")
 
 
-def link_point(
-    x: np.ndarray,
-    u: Permutation,
-    v: Permutation,
-    epsilon: float,
-    *,
-    base: np.ndarray,
-) -> np.ndarray:
+class _LevelField(FiberIntegrator):
+    """The fiber field normalised by height, psi / str(psi).  str is linear
+    and every stage of an RK step sees str = 1, so one step of size h raises
+    str by exactly h (up to rounding)."""
+
+    def rhs(self, x: np.ndarray) -> np.ndarray:
+        d = super().rhs(x)
+        s = _heights(d)
+        # nan where the field does not raise str: an RK stage that overshoots
+        # the totally nonnegative part fails its step's error test instead
+        return d / np.where(s > 0.0, s, np.nan)[..., None, None]
+
+
+def link_point(x: np.ndarray, u: Permutation, epsilon: float, *, base: np.ndarray) -> np.ndarray:
     """The unique point with str = str(base) + epsilon on the trajectory
     through x, for one matrix x or for each row of a stack (B, n, n).
 
     A row already within ``LEVEL_TOL`` of the level is returned unchanged.
-    The others are integrated as one stack with a shared step magnitude,
-    each in its own direction.  str(psi) > 0 off the base on the totally
-    nonnegative part, so every step moves a row toward its level there; a
-    step that moves one away raises PreconditionError.  A row leaves the
-    stack at the accepted step that crosses the level, and the crossing is
-    then located by an Illinois iteration on the time offset inside that
-    step.
+    The others flow by height, along psi / str(psi): str(psi) > 0 off the
+    base on the totally nonnegative part, so height is a valid time, and a
+    row where it is not raises PreconditionError.  A row's height to climb
+    (or descend) d is fixed at the start; all rows advance in one shared
+    fraction of their own d, stepped by the RK45 controller and clamped to
+    the fraction left, so they land on the level together by construction.
     """
     _require_epsilon(epsilon)
-    integ = FiberIntegrator(u, base, tol=LINK_STEP_TOL)
-    target = str_of(base) + epsilon
+    integ = _LevelField(u, base, tol=LINK_STEP_TOL)
     x = np.asarray(x, dtype=np.float64)
     out = x.reshape((-1,) + x.shape[-2:]).copy()
-    g = _heights(out) - target
-    rows = np.flatnonzero(~(np.abs(g) <= LEVEL_TOL))
-    lo, g_lo = out[rows], g[rows]
-    sign = np.where(g_lo < 0.0, 1.0, -1.0)
-
-    # bracket each crossing with adaptive whole steps
-    brackets = []
-    h = 0.01
+    d = str_of(base) + epsilon - _heights(out)
+    rows = np.flatnonzero(~(np.abs(d) <= LEVEL_TOL))
+    y, d = out[rows], d[rows]
+    if np.isnan(integ.rhs(y)).any():
+        raise PreconditionError(
+            "the field does not raise str at a point away from its level: str(psi) <= 0 "
+            "there, so the point is the base or not totally nonnegative"
+        )
+    left, h = 1.0, 0.01  # the fraction of each d still to go; the next step
     for _ in range(100_000):
-        if not rows.size:
+        if not rows.size or left == 0.0:
             break
-        xn, err = integ.rk_step(lo, sign * h)
+        step = min(h, left)
+        yn, err = integ.rk_step(y, step * d)
         if err <= 1.0:
-            g_n = _heights(xn) - target
-            if ((g_n - g_lo) * sign < -LEVEL_TOL).any():
-                raise PreconditionError(
-                    "the field moves a point away from its level: str(psi) < 0 there, "
-                    "so the point is not totally nonnegative"
-                )
-            crossed = g_n * sign >= 0.0
-            if crossed.any():
-                brackets.append(
-                    (rows[crossed], lo[crossed], sign[crossed] * h, g_lo[crossed], xn[crossed], g_n[crossed])
-                )
-            stay = ~crossed
-            rows, lo, g_lo, sign = rows[stay], xn[stay], g_n[stay], sign[stay]
-        h = _next_step(h, err, "link_point bracketing")
+            y, left = yn, left - step
+        if left:  # a last step clamped to a sliver of the fraction would underflow
+            h = _next_step(step, err, "link_point")
     else:
-        raise MaxStepsExceeded("link_point failed to bracket the level set")
-
-    if brackets:
-        rows, lo, dt, g_lo, xn, g_n = (np.concatenate(c) for c in zip(*brackets))
-        out[rows] = _locate_level(integ, lo, dt, g_lo, xn, g_n, target)
+        raise MaxStepsExceeded("link_point did not reach its level in 100000 steps")
+    out[rows] = y
     return out.reshape(x.shape)
-
-
-def _locate_level(integ, lo, dt, g_lo, x_hi, g_hi, target):
-    """Illinois (modified regula falsi) on each row's time offset in
-    [0, dt], where str - target changes sign between lo and x_hi = the step
-    of lo by dt; stops a row at |str - target| <= LEVEL_STOP."""
-    best, best_g = x_hi.copy(), np.abs(g_hi)
-    # bracket [a, b] in time offset; b is the latest iterate
-    a, ga = np.zeros_like(dt), g_lo
-    b, gb = dt, g_hi
-    rows = np.flatnonzero(~(best_g <= LEVEL_STOP))
-    a, ga, b, gb, lo = a[rows], ga[rows], b[rows], gb[rows], lo[rows]
-    for _ in range(200):
-        if not rows.size:
-            return best
-        c = (a * gb - b * ga) / (gb - ga)
-        outside = ~((c - a) * (c - b) < 0.0)
-        c[outside] = 0.5 * (a + b)[outside]
-        xc, _ = integ.rk_step(lo, c)
-        gc = _heights(xc) - target
-        better = np.abs(gc) < best_g[rows]
-        best[rows[better]] = xc[better]
-        best_g[rows[better]] = np.abs(gc[better])
-        flip = gc * gb < 0.0
-        a, ga = np.where(flip, b, a), np.where(flip, gb, 0.5 * ga)
-        b, gb = c, gc
-        live = ~(np.abs(gc) <= LEVEL_STOP)  # a nan row stays until the cap
-        rows, a, ga, b, gb, lo = rows[live], a[live], ga[live], b[live], gb[live], lo[live]
-    if (best_g[rows] > LEVEL_TOL).any():
-        raise StepUnderflow("link_point root finding stalled above tolerance")
-    return best
 
 
 @dataclass(frozen=True)
@@ -423,12 +387,14 @@ class LinkSample:
 class LinkCensus:
     """The strata of the link of the u-cell inside Y_[u,v]: one per label w
     in (u, v], in (length, image) order, of dimension l(w) - l(u) - 1, with
-    the number of counted points that carry its label; ``euler`` is the
-    sum of (-1)^dim over the strata, which is 1 for the link."""
+    the number of counted points that land in it; ``euler`` is the sum of
+    (-1)^dim over the strata, which is 1 for the link; ``labels_ok`` says
+    every counted point landed in the stratum it was drawn in."""
 
     dimensions: dict[Permutation, int]
     counts: dict[Permutation, int]
     euler: int
+    labels_ok: bool
 
 
 def _require_below(u: Permutation, v: Permutation):
@@ -438,16 +404,24 @@ def _require_below(u: Permutation, v: Permutation):
 
 
 def link_census(u: Permutation, v: Permutation, points=()) -> LinkCensus:
-    """The census of the link of the u-cell inside Y_[u,v], counting the
-    labels of ``points``, (point, label) pairs such as LinkSample.points."""
+    """The census of the link of the u-cell inside Y_[u,v], counting where
+    ``points`` land: (point, drawn label) pairs such as LinkSample.points,
+    each counted under its float label, or its drawn label where the float
+    label is undecidable."""
     _require_below(u, v)
     labels = sorted(
         (w for w in interval(u, v).elements if w != u),
         key=lambda w: (w.length, w.image),
     )
     dims = {w: w.length - u.length - 1 for w in labels}
-    found = Counter(w for _, w in points)
-    return LinkCensus(dims, {w: found[w] for w in labels}, sum((-1) ** d for d in dims.values()))
+    landed = [(_float_label(p, w), w) for p, w in points]
+    found = Counter(got for got, _ in landed)
+    return LinkCensus(
+        dims,
+        {w: found[w] for w in labels},
+        sum((-1) ** d for d in dims.values()),
+        all(got == w for got, w in landed),
+    )
 
 
 def default_base(u: Permutation) -> RatMatrix:
@@ -490,7 +464,7 @@ def link_sample(
     base_f = np.array(base.to_floats())
     drawn = [(rho(random_cell_point(w, rng), base, u), w) for w in dims for _ in range(count)]
     stack = np.array([x.to_floats() for x, _ in drawn])
-    pts = link_point(stack, u, v, epsilon, base=base_f)
+    pts = link_point(stack, u, epsilon, base=base_f)
     return LinkSample(u, v, epsilon, base, tuple(zip(pts, (w for _, w in drawn))), dims)
 
 
@@ -511,12 +485,11 @@ def retraction(
     v: Permutation,
     z: RatMatrix,
     epsilon: float,
-    *,
-    base: np.ndarray,
 ) -> np.ndarray:
     """One stage of the deformation retraction of the link to a point:
     scale z up and x down with the torus, project onto the v-cell, move
-    into the fiber over the base with rho, and land on the level set."""
+    into the fiber over the canonical base of the u-cell with rho, and land
+    on the level set."""
     _require(0.0 <= tau <= 1.0, "tau must lie in [0, 1]")
     _require(np.shape(x) == (u.n, u.n) and u.n == v.n == z.n, "rank mismatch")
     _require_below(u, v)
@@ -533,6 +506,7 @@ def retraction(
             "projection onto the v-cell blew up; the input point must lie in "
             "the open v-stratum at the tau endpoints"
         )
+    base = np.array(default_base(u).to_floats())
     u0, uinv0 = kernels.perm_arrays(u)
     moved = kernels.rho_move(y_v, base, u0, uinv0)
-    return link_point(moved, u, v, epsilon, base=base)
+    return link_point(moved, u, epsilon, base=base)

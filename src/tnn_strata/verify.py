@@ -20,7 +20,6 @@ from .errors import InvalidArgument, RankTooLarge, TnnStrataError
 from .fiber import conj_d, factor_u, pi_u, recover_shift, rho
 from .flow import (
     LINK_POINT_BUDGET,
-    _float_label,
     default_base,
     flow,
     link_census,
@@ -536,11 +535,10 @@ def suite_link_census(run, rng, count):
                 f"level[{u.serialize()};{v.serialize()};eps={eps}]",
                 f"worst={worst}",
             )
-            landed = [(p, _float_label(p, w)) for p, w in ls.points]
-            counts = link_census(u, v, landed).counts
-            per_eps[eps] = counts
+            census = link_census(u, v, ls.points)
+            per_eps[eps] = census.counts
             run.check(
-                all(counts.values()),
+                census.labels_ok,
                 f"labels[{u.serialize()};{v.serialize()};eps={eps}]",
             )
         if len(per_eps) == 3:
@@ -557,18 +555,17 @@ def suite_retraction(run, rng, samples):
     v = Permutation.longest(3)
     z = default_base(v)
     base = default_base(u)
-    base_f = np.array(base.to_floats())
     eps = 1.0
     if samples > LINK_POINT_BUDGET:
         raise RankTooLarge(f"retraction suite guarded at {LINK_POINT_BUDGET} samples")
     drawn = [rho(random_cell_point(v, rng), base, u).to_floats() for _ in range(samples)]
-    pts = list(link_point(np.array(drawn), u, v, eps, base=base_f))
+    pts = list(link_point(np.array(drawn), u, eps, base=np.array(base.to_floats())))
     ends = []
     for i, x in enumerate(pts):
-        r0 = retraction(x, 0.0, u, v, z, eps, base=base_f)
+        r0 = retraction(x, 0.0, u, v, z, eps)
         d0 = float(np.abs(r0 - x).max())
         run.check(d0 < 1e-6, f"tau0[{i}]", f"dist={d0}")
-        ends.append(retraction(x, 1.0, u, v, z, eps, base=base_f))
+        ends.append(retraction(x, 1.0, u, v, z, eps))
     spread = max(
         float(np.abs(a - b).max()) for a in ends for b in ends
     )
@@ -578,7 +575,7 @@ def suite_retraction(run, rng, samples):
     prev = None
     for k in range(0, 11):
         tau = k / 10
-        r = retraction(x, tau, u, v, z, eps, base=base_f)
+        r = retraction(x, tau, u, v, z, eps)
         if prev is not None:
             jump = float(np.abs(r - prev).max())
             run.check(jump < 0.5, f"grid[{k}]", f"jump={jump}")

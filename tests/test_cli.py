@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -213,6 +214,31 @@ class TestLinkVerbs:
         assert res.exit_code == 3
         assert res.stdout == ""
         assert json.loads(res.stderr)["error"] == "RankTooLarge"
+
+    def test_census_point_landing_elsewhere_exit_1(self, runner, monkeypatch):
+        # the first point is replaced by the last, drawn in another stratum
+        real = cli.link_sample
+
+        def moved(u, v, epsilon, count, seed):
+            ls = real(u, v, epsilon, count, seed)
+            (_, w), *rest = ls.points
+            return dataclasses.replace(ls, points=((rest[-1][0], w), *rest))
+
+        monkeypatch.setattr(cli, "link_sample", moved)
+        res = runner.invoke(main, ["link-census", "--u", "1,2,3", "--v", "3,2,1", "--count", "1"])
+        assert res.exit_code == 1
+        obj = json.loads(res.stdout)
+        assert obj["labels_ok"] is False and obj["euler_ok"] is True
+        assert sum(s["points"] for s in obj["strata"]) == 5
+
+    def test_huge_epsilon_exit_3(self, runner):
+        res = runner.invoke(
+            main, ["link-sample", "--u", "1,2", "--v", "2,1", "--epsilon", "1e300", "--count", "1"]
+        )
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "RankTooLarge"
 
     def test_census_incomparable_exit_3(self, runner):
         res = runner.invoke(

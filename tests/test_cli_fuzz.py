@@ -7,6 +7,7 @@ fast."""
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from tnn_strata.cli import main
+from tnn_strata.flow import LINK_EPSILON_GUARD
 from tnn_strata.perms import Permutation, bruhat_less
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -150,7 +152,10 @@ TOP = {
     3: json.dumps({"n": 3, "entries": [["1", "2", "1"], ["0", "1", "2"], ["0", "0", "1"]]}),
 }
 small_sizes = st.sampled_from([3, 2])
-epsilons = st.one_of([st.floats(0.1, 3).map(str)] * 3 + [st.sampled_from(["0", "-1", "nan", "inf"])])
+# radii on the link, radii refused as usage errors, and radii above the guard
+# (the smallest float above it included), refused before any point is drawn
+too_far = ["1e300", "1e6", repr(math.nextafter(LINK_EPSILON_GUARD, math.inf))]
+epsilons = st.one_of([st.floats(0.1, 3).map(str)] * 3 + [st.sampled_from(["0", "-1", "nan", "inf"] + too_far)])
 seeds = st.integers(-3, 2**40).map(str)
 
 

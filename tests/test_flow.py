@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -13,8 +14,10 @@ from tnn_strata.errors import (
     UndecidableRank,
     ZNotInYgeqV,
 )
+from tnn_strata import kernels
 from tnn_strata.fiber import pi_u, rho
 from tnn_strata.flow import (
+    LINK_EPSILON_GUARD,
     LINK_POINT_BUDGET,
     FiberIntegrator,
     cell_of_float,
@@ -33,6 +36,10 @@ from tnn_strata.flow import (
 )
 from tnn_strata.perms import Permutation, all_permutations, bruhat_leq, interval
 from tnn_strata.ratmat import RatMatrix, conj_by_perm, gauss_plus, mul_perm_right
+
+
+# the package name tnn_strata.flow is the function flow, not the module
+flow_module = importlib.import_module("tnn_strata.flow")
 
 
 def fiber_case(rng, n=3):
@@ -188,13 +195,7 @@ class TestLink:
         u = Permutation.identity(3)
         base = default_base(u)
         x, _, w = fiber_case(rng)
-        pt = link_point(
-            np.array(x.to_floats()),
-            u,
-            Permutation.longest(3),
-            1.5,
-            base=np.array(base.to_floats()),
-        )
+        pt = link_point(np.array(x.to_floats()), u, 1.5, base=np.array(base.to_floats()))
         assert abs(str_of(pt) - 1.5) <= 1e-9
 
     def test_link_sample_labels(self):
@@ -218,22 +219,51 @@ class TestLink:
             ]
         )
         eps = str_of(stack[2]) - str_of(base)
-        out = link_point(stack, u, v, eps, base=base)
+        out = link_point(stack, u, eps, base=base)
         assert out.shape == stack.shape
         for row, x in zip(out, stack):
             assert abs(str_of(row) - (str_of(base) + eps)) <= 1e-9
-            alone = link_point(x, u, v, eps, base=base)
+            alone = link_point(x, u, eps, base=base)
             assert np.max(np.abs(row - alone)) <= 1e-9
         assert np.array_equal(out[2], stack[2])
+
+    # Drawn points land on their level, stay in the fiber over the base, and
+    # flowing a point already on the level 1 to eps is flowing it to eps.
+    @pytest.mark.parametrize("eps", [0.5, 2.0, 1e-6, 1e-9])
+    @pytest.mark.parametrize("u_text, v_text", [("1,3,2", "3,2,1"), ("2,1,3,4", "4,3,2,1")])
+    def test_drawn_points_land_on_level_in_fiber(self, u_text, v_text, eps):
+        u, v = Permutation.parse(u_text), Permutation.parse(v_text)
+        sample = link_sample(u, v, eps, 1, seed=2)
+        base = np.array(sample.base.to_floats())
+        on_one = np.array([pt for pt, _ in link_sample(u, v, 1.0, 1, seed=2).points])
+        again = link_point(on_one, u, eps, base=base)
+        u0, uinv0 = kernels.perm_arrays(u)
+        for (pt, _), pt2 in zip(sample.points, again):
+            assert abs(str_of(pt) - (str_of(base) + eps)) <= 1e-12
+            assert np.max(np.abs(kernels.fiber_parts(pt, u0, uinv0)[0] - base)) <= 1e-9
+            assert np.max(np.abs(pt2 - pt)) <= 1e-9
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_epsilon_rejected(self, eps):
         u, v = Permutation.identity(3), Permutation.longest(3)
         base = np.array(default_base(u).to_floats())
         with pytest.raises(InvalidArgument):
-            link_point(np.eye(3), u, v, eps, base=base)
+            link_point(np.eye(3), u, eps, base=base)
         with pytest.raises(InvalidArgument):
             link_sample(u, v, eps, 1, 0)
+
+    def test_huge_epsilon_guarded_before_drawing(self, monkeypatch):
+        def no_draws(w, rng):
+            raise AssertionError("drew a point")
+
+        monkeypatch.setattr(flow_module, "random_cell_point", no_draws)
+        u, v = Permutation.identity(2), Permutation.longest(2)
+        base = np.array(default_base(u).to_floats())
+        for eps in (LINK_EPSILON_GUARD * 1.001, 1e6, 1e300):
+            with pytest.raises(RankTooLarge):
+                link_sample(u, v, eps, 1, 0)
+            with pytest.raises(RankTooLarge):
+                link_point(np.eye(2), u, eps, base=base)
 
     def test_point_budget_checked_before_drawing(self):
         u, v = Permutation.identity(2), Permutation.longest(2)
@@ -255,15 +285,14 @@ class TestRetraction:
         u = Permutation.identity(3)
         v = Permutation.longest(3)
         rng = random.Random(9)
-        base = np.array(default_base(u).to_floats())
         z = random_cell_point(v, rng)
         sample = link_sample(u, v, 1.0, 2, seed=3)
         tops = [pt for pt, w in sample.points if w == v][:4]
         ends = []
         for pt in tops:
-            r0 = retraction(pt, 0.0, u, v, z, 1.0, base=base)
+            r0 = retraction(pt, 0.0, u, v, z, 1.0)
             assert np.max(np.abs(r0 - pt)) < 1e-6
-            ends.append(retraction(pt, 1.0, u, v, z, 1.0, base=base))
+            ends.append(retraction(pt, 1.0, u, v, z, 1.0))
         spread = max(
             np.max(np.abs(a - b)) for a in ends for b in ends
         )
@@ -275,24 +304,15 @@ class TestRetraction:
         bad = RatMatrix.from_rows([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
         sample = link_sample(u, v, 1.0, 1, seed=1)
         with pytest.raises(ZNotInYgeqV):
-            retraction(
-                sample.points[0][0],
-                0.5,
-                u,
-                v,
-                bad,
-                1.0,
-                base=np.array(default_base(u).to_floats()),
-            )
+            retraction(sample.points[0][0], 0.5, u, v, bad, 1.0)
 
 
     def test_bad_tau_rejected_before_target(self):
         u, v = Permutation.identity(3), Permutation.longest(3)
         bad = RatMatrix.from_rows([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
-        base = np.array(default_base(u).to_floats())
         for tau in (-0.5, 1.5, float("nan")):
             with pytest.raises(InvalidArgument, match="tau"):
-                retraction(np.eye(3), tau, u, v, bad, 1.0, base=base)
+                retraction(np.eye(3), tau, u, v, bad, 1.0)
 
     # with u = v the moved point is the base, where the field vanishes: the
     # level set is never reached
@@ -300,9 +320,8 @@ class TestRetraction:
     def test_u_not_below_v_rejected(self, u, v):
         u, v = Permutation.parse(u), Permutation.parse(v)
         z = default_base(Permutation.longest(3))
-        base = np.array(default_base(u).to_floats())
         with pytest.raises(NotComparable):
-            retraction(np.eye(3), 0.5, u, v, z, 1.0, base=base)
+            retraction(np.eye(3), 0.5, u, v, z, 1.0)
 
     def test_point_off_the_tnn_part_rejected(self):
         # the field lowers str at the moved point, so the level is never
@@ -310,20 +329,18 @@ class TestRetraction:
         x = np.array([[1.0, -8 / 7, -5 / 7], [0.0, 1.0, -4 / 3], [0.0, 0.0, 1.0]])
         u, v = Permutation.identity(3), Permutation.parse("2,1,3")
         z = RatMatrix.from_rows([[1, 2, 1], [0, 1, 2], [0, 0, 1]])
-        base = np.array(default_base(u).to_floats())
         with pytest.raises(PreconditionError, match="away from its level"):
-            retraction(x, 0.1, u, v, z, 0.1, base=base)
+            retraction(x, 0.1, u, v, z, 0.1)
 
     def test_rank_mismatch_rejected(self):
         u, v = Permutation.identity(3), Permutation.longest(3)
         z = default_base(v)
-        base = np.array(default_base(u).to_floats())
         with pytest.raises(InvalidArgument, match="rank mismatch"):
-            retraction(np.eye(4), 0.5, u, v, z, 1.0, base=base)
+            retraction(np.eye(4), 0.5, u, v, z, 1.0)
         with pytest.raises(InvalidArgument, match="rank mismatch"):
-            retraction(np.eye(3), 0.5, u, v, RatMatrix.identity(2), 1.0, base=base)
+            retraction(np.eye(3), 0.5, u, v, RatMatrix.identity(2), 1.0)
         with pytest.raises(InvalidArgument, match="rank mismatch"):
-            retraction(np.eye(3), 0.5, u, Permutation.longest(4), z, 1.0, base=base)
+            retraction(np.eye(3), 0.5, u, Permutation.longest(4), z, 1.0)
 
 
 class TestConjDFloat:

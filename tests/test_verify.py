@@ -64,6 +64,8 @@ def test_census_counts_the_stratum_a_point_lands_in(monkeypatch):
         return dataclasses.replace(ls, points=((rest[-1][0], w), *rest))
 
     monkeypatch.setattr(verify, "link_sample", moved)
-    [rep] = run_suite("link-census", RunConfig(n=3))
-    assert rep.failures
-    assert {f.case.split("[")[0] for f in rep.failures} == {"labels"}
+    # with two points per stratum the moved point's stratum is not left empty
+    for samples in (0, 2):
+        [rep] = run_suite("link-census", RunConfig(n=3, samples=samples))
+        assert rep.failures
+        assert {f.case.split("[")[0] for f in rep.failures} == {"labels"}
