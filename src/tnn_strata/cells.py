@@ -3,6 +3,7 @@ identification of the Bruhat cell containing a unipotent matrix."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,8 +17,8 @@ from .errors import (
 from .perms import Permutation, ReducedWord, decode_rank_jumps
 from .ratmat import (
     RatMatrix,
-    all_minors_nonnegative,
     is_in_N,
+    minor,
     rank,
 )
 
@@ -49,19 +50,34 @@ def lusztig_point(word: ReducedWord, params) -> CellPoint:
     if any(t <= 0 for t in params):
         raise NonPositiveParameter("all parameters must be > 0")
     n = word.target.n
-    x = RatMatrix.identity(n)
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for a, t in zip(word.letters, params):
-        x = x @ chevalley_x(a, t, n)
-    return CellPoint(x, word.target, True)
+        # x <- x chevalley_x(a, t): add t times column a to column a+1
+        for r in rows:
+            if r[a - 1]:
+                r[a] += t * r[a - 1]
+    return CellPoint(RatMatrix.from_rows(rows), word.target, True)
 
 
 def is_tnn(x: RatMatrix) -> bool:
-    """All-minors nonnegativity test for unipotent upper-triangular matrices."""
+    """All-minors nonnegativity test for unipotent upper-triangular matrices.
+
+    On such an x the minor on rows I and columns J is 0 unless I <= J
+    entrywise, and 1 when I = J, so only the other minors with I <= J are
+    computed; ``all_minors_nonnegative`` gives the same answer.
+    """
     if x.n > TNN_GUARD:
         raise RankTooLarge(f"is_tnn guarded at n <= {TNN_GUARD}")
     if not is_in_N(x):
         raise NotUnipotentUpper("is_tnn expects a unipotent upper-triangular matrix")
-    return all_minors_nonnegative(x)
+    idx = range(1, x.n + 1)
+    return all(
+        minor(x, rows, cols) >= 0
+        for k in idx
+        for rows in itertools.combinations(idx, k)
+        for cols in itertools.combinations(idx, k)
+        if rows != cols and all(i <= j for i, j in zip(rows, cols))
+    )
 
 
 def cell_of(x: RatMatrix) -> Permutation:

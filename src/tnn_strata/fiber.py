@@ -41,13 +41,8 @@ class FiberFrame:
     y: RatMatrix
 
 
-def factor_u(x: RatMatrix, u: Permutation) -> FiberFrame:
-    """Split x in N cap G_0 u as x_u * x^u with x_u in the u-cell and
-    x^u in N(u):
-
-        A   = u^-1 [x u^-1]_+ u,
-        y   = [A]_-,   x^u = [A]_+,
-        x_u = [u y]_+.
+def fiber_A(x: RatMatrix, u: Permutation) -> RatMatrix:
+    """A = u^-1 [x u^-1]_+ u, the first step of factor_u, for x in N.
 
     Raises NotInG0u, with the size of the first vanishing leading
     principal minor of x u^-1, when x is outside G_0 u.
@@ -60,7 +55,20 @@ def factor_u(x: RatMatrix, u: Permutation) -> FiberFrame:
         plus = gauss_plus(mul_perm_right(x, u.inverse()))
     except NotInG0 as exc:
         raise NotInG0u(exc.witness) from exc
-    A = conj_by_perm(u, plus)
+    return conj_by_perm(u, plus)
+
+
+def factor_u(x: RatMatrix, u: Permutation) -> FiberFrame:
+    """Split x in N cap G_0 u as x_u * x^u with x_u in the u-cell and
+    x^u in N(u):
+
+        A   = u^-1 [x u^-1]_+ u   (``fiber_A``),
+        y   = [A]_-,   x^u = [A]_+,
+        x_u = [u y]_+.
+
+    Raises what ``fiber_A`` raises.
+    """
+    A = fiber_A(x, u)
     try:
         fac = gauss_decompose(A)
         y, x_upper = fac.lower, fac.upper
@@ -83,14 +91,17 @@ def recover_shift(x_w: RatMatrix, xt_w: RatMatrix, w: Permutation) -> RatMatrix:
     """The unique n_1 in N_-(w) with [xt_w n_1]_+ = x_w:
 
         n_1 = w^-1 ([xt_w w^-1]_+)^-1 [x_w w^-1]_+ w.
+
+    Only x_w is checked to lie in the w-cell.  Every caller passes as xt_w
+    the x_u of a ``factor_u`` over w, or a ``conj_d`` of it, which lies in
+    the w-cell by construction.
     """
     if not x_w.n == xt_w.n == w.n:
         raise InvalidArgument("rank mismatch")
-    for m in (x_w, xt_w):
-        if cell_of(m) != w:
-            raise CellMismatch(
-                f"recover_shift arguments must lie in the {w.serialize()}-cell"
-            )
+    if cell_of(x_w) != w:
+        raise CellMismatch(
+            f"recover_shift arguments must lie in the {w.serialize()}-cell"
+        )
     winv = w.inverse()
     a = gauss_plus(mul_perm_right(xt_w, winv)).inverse()
     b = gauss_plus(mul_perm_right(x_w, winv))

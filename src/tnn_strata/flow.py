@@ -24,7 +24,7 @@ from .errors import (
     UndecidableRank,
     ZNotInYgeqV,
 )
-from .fiber import factor_u, rho
+from .fiber import fiber_A, rho
 from .perms import Permutation, bruhat_leq, bruhat_less, decode_rank_jumps, interval, reduced_word
 from .ratmat import RatMatrix, is_in_G0_u
 
@@ -71,9 +71,8 @@ def nu_matrix(n: int) -> RatMatrix:
 def psi(x: RatMatrix, u: Permutation) -> RatMatrix:
     """Exact tangent vector x * pi_n(A^-1 nu A); zero exactly at the
     fiber's base point."""
-    frame = factor_u(x, u)
-    nu = nu_matrix(x.n)
-    return x @ pi_n(frame.A.inverse() @ nu @ frame.A)
+    A = fiber_A(x, u)
+    return x @ pi_n(A.inverse() @ nu_matrix(x.n) @ A)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Exact rational matrices and the Gaussian (LDU) decomposition calculus.
 
-Scalars are stdlib ``fractions.Fraction`` (always reduced, positive
-denominator); everything in this module is exact.
+Entries are stdlib ``fractions.Fraction`` (always reduced, positive
+denominator); everything in this module is exact.  The arithmetic runs on
+Python integers: a product works on integer numerators over a common
+denominator, and one fraction-free elimination serves every
+decomposition.  Fractions are built only at the boundary.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import InvalidArgument, NotInG0, Singular
 from .perms import Permutation
@@ -54,28 +58,33 @@ class RatMatrix:
         return self.rows[i - 1][j - 1]
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        n = self.n
-        a, b = self.rows, other.rows
+        """Integer dot products of the numerators over each operand's least
+        common denominator, with one reduction per entry."""
+        a, da = _over_lcd(self.rows)
+        b, db = _over_lcd(other.rows)
+        d = da * db
+        cols = list(zip(*b))
         return RatMatrix(
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                for i in range(n)
-            )
+            tuple(tuple(Fraction(sum(map(mul, r, c)), d) for c in cols) for r in a)
         )
 
     def inverse(self) -> "RatMatrix":
         """Forward elimination of [x | I], then back substitution: the pivot
-        rows, last pivot column first, eliminated over the columns n-1..0."""
+        rows, last pivot column first, eliminated over the columns n-1..0.
+        Each row ends as r/d with r[c] its pivot, so its entries of the
+        inverse are r[n+j]/r[c] and the row denominator cancels."""
         n = self.n
-        aug = [list(r) + [Fraction(int(i == j)) for j in range(n)]
-               for i, r in enumerate(self.rows)]
-        pivots = _eliminate(aug, range(n))
+        work, dens = _int_rows(self.rows)
+        for i, (r, d) in enumerate(zip(work, dens)):
+            r.extend(d if i == j else 0 for j in range(n))
+        pivots = _eliminate(work, dens, range(n))
         if len(pivots) < n:
             raise Singular("matrix is singular")
-        back = [aug[i] for i in sorted(pivots, key=pivots.get, reverse=True)]
-        _eliminate(back, range(n - 1, -1, -1))
+        order = sorted(pivots, key=pivots.get, reverse=True)
+        back, back_dens = [work[i] for i in order], [dens[i] for i in order]
+        _eliminate(back, back_dens, range(n - 1, -1, -1))
         return RatMatrix(
-            tuple(tuple(v / r[c] for v in r[n:]) for c, r in enumerate(reversed(back)))
+            tuple(tuple(Fraction(v, r[c]) for v in r[n:]) for c, r in enumerate(reversed(back)))
         )
 
     def to_floats(self):
@@ -109,29 +118,60 @@ class RatMatrix:
         return json.dumps(self.to_json_obj())
 
 
-def _eliminate(work: list[list[Fraction]], cols, lower=None) -> dict[int, int]:
-    """Forward Gaussian elimination of the rows ``work``, in place, with no
-    row swaps; returns {pivot row: pivot column}.
+def _over_lcd(rows) -> tuple[list[list[int]], int]:
+    """The integer numerators of ``rows`` over their least common denominator."""
+    # *[...], not *(...), here and in _int_rows: unpacking a generator leaves
+    # one tuple per call in the interpreter's tuple free lists, which grew
+    # the resident memory of a long exact run by about 1 MB
+    d = math.lcm(*[v.denominator for r in rows for v in r])
+    return [[v.numerator * (d // v.denominator) for v in r] for r in rows], d
+
+
+def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
+    """Each row of Fractions as integer numerators over the row's own least
+    common denominator: row i is work[i] / dens[i]."""
+    work, dens = [], []
+    for r in rows:
+        d = math.lcm(*[v.denominator for v in r])
+        work.append([v.numerator * (d // v.denominator) for v in r])
+        dens.append(d)
+    return work, dens
+
+
+def _eliminate(work: list[list[int]], dens: list[int], cols, lower=None) -> dict[int, int]:
+    """Fraction-free forward Gaussian elimination of the rational rows
+    work[i] / dens[i], in place, with no row swaps; returns
+    {pivot row: pivot column}.
 
     The columns are taken in the order of ``cols``.  A column's pivot is the
     topmost row that is not yet a pivot row and has a nonzero entry there,
-    and the column is cleared from the non-pivot rows below it; each
-    multiplier is written to ``lower[i][c]`` when ``lower`` is given.  A
-    column with no such row gets no pivot.
+    and the column is cleared from the non-pivot rows below it that have a
+    nonzero entry in it: with p_c the pivot entry and f the row's,
+    r <- p_c r - f p over the denominator d p_c, then the row and its
+    denominator are divided by their gcd (nonzero, since d is).  The
+    multiplier f dens[p] / (p_c dens[i]) is written to ``lower[i][c]`` when
+    ``lower`` is given.  A column with no such row gets no pivot.
     """
     pivots: dict[int, int] = {}
     for c in cols:
-        p = next((i for i, r in enumerate(work) if i not in pivots and r[c] != 0), None)
+        p = next((i for i, r in enumerate(work) if i not in pivots and r[c]), None)
         if p is None:
             continue
         pivots[p] = c
         prow = work[p]
+        pc = prow[c]
         for i in range(p + 1, len(work)):
-            if i not in pivots and work[i][c] != 0:
-                f = work[i][c] / prow[c]
+            f = work[i][c]
+            if f and i not in pivots:
                 if lower is not None:
-                    lower[i][c] = f
-                work[i] = [a - f * b for a, b in zip(work[i], prow)]
+                    lower[i][c] = Fraction(f * dens[p], pc * dens[i])
+                row = [pc * a - f * b for a, b in zip(work[i], prow)]
+                d = dens[i] * pc
+                g = math.gcd(d, *row)
+                if g != 1:
+                    row = [a // g for a in row]
+                    d //= g
+                work[i], dens[i] = row, d
     return pivots
 
 
@@ -147,13 +187,15 @@ def minor(x: RatMatrix, rows, cols) -> Fraction:
             raise ValueError("index out of range")
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError("index sets must be strictly increasing")
-    work = [[x.rows[i - 1][j - 1] for j in cols] for i in rows]
-    pivots = _eliminate(work, range(len(cols)))
+    work, dens = _int_rows([[x.rows[i - 1][j - 1] for j in cols] for i in rows])
+    pivots = _eliminate(work, dens, range(len(cols)))
     if len(pivots) < len(cols):
         return Fraction(0)
     order = [pivots[i] for i in range(len(rows))]
     sign = (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
-    return math.prod((work[i][c] for i, c in pivots.items()), start=Fraction(sign))
+    return Fraction(
+        math.prod((work[i][c] for i, c in pivots.items()), start=sign), math.prod(dens)
+    )
 
 
 def det(x: RatMatrix) -> Fraction:
@@ -164,8 +206,8 @@ def rank(x: RatMatrix, rows=None, cols=None) -> int:
     """Exact rank of the (sub)matrix on the given 1-based index lists."""
     rows = list(rows) if rows is not None else list(range(1, x.n + 1))
     cols = list(cols) if cols is not None else list(range(1, x.n + 1))
-    work = [[x.rows[i - 1][j - 1] for j in cols] for i in rows]
-    return len(_eliminate(work, range(len(cols))))
+    work, dens = _int_rows([[x.rows[i - 1][j - 1] for j in cols] for i in rows])
+    return len(_eliminate(work, dens, range(len(cols))))
 
 
 @dataclass(frozen=True)
@@ -183,14 +225,15 @@ def gauss_decompose(x: RatMatrix) -> GaussFactors:
     is the NotInG0 witness.
     """
     n = x.n
-    work = [list(r) for r in x.rows]
+    work, dens = _int_rows(x.rows)
     lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    pivots = _eliminate(work, range(n), lower)
+    pivots = _eliminate(work, dens, range(n), lower)
     k = next((k for k in range(n) if pivots.get(k) != k), None)
     if k is not None:
         raise NotInG0(k + 1)
-    diag = [[work[i][i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    upper = [[work[i][j] / work[i][i] for j in range(n)] for i in range(n)]
+    diag = [[Fraction(work[i][i], dens[i]) if i == j else Fraction(0) for j in range(n)]
+            for i in range(n)]
+    upper = [[Fraction(work[i][j], work[i][i]) for j in range(n)] for i in range(n)]
     return GaussFactors(
         RatMatrix.from_rows(lower),
         RatMatrix.from_rows(diag),
@@ -228,7 +271,7 @@ def is_in_N_minus(x: RatMatrix) -> bool:
 def is_in_G0(x: RatMatrix) -> bool:
     """All leading principal minors are nonzero: every pivot of one
     elimination in column order lies on the diagonal."""
-    pivots = _eliminate([list(r) for r in x.rows], range(x.n))
+    pivots = _eliminate(*_int_rows(x.rows), range(x.n))
     return all(pivots.get(k) == k for k in range(x.n))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cells import TNN_GUARD, cell_of, is_tnn, lusztig_point
 from .errors import InvalidArgument, RankTooLarge, TnnStrataError
-from .fiber import conj_d, factor_u, pi_u, recover_shift, rho
+from .fiber import conj_d, factor_u, fiber_A, pi_u, recover_shift, rho
 from .flow import (
     LINK_POINT_BUDGET,
     default_base,
@@ -419,7 +419,7 @@ def suite_signs(run, rng, samples):
         perms = all_permutations(n)
         w, u = _rand_pair_below(rng, perms)
         x = random_cell_point(w, rng)
-        rep = sign_lemma_check(factor_u(x, u).A, u)
+        rep = sign_lemma_check(fiber_A(x, u), u)
         run.check(
             rep.ok,
             f"pattern[{i}]",

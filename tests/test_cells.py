@@ -23,7 +23,28 @@ from tnn_strata.perms import (
     bruhat_leq,
     reduced_word,
 )
-from tnn_strata.ratmat import RatMatrix, is_in_G0_u
+from tnn_strata.ratmat import RatMatrix, all_minors_nonnegative, is_in_G0_u
+
+
+def random_params(rng, k):
+    return [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(k)]
+
+
+def random_word(rng, w):
+    """A reduced word of w, peeling off a random right descent at each step."""
+    letters, v = [], w
+    while v.descents():
+        i = rng.choice(v.descents())
+        letters.append(i)
+        v = v * Permutation.transposition(i, v.n)
+    return ReducedWord(tuple(reversed(letters)), w)
+
+
+def chevalley_product(word, params):
+    x = RatMatrix.identity(word.target.n)
+    for a, t in zip(word.letters, params):
+        x = x @ chevalley_x(a, t, word.target.n)
+    return x
 
 
 class TestChevalley:
@@ -71,6 +92,19 @@ class TestLusztig:
             assert pt.tnn
             assert cell_of(pt.matrix) == w
 
+    def test_column_operations_match_chevalley_product(self):
+        rng = random.Random(5)
+        words = [
+            ReducedWord(letters, w)
+            for w in all_permutations(4)
+            for letters in sorted(all_reduced_words(w))
+        ]
+        words += [random_word(rng, rng.choice(all_permutations(n))) for n in (5, 6) for _ in range(20)]
+        words += [random_word(rng, Permutation.longest(n)) for n in (5, 6)]
+        for word in words:
+            params = random_params(rng, len(word.letters))
+            assert lusztig_point(word, params).matrix == chevalley_product(word, params)
+
 
 class TestTnn:
     def test_identity_is_tnn(self):
@@ -86,6 +120,31 @@ class TestTnn:
     def test_guard(self):
         with pytest.raises(RankTooLarge):
             is_tnn(RatMatrix.identity(7))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_agrees_with_all_minors(self, n):
+        """is_tnn skips the minors that vanish or equal 1 on N; the full
+        all-minors test decides the same on TNN points, on the same points
+        with x_13 raised past x_12 x_23, and on random signed N matrices."""
+        rng = random.Random(n)
+        perms = all_permutations(n)
+        cases = []
+        for _ in range(4):
+            w = rng.choice(perms)
+            x = lusztig_point(random_word(rng, w), random_params(rng, w.length)).matrix
+            cases.append(x)
+            if n >= 3:
+                rows = [list(r) for r in x.rows]
+                rows[0][2] = rows[0][1] * rows[1][2] + 1
+                cases.append(RatMatrix.from_rows(rows))
+        for _ in range(6):
+            cases.append(RatMatrix.from_rows(
+                [[int(i == j) if j <= i else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for j in range(n)] for i in range(n)]
+            ))
+        verdicts = [all_minors_nonnegative(x) for x in cases]
+        assert [is_tnn(x) for x in cases] == verdicts
+        assert any(verdicts) and (n < 2 or not all(verdicts))
 
 
 class TestCellOf:

@@ -15,7 +15,7 @@ from tnn_strata.errors import (
     ZNotInYgeqV,
 )
 from tnn_strata import kernels
-from tnn_strata.fiber import pi_u, rho
+from tnn_strata.fiber import factor_u, pi_u, rho
 from tnn_strata.flow import (
     LINK_EPSILON_GUARD,
     LINK_POINT_BUDGET,
@@ -78,6 +78,29 @@ class TestField:
                 continue
             assert str_of(psi(x, u)) > 0
             hits += 1
+
+    def test_psi_raises_what_factor_u_raises(self):
+        """psi builds only A, but rejects its input exactly as the full
+        factorization does: rank mismatch, x not in N, x outside G_0 u
+        (with the same witness)."""
+        rng = random.Random(4)
+        cases = [
+            (RatMatrix.identity(3), Permutation.parse("2,1")),
+            (RatMatrix.from_rows([[1, 0], [1, 1]]), Permutation.identity(2)),
+            (RatMatrix.from_rows([[2, 1], [0, 1]]), Permutation.identity(2)),
+        ]
+        for n in (3, 4):
+            for w in all_permutations(n):
+                x = random_cell_point(w, rng)
+                cases += [(x, u) for u in all_permutations(n) if not bruhat_leq(u, w)]
+        for x, u in cases:
+            with pytest.raises(PreconditionError if x.n == u.n else InvalidArgument) as want:
+                factor_u(x, u)
+            with pytest.raises(type(want.value)) as got:
+                psi(x, u)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+            assert getattr(got.value, "witness", None) == getattr(want.value, "witness", None)
 
 
 class TestSigns:

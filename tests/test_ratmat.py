@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from tnn_strata.errors import NotInG0, Singular
 from tnn_strata.perms import Permutation, all_permutations
 from tnn_strata.ratmat import (
+    GaussFactors,
     RatMatrix,
     all_minors_nonnegative,
     conj_by_perm,
@@ -242,3 +244,154 @@ class TestPredicates:
         assert is_in_H(RatMatrix.from_rows([[2, 0], [0, 3]]))
         assert is_in_G0(RatMatrix.from_rows([[1, 2], [3, 4]]))
         assert not is_in_G0(RatMatrix.from_rows([[0, 1], [1, 0]]))
+
+
+# --- oracle: the Fraction product and elimination the integer core replaced
+
+
+def ref_matmul(x, y):
+    n = x.n
+    a, b = x.rows, y.rows
+    return RatMatrix(
+        tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+    )
+
+
+def ref_eliminate(work, cols, lower=None):
+    pivots = {}
+    for c in cols:
+        p = next((i for i, r in enumerate(work) if i not in pivots and r[c] != 0), None)
+        if p is None:
+            continue
+        pivots[p] = c
+        prow = work[p]
+        for i in range(p + 1, len(work)):
+            if i not in pivots and work[i][c] != 0:
+                f = work[i][c] / prow[c]
+                if lower is not None:
+                    lower[i][c] = f
+                work[i] = [a - f * b for a, b in zip(work[i], prow)]
+    return pivots
+
+
+def ref_minor(x, rows, cols):
+    work = [[x.rows[i - 1][j - 1] for j in cols] for i in rows]
+    pivots = ref_eliminate(work, range(len(cols)))
+    if len(pivots) < len(cols):
+        return Fraction(0)
+    order = [pivots[i] for i in range(len(rows))]
+    sign = (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
+    return math.prod((work[i][c] for i, c in pivots.items()), start=Fraction(sign))
+
+
+def ref_rank(x, rows, cols):
+    work = [[x.rows[i - 1][j - 1] for j in cols] for i in rows]
+    return len(ref_eliminate(work, range(len(cols))))
+
+
+def ref_inverse(x):
+    n = x.n
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(x.rows)]
+    pivots = ref_eliminate(aug, range(n))
+    if len(pivots) < n:
+        raise Singular("matrix is singular")
+    back = [aug[i] for i in sorted(pivots, key=pivots.get, reverse=True)]
+    ref_eliminate(back, range(n - 1, -1, -1))
+    return RatMatrix(
+        tuple(tuple(v / r[c] for v in r[n:]) for c, r in enumerate(reversed(back)))
+    )
+
+
+def ref_gauss_decompose(x):
+    n = x.n
+    work = [list(r) for r in x.rows]
+    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    pivots = ref_eliminate(work, range(n), lower)
+    k = next((k for k in range(n) if pivots.get(k) != k), None)
+    if k is not None:
+        raise NotInG0(k + 1)
+    diag = [[work[i][i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    upper = [[work[i][j] / work[i][i] for j in range(n)] for i in range(n)]
+    return GaussFactors(
+        RatMatrix.from_rows(lower), RatMatrix.from_rows(diag), RatMatrix.from_rows(upper)
+    )
+
+
+def outcome(f, *args):
+    """f's result, or the type, message and witness of what it raised."""
+    try:
+        return f(*args)
+    except (Singular, NotInG0) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+HUGE = Fraction(10**400)  # an integer of 401 digits, too large for a float
+
+
+@st.composite
+def oracle_matrices(draw, n=None):
+    """n = 1..6 with signed rational entries, often one 401-digit entry,
+    and often a zero row, a zero column or a row that is a combination of
+    two others."""
+    n = n or draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(rats, min_size=n, max_size=n), min_size=n, max_size=n))
+    huge = draw(st.sampled_from([None, HUGE, -HUGE, 1 / HUGE, HUGE / 7]))
+    if huge is not None:
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = huge
+    k = draw(st.integers(0, n - 1))
+    defect = draw(st.sampled_from(["none", "none", "zero-row", "zero-col", "dependent"]))
+    if defect == "zero-row":
+        rows[k] = [Fraction(0)] * n
+    elif defect == "zero-col":
+        for r in rows:
+            r[k] = Fraction(0)
+    elif defect == "dependent" and n > 2:
+        i, j = draw(st.lists(st.sampled_from([m for m in range(n) if m != k]), min_size=2, max_size=2, unique=True))
+        a, b = draw(rats), draw(rats)
+        rows[k] = [a * p + b * q for p, q in zip(rows[i], rows[j])]
+    return RatMatrix.from_rows(rows)
+
+
+def index_set(draw, n, k):
+    return sorted(draw(st.sets(st.integers(1, n), min_size=k, max_size=k)))
+
+
+INTEGER_ORACLE = settings(max_examples=100, deadline=None)
+
+
+class TestIntegerCoreOracle:
+    """The integer product and fraction-free elimination give exactly what
+    Fraction arithmetic gives, errors and witnesses included."""
+
+    @INTEGER_ORACLE
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(oracle_matrices(n), oracle_matrices(n))))
+    def test_product(self, pair):
+        x, y = pair
+        assert x @ y == ref_matmul(x, y)
+
+    @INTEGER_ORACLE
+    @given(oracle_matrices(), st.data())
+    def test_det_minor_rank(self, x, data):
+        n = x.n
+        full = range(1, n + 1)
+        assert det(x) == ref_minor(x, full, full)
+        assert rank(x) == ref_rank(x, full, full)
+        k = data.draw(st.integers(1, n))
+        rows, cols = index_set(data.draw, n, k), index_set(data.draw, n, k)
+        assert minor(x, rows, cols) == ref_minor(x, rows, cols)
+        rows2 = index_set(data.draw, n, data.draw(st.integers(1, n)))
+        assert rank(x, rows2, cols) == ref_rank(x, rows2, cols)
+
+    @INTEGER_ORACLE
+    @given(oracle_matrices())
+    def test_inverse(self, x):
+        assert outcome(RatMatrix.inverse, x) == outcome(ref_inverse, x)
+
+    @INTEGER_ORACLE
+    @given(oracle_matrices())
+    def test_gauss_decompose(self, x):
+        assert outcome(gauss_decompose, x) == outcome(ref_gauss_decompose, x)
+        assert is_in_G0(x) == isinstance(outcome(ref_gauss_decompose, x), GaussFactors)
