@@ -166,7 +166,9 @@ def _next_step(h: float, err: float, what: str) -> float:
 @dataclass
 class FiberIntegrator:
     """Adaptive RK45 for xdot = psi(x) on the fiber over a fixed base,
-    with periodic re-projection onto the fiber to cancel drift."""
+    with periodic re-projection onto the fiber to cancel drift.  The field
+    is evaluated in fiber coordinates, psi(x) = base z pi_n(z^-1 M z) at
+    z = base^-1 x, with M and N(u)'s mask computed once for the base."""
 
     u: Permutation
     base: np.ndarray
@@ -174,19 +176,24 @@ class FiberIntegrator:
 
     def __post_init__(self):
         self._u0, self._uinv0 = kernels.perm_arrays(self.u)
-        self._nu = kernels.nu_vector(self.u.n)
+        self._M, self._mask = kernels.base_field(self.base, self._u0, self._uinv0)
+        self._base_inv = np.linalg.inv(self.base)
 
     def rhs(self, x: np.ndarray) -> np.ndarray:
-        return kernels.psi_tangent(x, self._u0, self._uinv0, self._nu)
+        return self.base @ kernels.psi_tangent(self._base_inv @ x, self._M, self._mask)
 
     def reproject(self, x: np.ndarray) -> np.ndarray:
         return kernels.rho_move(x, self.base, self._u0, self._uinv0)
+
+    def error_scale(self, x5: np.ndarray) -> np.ndarray:
+        """What each row's error estimate is measured against, times tol."""
+        return 1.0 + np.abs(x5).max(axis=(-2, -1))
 
     def rk_step(self, x: np.ndarray, h) -> tuple[np.ndarray, float]:
         """One embedded step of x (one matrix or a stack of shape (B, n, n))
         by h (a scalar or one step per row); returns the 5th-order point and
         the largest of the rows' own error estimates, each scaled by
-        tol * (1 + max|x5_row|)."""
+        tol * error_scale(x5_row)."""
         h = np.asarray(h, dtype=np.float64)
         if h.ndim:
             h = h[:, None, None]
@@ -196,10 +203,8 @@ class FiberIntegrator:
             k.append(self.rhs(xs))
         x5 = x + h * sum(b * ki for b, ki in zip(_DP_B5, k))
         x4 = x + h * sum(b * ki for b, ki in zip(_DP_B4, k))
-        rows = (-2, -1)
-        scale = self.tol * (1.0 + np.abs(x5).max(axis=rows))
-        err = float((np.abs(x5 - x4).max(axis=rows) / scale).max())
-        return x5, err
+        err = np.abs(x5 - x4).max(axis=(-2, -1)) / (self.tol * self.error_scale(x5))
+        return x5, float(err.max())
 
 
 def cell_of_float(x: np.ndarray) -> Permutation:
@@ -320,16 +325,23 @@ def _require_epsilon(epsilon: float):
 
 
 class _LevelField(FiberIntegrator):
-    """The fiber field normalised by height, psi / str(psi).  str is linear
-    and every stage of an RK step sees str = 1, so one step of size h raises
+    """The fiber field in fiber coordinates z, normalised by height:
+    psi_z / str(psi_z).  str(x_u z) = str(x_u) + str(z), str is linear and
+    every stage of an RK step sees str = 1, so one step of size h raises
     str by exactly h (up to rounding)."""
 
-    def rhs(self, x: np.ndarray) -> np.ndarray:
-        d = super().rhs(x)
+    def rhs(self, z: np.ndarray) -> np.ndarray:
+        d = kernels.psi_tangent(z, self._M, self._mask)
         s = _heights(d)
         # nan where the field does not raise str: an RK stage that overshoots
         # the totally nonnegative part fails its step's error test instead
         return d / np.where(s > 0.0, s, np.nan)[..., None, None]
+
+    def error_scale(self, z5: np.ndarray) -> np.ndarray:
+        """Each row's displacement from the base, max|z - I|: near the base
+        the entries of z are O(epsilon) or smaller, and an absolute scale
+        would leave them only absolute accuracy."""
+        return np.abs(z5 - np.eye(z5.shape[-1])).max(axis=(-2, -1))
 
 
 def link_point(x: np.ndarray, u: Permutation, epsilon: float, *, base: np.ndarray) -> np.ndarray:
@@ -337,12 +349,14 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float, *, base: np.ndarra
     through x, for one matrix x or for each row of a stack (B, n, n).
 
     A row already within ``LEVEL_TOL`` of the level is returned unchanged.
-    The others flow by height, along psi / str(psi): str(psi) > 0 off the
-    base on the totally nonnegative part, so height is a valid time, and a
-    row where it is not raises PreconditionError.  A row's height to climb
-    (or descend) d is fixed at the start; all rows advance in one shared
+    The others are taken to fiber coordinates z = base^-1 x by one solve
+    and flow by height, along psi / str(psi): str(psi) > 0 off the base on
+    the totally nonnegative part, so height is a valid time, and a row
+    where it is not raises PreconditionError.  A row's height to climb (or
+    descend) d is fixed at the start; all rows advance in one shared
     fraction of their own d, stepped by the RK45 controller and clamped to
     the fraction left, so they land on the level together by construction.
+    Each row's error is measured against its displacement max|z - I|.
     """
     _require_epsilon(epsilon)
     integ = _LevelField(u, base, tol=LINK_STEP_TOL)
@@ -350,8 +364,8 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float, *, base: np.ndarra
     out = x.reshape((-1,) + x.shape[-2:]).copy()
     d = str_of(base) + epsilon - _heights(out)
     rows = np.flatnonzero(~(np.abs(d) <= LEVEL_TOL))
-    y, d = out[rows], d[rows]
-    if np.isnan(integ.rhs(y)).any():
+    z, d = np.linalg.solve(base, out[rows]), d[rows]
+    if np.isnan(integ.rhs(z)).any():
         raise PreconditionError(
             "the field does not raise str at a point away from its level: str(psi) <= 0 "
             "there, so the point is the base or not totally nonnegative"
@@ -361,14 +375,14 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float, *, base: np.ndarra
         if not rows.size or left == 0.0:
             break
         step = min(h, left)
-        yn, err = integ.rk_step(y, step * d)
+        zn, err = integ.rk_step(z, step * d)
         if err <= 1.0:
-            y, left = yn, left - step
+            z, left = zn, left - step
         if left:  # a last step clamped to a sliver of the fraction would underflow
             h = _next_step(step, err, "link_point")
     else:
         raise MaxStepsExceeded("link_point did not reach its level in 100000 steps")
-    out[rows] = y
+    out[rows] = base @ z
     return out.reshape(x.shape)
 
 

@@ -3,7 +3,9 @@
 Mirrors the exact-arithmetic maps (Gaussian factors, fiber factorization,
 the tangent field, rho) on float64 numpy arrays.  Every kernel takes one
 matrix of shape ``(n, n)`` or a stack of shape ``(..., n, n)`` and works on
-the last two axes, so a whole batch of points costs one call.
+the last two axes, so a whole batch of points costs one call.  The tangent
+field works in fiber coordinates: x = x_u z with the base x_u fixed and z
+in N(u).
 
 Permutations enter as 0-based index arrays: ``u0[j] = u(j+1)-1`` and
 ``uinv0`` for the inverse.  Column permutation ``x[..., :, uinv0]`` is
@@ -61,14 +63,22 @@ def fiber_parts(x, u0, uinv0):
     return x_u, x_upper, A
 
 
-def psi_tangent(x, u0, uinv0, nu):
-    """The gradient-like field at x: x * (strict upper part of A^-1 nu A).
+def base_field(base, u0, uinv0):
+    """(M, mask) of the fiber over ``base``.  M = A^-1 nu A at the base,
+    where x^u = I and so A = y; M = y^-1 nu y is lower triangular, so its
+    strict upper part, rounding only, is dropped and the field vanishes at
+    the base exactly.  mask is N(u)'s pattern: (i, j) with i < j and
+    u(i) < u(j)."""
+    A = _conj(_eliminate(base[..., :, uinv0]), u0)
+    M = np.tril(np.linalg.solve(A, nu_vector(len(u0))[:, None] * A))
+    mask = np.triu(u0[:, None] < u0[None, :], 1).astype(np.float64)
+    return M, mask
 
-    Only A is needed: one upper Gaussian factor of x u^-1, conjugated by u.
-    """
-    A = _conj(_eliminate(x[..., :, uinv0]), u0)
-    M = np.linalg.solve(A, nu[:, None] * A)
-    return x @ (M * _upper_mask(x.shape[-1], 1))
+
+def psi_tangent(z, M, mask):
+    """The fiber field in fiber coordinates, z pi_n(z^-1 M z) masked to
+    N(u): x_u^-1 psi(x) at x = x_u z, for M and mask from ``base_field``."""
+    return mask * (z @ (np.linalg.solve(z, M @ z) * _upper_mask(z.shape[-1], 1)))
 
 
 def rho_move(xt, x_u, u0, uinv0):

@@ -123,9 +123,11 @@ class TestTnn:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_agrees_with_all_minors(self, n):
-        """is_tnn skips the minors that vanish or equal 1 on N; the full
-        all-minors test decides the same on TNN points, on the same points
-        with x_13 raised past x_12 x_23, and on random signed N matrices."""
+        """is_tnn computes only the minors with rows < columns entrywise;
+        the full all-minors test decides the same on TNN points, on the same
+        points with x_13 raised past x_12 x_23, on random signed N matrices,
+        and on TNN points with one entry above the diagonal moved by a
+        signed amount, where the verdict often turns on a larger minor."""
         rng = random.Random(n)
         perms = all_permutations(n)
         cases = []
@@ -142,6 +144,15 @@ class TestTnn:
                 [[int(i == j) if j <= i else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                   for j in range(n)] for i in range(n)]
             ))
+        for _ in range(30):
+            w = rng.choice(perms)
+            x = lusztig_point(random_word(rng, w), random_params(rng, w.length)).matrix
+            rows = [list(r) for r in x.rows]
+            if n >= 2:
+                i = rng.randrange(n - 1)
+                j = rng.randrange(i + 1, n)
+                rows[i][j] += Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            cases.append(RatMatrix.from_rows(rows))
         verdicts = [all_minors_nonnegative(x) for x in cases]
         assert [is_tnn(x) for x in cases] == verdicts
         assert any(verdicts) and (n < 2 or not all(verdicts))

@@ -1,5 +1,6 @@
 import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -266,6 +267,29 @@ class TestLink:
             assert np.max(np.abs(kernels.fiber_parts(pt, u0, uinv0)[0] - base)) <= 1e-9
             assert np.max(np.abs(pt2 - pt)) <= 1e-9
 
+    # near the base the entries of a point are O(eps) or smaller; the error
+    # control is relative to the displacement, so they keep relative accuracy
+    @pytest.mark.parametrize("eps, bound", [(1e-7, 1e-14), (1e-9, 1e-17)])
+    def test_small_epsilon_keeps_relative_accuracy(self, eps, bound):
+        u, v = Permutation.parse("1,3,2"), Permutation.parse("3,2,1")
+        [top] = [pt for pt, w in link_sample(u, v, eps, 1, seed=2).points if w == v]
+        assert 0.0 < top[0, 2] <= bound
+
+    def test_base_row_raises_before_any_step(self, monkeypatch):
+        u, v = Permutation.parse("1,3,2"), Permutation.parse("3,2,1")
+        sample = link_sample(u, v, 1.0, 1, seed=2)
+        base = np.array(sample.base.to_floats())
+        drawn = np.array([pt for pt, _ in sample.points])
+        with np.errstate(all="raise"):
+            assert np.isfinite(link_point(drawn, u, 0.5, base=base)).all()
+
+            def no_step(self, x, h):
+                raise AssertionError("took a step")
+
+            monkeypatch.setattr(FiberIntegrator, "rk_step", no_step)
+            with pytest.raises(PreconditionError, match="away from its level"):
+                link_point(np.concatenate([drawn, base[None]]), u, 0.5, base=base)
+
     @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_epsilon_rejected(self, eps):
         u, v = Permutation.identity(3), Permutation.longest(3)
@@ -301,6 +325,38 @@ class TestLink:
             link_sample(
                 Permutation.parse("2,1,3"), Permutation.parse("1,3,2"), 1.0, 1, 0
             )
+
+
+class TestCallGraph:
+    """The float layers each entry point goes through, counted by name: a
+    traced benchmark run requires calls to these names."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = Counter()
+
+        def counted(owner, name, key):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                seen[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(FiberIntegrator, "rk_step", "rk_step")
+        counted(kernels, "psi_tangent", "psi_tangent")
+        counted(kernels, "rho_move", "rho_move")
+        return seen
+
+    def test_link_sample_reaches_the_kernel(self, calls):
+        link_sample(Permutation.identity(3), Permutation.longest(3), 1.0, 1, seed=0)
+        assert calls["rk_step"] > 0 and calls["psi_tangent"] > 0
+
+    def test_flow_reaches_the_kernels(self, calls):
+        x = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        flow(x, Permutation.identity(3), "backward")
+        assert min(calls["rk_step"], calls["psi_tangent"], calls["rho_move"]) > 0
 
 
 class TestRetraction:

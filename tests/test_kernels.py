@@ -40,25 +40,41 @@ def floats(m):
     return np.array(m.to_floats())
 
 
+def float_field(u, base):
+    """(base, M, mask) in floats for the fiber over an exact base."""
+    u0, uinv0 = kernels.perm_arrays(u)
+    return (floats(base), *kernels.base_field(floats(base), u0, uinv0))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_psi_tangent_matches_psi(n):
-    cases = fiber_cases(n, 12, seed=n)
-    for u, _, _, x in cases:
-        u0, uinv0 = kernels.perm_arrays(u)
-        got = kernels.psi_tangent(floats(x), u0, uinv0, kernels.nu_vector(n))
+    for u, _, base, x in fiber_cases(n, 12, seed=n):
+        base_f, M, mask = float_field(u, base)
+        got = base_f @ kernels.psi_tangent(floats(base.inverse() @ x), M, mask)
         assert rel_err(got, floats(psi(x, u))) <= REL
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_psi_tangent_on_a_stack(n):
     u = Permutation.parse(",".join(map(str, [2, 1] + list(range(3, n + 1)))))
-    cases = fiber_cases(n, 8, seed=20 + n, u=u)
-    u0, uinv0 = kernels.perm_arrays(u)
-    stack = np.stack([floats(x) for *_, x in cases])
-    got = kernels.psi_tangent(stack, u0, uinv0, kernels.nu_vector(n))
+    base = pi_u(random_cell_point(u, random.Random(20 + n)), u)
+    xs = [rho(xt, base, u) for _, xt, _, _ in fiber_cases(n, 8, seed=20 + n, u=u)]
+    base_f, M, mask = float_field(u, base)
+    stack = np.stack([floats(base.inverse() @ x) for x in xs])
+    got = base_f @ kernels.psi_tangent(stack, M, mask)
     assert got.shape == stack.shape
-    for row, (_, _, _, x) in zip(got, cases):
+    for row, x in zip(got, xs):
         assert rel_err(row, floats(psi(x, u))) <= REL
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_psi_tangent_vanishes_at_the_base(n):
+    """At z = I the field is exactly 0, not rounding noise, so link_point
+    tells a base row, which cannot move, from one that can."""
+    rng = random.Random(60 + n)
+    for u in all_permutations(n):
+        _, M, mask = float_field(u, pi_u(random_cell_point(u, rng), u))
+        assert not kernels.psi_tangent(np.eye(n), M, mask).any()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from tnn_strata import verify
@@ -52,18 +50,16 @@ def test_repro_replays_the_sample_size(samples, repro):
 
 
 def test_census_counts_the_stratum_a_point_lands_in(monkeypatch):
-    # the first point of each sample lands where the sample's last point,
-    # drawn in another stratum, did; its drawn label is kept
-    real = verify.link_sample
+    # the first row of each stack lands where the stack's last row, drawn
+    # in another stratum, did; its drawn label is kept
+    real = verify.link_point
 
-    def moved(u, v, epsilon, count, seed):
-        ls = real(u, v, epsilon, count, seed)
-        (_, w), *rest = ls.points
-        if not rest:
-            return ls
-        return dataclasses.replace(ls, points=((rest[-1][0], w), *rest))
+    def moved(x, u, epsilon, *, base):
+        out = real(x, u, epsilon, base=base)
+        out[0] = out[-1]
+        return out
 
-    monkeypatch.setattr(verify, "link_sample", moved)
+    monkeypatch.setattr(verify, "link_point", moved)
     # with two points per stratum the moved point's stratum is not left empty
     for samples in (0, 2):
         [rep] = run_suite("link-census", RunConfig(n=3, samples=samples))
