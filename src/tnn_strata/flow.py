@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -117,27 +117,26 @@ def sign_lemma_check(A: RatMatrix, u: Permutation) -> SignReport:
 
 # --- numerical integration ---------------------------------------------
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Dormand-Prince 5(4) tableau: row s of _DP_A gives stage s + 1's point,
+# and its last row is the 5th-order weights B5, so the 7th stage is the
+# field at x5 ("first same as last": it is the next step's first stage).
+# _DP_E = B5 - B4 are the weights of the error estimate x5 - x4; the
+# 7th stage enters only there, with weight -1/40.
+_DP_A = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    ]
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (
-    5179 / 57600,
-    0.0,
-    7571 / 16695,
-    393 / 640,
-    -92097 / 339200,
-    187 / 2100,
-    1 / 40,
+_DP_B4 = np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+_DP_E = np.append(_DP_A[6], 0.0) - _DP_B4
 
 
 @dataclass
@@ -168,7 +167,10 @@ class FiberIntegrator:
     """Adaptive RK45 for xdot = psi(x) on the fiber over a fixed base,
     with periodic re-projection onto the fiber to cancel drift.  The field
     is evaluated in fiber coordinates, psi(x) = base z pi_n(z^-1 M z) at
-    z = base^-1 x, with M and N(u)'s mask computed once for the base."""
+    z = base^-1 x, with M and N(u)'s mask computed once for the base.
+    A step (rk_step) is one Dormand-Prince 5(4) step that reuses the last
+    stage of the step before as its first: callers carry the field at the
+    current point, so a step costs 6 field evaluations, not 7."""
 
     u: Permutation
     base: np.ndarray
@@ -189,22 +191,29 @@ class FiberIntegrator:
         """What each row's error estimate is measured against, times tol."""
         return 1.0 + np.abs(x5).max(axis=(-2, -1))
 
-    def rk_step(self, x: np.ndarray, h) -> tuple[np.ndarray, float]:
+    def rk_step(self, x: np.ndarray, h, k1=None) -> tuple[np.ndarray, float, np.ndarray]:
         """One embedded step of x (one matrix or a stack of shape (B, n, n))
-        by h (a scalar or one step per row); returns the 5th-order point and
-        the largest of the rows' own error estimates, each scaled by
-        tol * error_scale(x5_row)."""
+        by h (a scalar or one step per row), from the field k1 = rhs(x)
+        (evaluated here when None).  Returns the 5th-order point x5, the
+        largest of the rows' own error estimates, each scaled by
+        tol * error_scale(x5_row), and the 7th stage k7 = rhs(x5), which is
+        the next step's k1 when this one is accepted: a step costs 6 field
+        evaluations.  Each stage's point is one product of its tableau row
+        with the stages so far, and the error one product of B5 - B4 with
+        all seven, so a stage that is nan gives a nan error."""
         h = np.asarray(h, dtype=np.float64)
         if h.ndim:
             h = h[:, None, None]
-        k = [self.rhs(x)]
+        k = np.empty((7,) + x.shape)
+        k[0] = self.rhs(x) if k1 is None else k1
+        flat = k.reshape(7, -1)
         for s in range(1, 7):
-            xs = x + h * sum(a * ki for a, ki in zip(_DP_A[s], k))
-            k.append(self.rhs(xs))
-        x5 = x + h * sum(b * ki for b, ki in zip(_DP_B5, k))
-        x4 = x + h * sum(b * ki for b, ki in zip(_DP_B4, k))
-        err = np.abs(x5 - x4).max(axis=(-2, -1)) / (self.tol * self.error_scale(x5))
-        return x5, float(err.max())
+            xs = x + h * (_DP_A[s, :s] @ flat[:s]).reshape(x.shape)
+            k[s] = self.rhs(xs)
+        x5 = xs  # the last row of _DP_A is B5
+        delta = np.abs(h * (_DP_E @ flat).reshape(x.shape)).max(axis=(-2, -1))
+        err = delta / (self.tol * self.error_scale(x5))
+        return x5, float(err.max()), k[6]
 
 
 def cell_of_float(x: np.ndarray) -> Permutation:
@@ -278,6 +287,7 @@ def flow(
         FlowState(x0.copy(), 0.0, str_of(x0), stratum)
     ]
     x, t = x0.copy(), 0.0
+    k = integ.rhs(x)  # the field at x, carried from step to step
     h = 0.01 if forward else -0.01
     accepted = 0
     for _ in range(max_steps):
@@ -286,15 +296,16 @@ def flow(
                 break
         elif (
             str_of(x) - base_str < STATIONARY_TOL
-            or float(np.abs(integ.rhs(x)).max()) < STATIONARY_TOL
+            or float(np.abs(k).max()) < STATIONARY_TOL
         ):
             break
-        xn, err = integ.rk_step(x, h)
+        xn, err, kn = integ.rk_step(x, h, k)
         if err <= 1.0:
-            x, t = xn, t + h
+            x, t, k = xn, t + h, kn
             accepted += 1
             if accepted % REPROJECT_EVERY == 0:
                 x = integ.reproject(x)
+                k = integ.rhs(x)
             if accepted % snapshot_every == 0:
                 s = str_of(x)
                 if s - base_str > STRATUM_CHECK_FLOOR and _float_label(x, stratum) != stratum:
@@ -365,7 +376,8 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float, *, base: np.ndarra
     d = str_of(base) + epsilon - _heights(out)
     rows = np.flatnonzero(~(np.abs(d) <= LEVEL_TOL))
     z, d = np.linalg.solve(base, out[rows]), d[rows]
-    if np.isnan(integ.rhs(z)).any():
+    k = integ.rhs(z)
+    if np.isnan(k).any():
         raise PreconditionError(
             "the field does not raise str at a point away from its level: str(psi) <= 0 "
             "there, so the point is the base or not totally nonnegative"
@@ -375,9 +387,9 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float, *, base: np.ndarra
         if not rows.size or left == 0.0:
             break
         step = min(h, left)
-        zn, err = integ.rk_step(z, step * d)
+        zn, err, kn = integ.rk_step(z, step * d, k)
         if err <= 1.0:
-            z, left = zn, left - step
+            z, left, k = zn, left - step, kn
         if left:  # a last step clamped to a sliver of the fraction would underflow
             h = _next_step(step, err, "link_point")
     else:
@@ -409,6 +421,17 @@ class LinkCensus:
     euler: int
     labels_ok: bool
 
+    def counting(self, landed) -> LinkCensus:
+        """The same strata counting ``landed``: (landed label, drawn label)
+        pairs, as from landed_labels."""
+        landed = list(landed)
+        found = Counter(got for got, _ in landed)
+        return replace(
+            self,
+            counts={w: found[w] for w in self.dimensions},
+            labels_ok=all(got == w for got, w in landed),
+        )
+
 
 def _require_below(u: Permutation, v: Permutation):
     """The link of the u-cell inside Y_[u,v] needs u < v."""
@@ -416,25 +439,24 @@ def _require_below(u: Permutation, v: Permutation):
         raise NotComparable(f"{u.serialize()} must be strictly below {v.serialize()}")
 
 
+def landed_labels(points) -> list[tuple[Permutation, Permutation]]:
+    """(landed, drawn) label pairs of (point, drawn label) pairs such as
+    LinkSample.points: a point lands under its float label, or under its
+    drawn label where the float label is undecidable."""
+    return [(_float_label(p, w), w) for p, w in points]
+
+
 def link_census(u: Permutation, v: Permutation, points=()) -> LinkCensus:
     """The census of the link of the u-cell inside Y_[u,v], counting where
-    ``points`` land: (point, drawn label) pairs such as LinkSample.points,
-    each counted under its float label, or its drawn label where the float
-    label is undecidable."""
+    ``points`` land (see landed_labels)."""
     _require_below(u, v)
     labels = sorted(
         (w for w in interval(u, v).elements if w != u),
         key=lambda w: (w.length, w.image),
     )
     dims = {w: w.length - u.length - 1 for w in labels}
-    landed = [(_float_label(p, w), w) for p, w in points]
-    found = Counter(got for got, _ in landed)
-    return LinkCensus(
-        dims,
-        {w: found[w] for w in labels},
-        sum((-1) ** d for d in dims.values()),
-        all(got == w for got, w in landed),
-    )
+    census = LinkCensus(dims, {}, sum((-1) ** d for d in dims.values()), True)
+    return census.counting(landed_labels(points))
 
 
 def default_base(u: Permutation) -> RatMatrix:

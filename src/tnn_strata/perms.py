@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import InvalidArgument, NotComparable, RankTooLarge
 
@@ -122,8 +122,11 @@ def bruhat_less(u: Permutation, v: Permutation) -> bool:
     return u != v and bruhat_leq(u, v)
 
 
-def all_permutations(n: int) -> list[Permutation]:
-    return [Permutation(img) for img in itertools.permutations(range(1, n + 1))]
+@cache
+def all_permutations(n: int) -> tuple[Permutation, ...]:
+    """S_n in lexicographic order, built once per n: Permutation is frozen,
+    so every caller shares the same elements and their cached rank tables."""
+    return tuple(Permutation(img) for img in itertools.permutations(range(1, n + 1)))
 
 
 @dataclass(frozen=True)

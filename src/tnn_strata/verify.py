@@ -22,6 +22,7 @@ from .flow import (
     LINK_POINT_BUDGET,
     default_base,
     flow,
+    landed_labels,
     link_census,
     link_point,
     psi,
@@ -169,7 +170,7 @@ def _rand_lower_unipotent(rng, n) -> RatMatrix:
     )
 
 
-def _leq_matrix(perms: list[Permutation]) -> np.ndarray:
+def _leq_matrix(perms: tuple[Permutation, ...]) -> np.ndarray:
     ranks = np.array([p.rank_table for p in perms], dtype=np.int16)
     ge = (ranks[:, None, :, :] >= ranks[None, :, :, :]).all(axis=(2, 3))
     return ge  # ge[a, b] True iff perms[a] <= perms[b] in Bruhat order
@@ -499,8 +500,9 @@ def suite_link_census(run, rng, count):
     perms = all_permutations(n)
     pairs = [(u, v) for u in perms for v in perms if bruhat_less(u, v)]
     # combinatorial census: strata biject with (u,v], Euler characteristic 1
+    censuses = {}
     for u, v in pairs:
-        census = link_census(u, v)
+        census = censuses[u, v] = link_census(u, v)
         run.check(
             min(census.dimensions.values()) >= 0,
             f"dims[{u.serialize()};{v.serialize()}]",
@@ -514,9 +516,10 @@ def suite_link_census(run, rng, count):
     # stratum they were drawn in (an undecidable label counts as drawn),
     # with per-stratum counts stable across epsilon.  The stratum of w in
     # the link of the u-cell is the same for every v >= w, so each u flows
-    # one stack, ``count`` points per w > u, through the radii in turn, and
-    # (u, v) reads the rows with w in (u, v].  A radius that fails leaves
-    # the next one to start from the last that landed.
+    # one stack, ``count`` points per w > u, through the radii in turn,
+    # labels each landed row once, and (u, v) reads the rows with w in
+    # (u, v].  A radius that fails leaves the next one to start from the
+    # last that landed.
     radii = (0.5, 1.0, 2.0)
     landed = {}
     for u in perms:
@@ -534,7 +537,8 @@ def suite_link_census(run, rng, count):
         for eps in radii:
             try:
                 x = link_point(x, u, eps, base=base_f)
-                landed[u, eps] = (str_of(base_f) + eps, list(zip(x, labels)))
+                rows = list(zip(x, landed_labels(zip(x, labels))))
+                landed[u, eps] = (str_of(base_f) + eps, rows)
             except TnnStrataError as exc:
                 landed[u, eps] = exc
     for u, v in pairs:
@@ -549,14 +553,14 @@ def suite_link_census(run, rng, count):
                 )
                 continue
             target, rows = got
-            points = [(p, w) for p, w in rows if bruhat_leq(w, v)]
-            worst = max(abs(str_of(p) - target) for p, _ in points)
+            rows = [(p, pair) for p, pair in rows if bruhat_leq(pair[1], v)]
+            worst = max(abs(str_of(p) - target) for p, _ in rows)
             run.check(
                 worst <= 1e-9,
                 f"level[{u.serialize()};{v.serialize()};eps={eps}]",
                 f"worst={worst}",
             )
-            census = link_census(u, v, points)
+            census = censuses[u, v].counting(pair for _, pair in rows)
             per_eps[eps] = census.counts
             run.check(
                 census.labels_ok,

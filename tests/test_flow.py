@@ -283,7 +283,7 @@ class TestLink:
         with np.errstate(all="raise"):
             assert np.isfinite(link_point(drawn, u, 0.5, base=base)).all()
 
-            def no_step(self, x, h):
+            def no_step(self, *args):
                 raise AssertionError("took a step")
 
             monkeypatch.setattr(FiberIntegrator, "rk_step", no_step)
@@ -357,6 +357,118 @@ class TestCallGraph:
         x = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
         flow(x, Permutation.identity(3), "backward")
         assert min(calls["rk_step"], calls["psi_tangent"], calls["rho_move"]) > 0
+
+    # A step evaluates the field 6 times: its first stage is the last stage
+    # of the step before.  link_point evaluates it once more at the start,
+    # flow once at the start and once after each reprojection.
+    def test_link_point_reuses_the_last_stage(self, calls):
+        link_sample(Permutation.identity(3), Permutation.longest(3), 1.0, 2, seed=0)
+        assert calls["rk_step"] > 0
+        assert calls["psi_tangent"] == 6 * calls["rk_step"] + 1
+
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    def test_flow_reuses_the_last_stage(self, calls, direction):
+        x = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        flow(x, Permutation.identity(3), direction, target_str=str_of(x) + 2.0)
+        assert calls["rho_move"] > 0
+        assert calls["psi_tangent"] == 6 * calls["rk_step"] + 1 + calls["rho_move"]
+
+
+# The Dormand-Prince 5(4) pair, stage by stage, as the oracle of rk_step.
+DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+DP_B5 = DP_A[6] + (0.0,)
+DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def dp_oracle(integ, x, h):
+    """(x5, per-row error, stages, error bound) of one Dormand-Prince step,
+    summing each stage's increment term by term.  The error estimate is a
+    sum whose terms nearly cancel, so it is exact only to rounding of its
+    terms' magnitudes: the bound is that magnitude, scaled like the error."""
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim:
+        h = h[:, None, None]
+    k = [integ.rhs(x)]
+    for s in range(1, 7):
+        k.append(integ.rhs(x + h * sum(a * ki for a, ki in zip(DP_A[s], k))))
+    x5 = x + h * sum(b * ki for b, ki in zip(DP_B5[:6], k))
+    weights = [b5 - b4 for b5, b4 in zip(DP_B5, DP_B4)]
+    delta = h * sum(e * ki for e, ki in zip(weights, k))
+    terms = np.abs(h) * sum(abs(e) * np.abs(ki) for e, ki in zip(weights, k))
+    scale = integ.tol * integ.error_scale(x5)
+    err = np.abs(delta).max(axis=(-2, -1)) / scale
+    return x5, err, k, terms.max(axis=(-2, -1)) / scale
+
+
+def level_field_stack():
+    """A _LevelField over the S3 u = 1,3,2 base and a stack of drawn
+    points in fiber coordinates, with one step per row."""
+    u, v = Permutation.parse("1,3,2"), Permutation.parse("3,2,1")
+    sample = link_sample(u, v, 1.0, 2, seed=2)
+    base = np.array(sample.base.to_floats())
+    z = np.linalg.solve(base, np.array([pt for pt, _ in sample.points]))
+    integ = flow_module._LevelField(u, base, tol=1e-12)
+    return integ, z, np.linspace(0.05, 0.2, len(z))
+
+
+def one_matrix_field():
+    rng = random.Random(11)
+    x, u, _ = fiber_case(rng, n=4)
+    while x == pi_u(x, u):
+        x, u, _ = fiber_case(rng, n=4)
+    integ = FiberIntegrator(u, np.array(pi_u(x, u).to_floats()))
+    return integ, np.array(x.to_floats()), 0.03
+
+
+class TestRkStep:
+    @pytest.mark.parametrize("case", [one_matrix_field, level_field_stack])
+    def test_last_stage_is_the_field_at_x5(self, case):
+        integ, x, h = case()
+        x5, _, k7 = integ.rk_step(x, h)
+        assert k7.shape == x.shape
+        assert np.array_equal(k7, integ.rhs(x5))
+        # the carried stage starts the next step as the field would
+        assert all(
+            np.array_equal(a, b) for a, b in zip(integ.rk_step(x5, h, k7), integ.rk_step(x5, h))
+        )
+
+    @pytest.mark.parametrize("case", [one_matrix_field, level_field_stack])
+    def test_fused_step_matches_stage_sums(self, case):
+        integ, x, h = case()
+        x5, err, k7 = integ.rk_step(x, h)
+        want_x5, want_err, k, bound = dp_oracle(integ, x, h)
+        assert np.abs(x5 - want_x5).max() <= 1e-14 * np.abs(want_x5).max()
+        assert abs(err - want_err.max()) <= 1e-14 * bound.max()
+        assert np.abs(k7 - k[6]).max() <= 1e-14 * max(1.0, np.abs(k[6]).max())
+
+    def test_nan_last_stage_rejects_the_step(self, monkeypatch):
+        integ, z, h = level_field_stack()
+        field = integ.rhs
+        seen = []
+
+        def last_stage_nan(x):
+            seen.append(x)
+            d = field(x)
+            if len(seen) == 7:  # the field at x5
+                d[1] = np.nan
+            return d
+
+        monkeypatch.setattr(integ, "rhs", last_stage_nan)
+        x5, err, k7 = integ.rk_step(z, h)
+        assert np.isfinite(x5).all() and np.isnan(k7[1]).all()
+        assert np.isnan(err) and not err <= 1.0
+        seen.clear()
+        want_x5, want_err, _, _ = dp_oracle(integ, z, h)
+        assert np.isnan(want_err[1])
+        assert np.abs(x5 - want_x5).max() <= 1e-14 * np.abs(want_x5).max()
 
 
 class TestRetraction:
