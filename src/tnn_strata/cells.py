@@ -14,7 +14,7 @@ from .errors import (
     RankTooLarge,
     Singular,
 )
-from .perms import Permutation, ReducedWord, decode_rank_jumps
+from .perms import INTERVAL_GUARD, Permutation, ReducedWord, decode_rank_jumps
 from .ratmat import (
     RatMatrix,
     is_in_N,
@@ -87,9 +87,11 @@ def cell_of(x: RatMatrix) -> Permutation:
     """The w with x in B_- w B_-, recovered from northwest/southeast ranks.
 
     r(i,j) = rank of the submatrix on rows 1..i and columns j..n is constant
-    on each double coset B_- x B_-, and decodes to w.
+    on each double coset B_- x B_-, and decodes to w.  Guarded at n <= INTERVAL_GUARD.
     """
     n = x.n
+    if n > INTERVAL_GUARD:
+        raise RankTooLarge(f"cell_of guarded at n <= {INTERVAL_GUARD}")
     if rank(x) < n:
         raise Singular("cell_of needs an invertible matrix")
     r = [[0] * (n + 2) for _ in range(n + 1)]

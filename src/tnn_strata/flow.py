@@ -3,7 +3,9 @@ its numerical integration, link sampling, and the retraction of a link."""
 
 from __future__ import annotations
 
+import functools
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -44,7 +46,7 @@ LINK_STEP_TOL = 1e-12
 LINK_EPSILON_GUARD = 1e3
 REPROJECT_EVERY = 10  # accepted steps between re-projections onto the fiber
 MAX_STEP = 1.0
-LINK_POINT_BUDGET = 10_000  # most points one link_sample may draw
+LINK_POINT_BUDGET = 10_000  # most points one fiber_points call may draw
 
 
 def str_of(x) -> float | Fraction:
@@ -355,9 +357,9 @@ class _LevelField(FiberIntegrator):
         return np.abs(z5 - np.eye(z5.shape[-1])).max(axis=(-2, -1))
 
 
-def link_point(x: np.ndarray, u: Permutation, epsilon: float, *, base: np.ndarray) -> np.ndarray:
-    """The unique point with str = str(base) + epsilon on the trajectory
-    through x, for one matrix x or for each row of a stack (B, n, n).
+def link_point(x: np.ndarray, u: Permutation, epsilon: float) -> np.ndarray:
+    """The unique point with str = str(base) + epsilon, base = default_base(u),
+    on the trajectory through x, for one matrix x or each row of a stack (B, n, n).
 
     A row already within ``LEVEL_TOL`` of the level is returned unchanged.
     The others are taken to fiber coordinates z = base^-1 x by one solve
@@ -370,6 +372,7 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float, *, base: np.ndarra
     Each row's error is measured against its displacement max|z - I|.
     """
     _require_epsilon(epsilon)
+    base = np.array(default_base(u).to_floats())
     integ = _LevelField(u, base, tol=LINK_STEP_TOL)
     x = np.asarray(x, dtype=np.float64)
     out = x.reshape((-1,) + x.shape[-2:]).copy()
@@ -459,6 +462,7 @@ def link_census(u: Permutation, v: Permutation, points=()) -> LinkCensus:
     return census.counting(landed_labels(points))
 
 
+@functools.cache
 def default_base(u: Permutation) -> RatMatrix:
     """Canonical base point of the u-cell: all Lusztig parameters 1."""
     word = reduced_word(u)
@@ -474,6 +478,22 @@ def random_cell_point(w: Permutation, rng) -> RatMatrix:
     return lusztig_point(word, params).matrix
 
 
+def fiber_points(u: Permutation, strata, count: int, rng) -> tuple[np.ndarray, list[Permutation]]:
+    """``count`` random cell points of each w in ``strata``, in order, moved
+    by rho into the fiber over default_base(u): the float stack (B, n, n) and
+    each row's drawn label.  Raises before drawing when count < 1 or the
+    stack would exceed ``LINK_POINT_BUDGET``."""
+    _require(count >= 1, "count must be at least 1")
+    if count * len(strata) > LINK_POINT_BUDGET:
+        raise RankTooLarge(
+            f"{count} points on each of {len(strata)} strata exceed the budget of {LINK_POINT_BUDGET}"
+        )
+    base = default_base(u)
+    labels = [w for w in strata for _ in range(count)]
+    stack = np.array([rho(random_cell_point(w, rng), base, u).to_floats() for w in labels])
+    return stack, labels
+
+
 def link_sample(
     u: Permutation,
     v: Permutation,
@@ -481,26 +501,14 @@ def link_sample(
     count: int,
     seed: int,
 ) -> LinkSample:
-    """Sample the link of the u-cell inside Y_[u,v]: for each stratum label
-    w in (u,v], draw ``count`` cell points, move them into the fiber over
-    the canonical base with rho, and flow them, as one stack, to the
-    epsilon level set."""
-    import random as _random
-
+    """Sample the link of the u-cell inside Y_[u,v]: ``count`` points of each
+    stratum w in (u,v] from fiber_points, flowed as one stack to the epsilon
+    level set."""
     _require_epsilon(epsilon)
-    _require(count >= 1, "count must be at least 1")
     dims = link_census(u, v).dimensions
-    if count * len(dims) > LINK_POINT_BUDGET:
-        raise RankTooLarge(
-            f"{count} points on each of {len(dims)} strata exceed the budget of {LINK_POINT_BUDGET}"
-        )
-    rng = _random.Random(seed)
-    base = default_base(u)
-    base_f = np.array(base.to_floats())
-    drawn = [(rho(random_cell_point(w, rng), base, u), w) for w in dims for _ in range(count)]
-    stack = np.array([x.to_floats() for x, _ in drawn])
-    pts = link_point(stack, u, epsilon, base=base_f)
-    return LinkSample(u, v, epsilon, base, tuple(zip(pts, (w for _, w in drawn))), dims)
+    stack, labels = fiber_points(u, dims, count, random.Random(seed))
+    pts = link_point(stack, u, epsilon)
+    return LinkSample(u, v, epsilon, default_base(u), tuple(zip(pts, labels)), dims)
 
 
 def conj_d_float(tau: float, x: np.ndarray) -> np.ndarray:
@@ -544,4 +552,4 @@ def retraction(
     base = np.array(default_base(u).to_floats())
     u0, uinv0 = kernels.perm_arrays(u)
     moved = kernels.rho_move(y_v, base, u0, uinv0)
-    return link_point(moved, u, epsilon, base=base)
+    return link_point(moved, u, epsilon)

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import ge, mul
 
 from .errors import InvalidArgument, NotInG0, Singular
 from .perms import Permutation
@@ -183,9 +183,9 @@ def minor(x: RatMatrix, rows, cols) -> Fraction:
     if len(rows) != len(cols):
         raise ValueError("row and column sets must have equal size")
     for idx in (rows, cols):
-        if any(not 1 <= i <= x.n for i in idx):
+        if idx and (min(idx) < 1 or max(idx) > x.n):
             raise ValueError("index out of range")
-        if any(a >= b for a, b in zip(idx, idx[1:])):
+        if any(map(ge, idx, idx[1:])):
             raise ValueError("index sets must be strictly increasing")
     work, dens = _int_rows([[x.rows[i - 1][j - 1] for j in cols] for i in rows])
     pivots = _eliminate(work, dens, range(len(cols)))

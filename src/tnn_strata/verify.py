@@ -19,8 +19,8 @@ from .cells import TNN_GUARD, cell_of, is_tnn, lusztig_point
 from .errors import InvalidArgument, RankTooLarge, TnnStrataError
 from .fiber import conj_d, factor_u, fiber_A, pi_u, recover_shift, rho
 from .flow import (
-    LINK_POINT_BUDGET,
     default_base,
+    fiber_points,
     flow,
     landed_labels,
     link_census,
@@ -526,19 +526,12 @@ def suite_link_census(run, rng, count):
         above = [w for w in perms if bruhat_less(u, w)]
         if not above:
             continue
-        if count * len(above) > LINK_POINT_BUDGET:
-            raise RankTooLarge(
-                f"{count} points on each of {len(above)} strata exceed the budget of {LINK_POINT_BUDGET}"
-            )
-        base = default_base(u)
-        base_f = np.array(base.to_floats())
-        labels = [w for w in above for _ in range(count)]
-        x = np.array([rho(random_cell_point(w, rng), base, u).to_floats() for w in labels])
+        x, labels = fiber_points(u, above, count, rng)
         for eps in radii:
             try:
-                x = link_point(x, u, eps, base=base_f)
+                x = link_point(x, u, eps)
                 rows = list(zip(x, landed_labels(zip(x, labels))))
-                landed[u, eps] = (str_of(base_f) + eps, rows)
+                landed[u, eps] = (float(str_of(default_base(u))) + eps, rows)
             except TnnStrataError as exc:
                 landed[u, eps] = exc
     for u, v in pairs:
@@ -579,12 +572,9 @@ def suite_retraction(run, rng, samples):
     u = Permutation.identity(3)
     v = Permutation.longest(3)
     z = default_base(v)
-    base = default_base(u)
     eps = 1.0
-    if samples > LINK_POINT_BUDGET:
-        raise RankTooLarge(f"retraction suite guarded at {LINK_POINT_BUDGET} samples")
-    drawn = [rho(random_cell_point(v, rng), base, u).to_floats() for _ in range(samples)]
-    pts = list(link_point(np.array(drawn), u, eps, base=np.array(base.to_floats())))
+    drawn, _ = fiber_points(u, [v], samples, rng)
+    pts = list(link_point(drawn, u, eps))
     ends = []
     for i, x in enumerate(pts):
         r0 = retraction(x, 0.0, u, v, z, eps)

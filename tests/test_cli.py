@@ -53,6 +53,16 @@ class TestQueries:
         assert res.exit_code == 0
         assert json.loads(res.output) == {"cell": "1,2,3", "length": 0}
 
+    def test_cell_of_guarded_exit_3(self, runner):
+        # cell_of runs n^2 + 1 exact eliminations; above perms.INTERVAL_GUARD
+        # it stops before the first
+        eye8 = [["1" if i == j else "0" for j in range(8)] for i in range(8)]
+        res = runner.invoke(main, ["cell-of"], input=json.dumps({"n": 8, "entries": eye8}))
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "RankTooLarge"
+
     def test_tnn_true(self, runner):
         res = runner.invoke(main, ["tnn"], input=UPPER3)
         assert json.loads(res.output) == {"tnn": True}

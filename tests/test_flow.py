@@ -24,6 +24,7 @@ from tnn_strata.flow import (
     cell_of_float,
     conj_d_float,
     default_base,
+    fiber_points,
     flow,
     link_point,
     link_sample,
@@ -217,9 +218,8 @@ class TestLink:
     def test_link_point_hits_level(self):
         rng = random.Random(8)
         u = Permutation.identity(3)
-        base = default_base(u)
         x, _, w = fiber_case(rng)
-        pt = link_point(np.array(x.to_floats()), u, 1.5, base=np.array(base.to_floats()))
+        pt = link_point(np.array(x.to_floats()), u, 1.5)
         assert abs(str_of(pt) - 1.5) <= 1e-9
 
     def test_link_sample_labels(self):
@@ -243,11 +243,11 @@ class TestLink:
             ]
         )
         eps = str_of(stack[2]) - str_of(base)
-        out = link_point(stack, u, eps, base=base)
+        out = link_point(stack, u, eps)
         assert out.shape == stack.shape
         for row, x in zip(out, stack):
             assert abs(str_of(row) - (str_of(base) + eps)) <= 1e-9
-            alone = link_point(x, u, eps, base=base)
+            alone = link_point(x, u, eps)
             assert np.max(np.abs(row - alone)) <= 1e-9
         assert np.array_equal(out[2], stack[2])
 
@@ -260,7 +260,7 @@ class TestLink:
         sample = link_sample(u, v, eps, 1, seed=2)
         base = np.array(sample.base.to_floats())
         on_one = np.array([pt for pt, _ in link_sample(u, v, 1.0, 1, seed=2).points])
-        again = link_point(on_one, u, eps, base=base)
+        again = link_point(on_one, u, eps)
         u0, uinv0 = kernels.perm_arrays(u)
         for (pt, _), pt2 in zip(sample.points, again):
             assert abs(str_of(pt) - (str_of(base) + eps)) <= 1e-12
@@ -281,21 +281,20 @@ class TestLink:
         base = np.array(sample.base.to_floats())
         drawn = np.array([pt for pt, _ in sample.points])
         with np.errstate(all="raise"):
-            assert np.isfinite(link_point(drawn, u, 0.5, base=base)).all()
+            assert np.isfinite(link_point(drawn, u, 0.5)).all()
 
             def no_step(self, *args):
                 raise AssertionError("took a step")
 
             monkeypatch.setattr(FiberIntegrator, "rk_step", no_step)
             with pytest.raises(PreconditionError, match="away from its level"):
-                link_point(np.concatenate([drawn, base[None]]), u, 0.5, base=base)
+                link_point(np.concatenate([drawn, base[None]]), u, 0.5)
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_epsilon_rejected(self, eps):
         u, v = Permutation.identity(3), Permutation.longest(3)
-        base = np.array(default_base(u).to_floats())
         with pytest.raises(InvalidArgument):
-            link_point(np.eye(3), u, eps, base=base)
+            link_point(np.eye(3), u, eps)
         with pytest.raises(InvalidArgument):
             link_sample(u, v, eps, 1, 0)
 
@@ -305,12 +304,21 @@ class TestLink:
 
         monkeypatch.setattr(flow_module, "random_cell_point", no_draws)
         u, v = Permutation.identity(2), Permutation.longest(2)
-        base = np.array(default_base(u).to_floats())
         for eps in (LINK_EPSILON_GUARD * 1.001, 1e6, 1e300):
             with pytest.raises(RankTooLarge):
                 link_sample(u, v, eps, 1, 0)
             with pytest.raises(RankTooLarge):
-                link_point(np.eye(2), u, eps, base=base)
+                link_point(np.eye(2), u, eps)
+
+    def test_fiber_points_draw_order(self):
+        # count points per stratum, strata in the order given, one shared rng
+        u = Permutation.parse("1,3,2")
+        w1, w2 = Permutation.parse("3,2,1"), Permutation.parse("2,3,1")
+        stack, labels = fiber_points(u, [w1, w2], 2, random.Random(11))
+        rng = random.Random(11)
+        expect = [rho(random_cell_point(w, rng), default_base(u), u).to_floats() for w in (w1, w1, w2, w2)]
+        assert labels == [w1, w1, w2, w2]
+        assert np.array_equal(stack, np.array(expect))
 
     def test_point_budget_checked_before_drawing(self):
         u, v = Permutation.identity(2), Permutation.longest(2)

@@ -139,6 +139,24 @@ class TestMinorsRank:
         x = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
         assert minor(x, (1, 2), (2, 3)) == Fraction(2 * 6 - 3 * 5)
 
+    # each index set is checked for range, then for strict increase, rows first
+    @pytest.mark.parametrize(
+        "rows, cols, message",
+        [
+            ((1, 2), (3,), "equal size"),
+            ((0, 2), (1, 1), "out of range"),
+            ((1, 4), (1, 2), "out of range"),
+            ((2, 2), (0, 1), "strictly increasing"),
+            ((2, 1), (1, 2), "strictly increasing"),
+            ((1, 2), (1, 4), "out of range"),
+            ((1, 2), (3, 3), "strictly increasing"),
+        ],
+    )
+    def test_minor_rejects_bad_index_sets(self, rows, cols, message):
+        x = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+        with pytest.raises(ValueError, match=message):
+            minor(x, rows, cols)
+
     def test_rank_of_rank_one(self):
         x = RatMatrix.from_rows([[1, 2], [2, 4]])
         assert rank(x) == 1

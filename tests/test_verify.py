@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from tnn_strata import verify
@@ -30,9 +32,14 @@ def test_param_cell_guarded_before_listing_permutations():
         run_suite("param-cell", RunConfig(n=11))
 
 
-def test_retraction_guarded_before_drawing():
+@pytest.mark.parametrize("suite", ["retraction", "link-census"])
+def test_suite_guarded_before_drawing(monkeypatch, suite):
+    def no_draws(w, rng):
+        raise AssertionError("drew a point")
+
+    monkeypatch.setattr(importlib.import_module("tnn_strata.flow"), "random_cell_point", no_draws)
     with pytest.raises(RankTooLarge):
-        run_suite("retraction", RunConfig(n=3, samples=10**8))
+        run_suite(suite, RunConfig(n=3, samples=10**8))
 
 
 @pytest.mark.parametrize(
@@ -54,8 +61,8 @@ def test_census_counts_the_stratum_a_point_lands_in(monkeypatch):
     # in another stratum, did; its drawn label is kept
     real = verify.link_point
 
-    def moved(x, u, epsilon, *, base):
-        out = real(x, u, epsilon, base=base)
+    def moved(x, u, epsilon):
+        out = real(x, u, epsilon)
         out[0] = out[-1]
         return out
 
