@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
 
 import click
 import numpy as np
@@ -41,7 +42,7 @@ def _fail(code: int, kind: str, message: str):
 
 def _read_matrix(path: str | None) -> RatMatrix:
     try:
-        text = sys.stdin.read() if path in (None, "-") else open(path).read()
+        text = sys.stdin.read() if path in (None, "-") else Path(path).read_text()
         return RatMatrix.from_json_obj(json.loads(text))
     except OSError as exc:
         _fail(EXIT_USAGE, "io", str(exc))
@@ -189,11 +190,10 @@ def cmd_psi(path, u_text):
 @_u_opt
 @click.option("--direction", type=click.Choice(["backward", "forward"]), default="backward", show_default=True)
 @click.option("--target-str", type=float, default=None, help="forward stopping level")
-@click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--max-steps", type=int, default=200_000, show_default=True)
 @click.option("--snapshot-every", type=int, default=50, show_default=True)
 @click.option("--dump-trajectory", "dump", is_flag=True, help="emit JSON-lines {t, str, entries}")
-def cmd_flow(path, u_text, direction, target_str, tol, max_steps, snapshot_every, dump):
+def cmd_flow(path, u_text, direction, target_str, max_steps, snapshot_every, dump):
     """Integrate the gradient-like fiber flow from a point."""
     x = _read_matrix(path)
     u = _parse_perm(u_text)
@@ -201,7 +201,6 @@ def cmd_flow(path, u_text, direction, target_str, tol, max_steps, snapshot_every
         np.array(x.to_floats()),
         u,
         direction,
-        tol=tol,
         max_steps=max_steps,
         snapshot_every=snapshot_every,
         target_str=target_str,

@@ -71,8 +71,8 @@ class ZNotInYgeqV(PreconditionError):
 
 
 class InvalidArgument(TnnStrataError, ValueError):
-    """A numeric argument is outside its domain (e.g. a step tolerance that
-    is not finite and positive): a usage error, not a math precondition."""
+    """A numeric argument is outside its domain (e.g. an epsilon that is
+    not finite and positive): a usage error, not a math precondition."""
 
 
 class FlowError(TnnStrataError):

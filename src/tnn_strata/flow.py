@@ -38,6 +38,7 @@ STRATUM_CHECK_FLOOR = 1e-3
 RANK_TOL = 1e-8
 RANK_ZERO_TOL = 1e-12
 STATIONARY_TOL = 1e-10  # a backward flow's stop: height or field below this
+FLOW_STEP_TOL = 1e-9  # RK tolerance of flow
 # A link point lies within LEVEL_TOL of its level: link_point integrates the
 # field normalised by height at RK tolerance LINK_STEP_TOL, and lands on the
 # level by construction.  It takes epsilon up to LINK_EPSILON_GUARD.
@@ -176,7 +177,7 @@ class FiberIntegrator:
 
     u: Permutation
     base: np.ndarray
-    tol: float = 1e-9
+    tol = FLOW_STEP_TOL
 
     def __post_init__(self):
         self._u0, self._uinv0 = kernels.perm_arrays(self.u)
@@ -251,7 +252,6 @@ def flow(
     u: Permutation,
     direction: str = "backward",
     *,
-    tol: float = 1e-9,
     max_steps: int = 200_000,
     snapshot_every: int = 50,
     target_str: float | None = None,
@@ -271,7 +271,6 @@ def flow(
     forward = direction == "forward"
     _require(not forward or target_str is not None, "forward flow needs target_str")
     _require(target_str is None or math.isfinite(target_str), "target_str must be finite")
-    _require(math.isfinite(tol) and tol > 0, "tol must be finite and positive")
     _require(snapshot_every >= 1, "snapshot_every must be at least 1")
     _require(max_steps >= 1, "max_steps must be at least 1")
     x0 = np.asarray(x0, dtype=np.float64)
@@ -282,7 +281,7 @@ def flow(
         parts = kernels.fiber_parts(x0, u0, uinv0)
     if not (all(np.isfinite(p).all() for p in parts) and bruhat_leq(u, stratum)):
         raise NotInG0u(None)
-    integ = FiberIntegrator(u, parts[0], tol=tol)
+    integ = FiberIntegrator(u, parts[0])
     base_str = str_of(integ.base)
 
     traj: list[FlowState] = [
@@ -343,6 +342,8 @@ class _LevelField(FiberIntegrator):
     every stage of an RK step sees str = 1, so one step of size h raises
     str by exactly h (up to rounding)."""
 
+    tol = LINK_STEP_TOL
+
     def rhs(self, z: np.ndarray) -> np.ndarray:
         d = kernels.psi_tangent(z, self._M, self._mask)
         s = _heights(d)
@@ -372,8 +373,8 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float) -> np.ndarray:
     Each row's error is measured against its displacement max|z - I|.
     """
     _require_epsilon(epsilon)
-    base = np.array(default_base(u).to_floats())
-    integ = _LevelField(u, base, tol=LINK_STEP_TOL)
+    integ = _link_field(u)
+    base = integ.base
     x = np.asarray(x, dtype=np.float64)
     out = x.reshape((-1,) + x.shape[-2:]).copy()
     d = str_of(base) + epsilon - _heights(out)
@@ -469,6 +470,12 @@ def default_base(u: Permutation) -> RatMatrix:
     return lusztig_point(word, [Fraction(1)] * len(word.letters)).matrix
 
 
+@functools.cache
+def _link_field(u: Permutation) -> _LevelField:
+    """The link's field over default_base(u), built once per u."""
+    return _LevelField(u, np.array(default_base(u).to_floats()))
+
+
 def random_cell_point(w: Permutation, rng) -> RatMatrix:
     """Random rational point of the w-cell via its canonical reduced word."""
     word = reduced_word(w)
@@ -518,7 +525,7 @@ def conj_d_float(tau: float, x: np.ndarray) -> np.ndarray:
     if tau == 0.0:
         return np.eye(n)
     j = np.arange(n)
-    return x * (float(tau) ** (j[None, :] - j[:, None]))
+    return x * (float(tau) ** np.maximum(j[None, :] - j[:, None], 0))
 
 
 def retraction(
@@ -549,7 +556,4 @@ def retraction(
             "projection onto the v-cell blew up; the input point must lie in "
             "the open v-stratum at the tau endpoints"
         )
-    base = np.array(default_base(u).to_floats())
-    u0, uinv0 = kernels.perm_arrays(u)
-    moved = kernels.rho_move(y_v, base, u0, uinv0)
-    return link_point(moved, u, epsilon)
+    return link_point(_link_field(u).reproject(y_v), u, epsilon)

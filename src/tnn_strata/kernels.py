@@ -50,14 +50,14 @@ def ldu_factors(M):
     return lower, _eliminate(M, lower)
 
 
-def _conj(plus, u0):
-    """u^-1 * plus * u: rows and columns of plus both taken in u0 order."""
-    return plus[..., u0[:, None], u0]
+def fiber_A(x, u0, uinv0):
+    """A = u^-1 [x u^-1]_+ u, the float mirror of ``fiber.fiber_A``."""
+    return _eliminate(x[..., :, uinv0])[..., u0[:, None], u0]
 
 
 def fiber_parts(x, u0, uinv0):
     """(x_u, x^u, A) of the factorization of x with respect to u."""
-    A = _conj(_eliminate(x[..., :, uinv0]), u0)
+    A = fiber_A(x, u0, uinv0)
     y, x_upper = ldu_factors(A)
     x_u = _eliminate(y[..., uinv0, :])
     return x_u, x_upper, A
@@ -69,7 +69,7 @@ def base_field(base, u0, uinv0):
     strict upper part, rounding only, is dropped and the field vanishes at
     the base exactly.  mask is N(u)'s pattern: (i, j) with i < j and
     u(i) < u(j)."""
-    A = _conj(_eliminate(base[..., :, uinv0]), u0)
+    A = fiber_A(base, u0, uinv0)
     M = np.tril(np.linalg.solve(A, nu_vector(len(u0))[:, None] * A))
     mask = np.triu(u0[:, None] < u0[None, :], 1).astype(np.float64)
     return M, mask
@@ -82,12 +82,9 @@ def psi_tangent(z, M, mask):
 
 
 def rho_move(xt, x_u, u0, uinv0):
-    """Float rho: move xt into the fiber over x_u (same cell)."""
-    xt_u, xt_upper, _ = fiber_parts(xt, u0, uinv0)
-    a = _eliminate(xt_u[..., :, uinv0])
-    b = _eliminate(x_u[..., :, uinv0])
-    n1 = _conj(np.linalg.solve(a, b), u0)
-    n_minus = ldu_factors(np.linalg.solve(xt_upper, n1))[0]
+    """Float rho: move xt into the fiber over x_u (same cell), by the shift
+    n_- = [A(xt)^-1 A(x_u)]_- (A = y x^u with y fixed by the base)."""
+    n_minus = ldu_factors(np.linalg.solve(fiber_A(xt, u0, uinv0), fiber_A(x_u, u0, uinv0)))[0]
     return _eliminate(xt @ n_minus)
 
 

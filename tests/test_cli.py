@@ -187,6 +187,17 @@ class TestFlowVerbs:
             "message": "matrix entry too large for a float",
         }
 
+    # tau^(j - i) below the diagonal, where x is 0, overflowed at tiny tau
+    @pytest.mark.parametrize("tau", ["1e-200", "5e-324"])
+    def test_retract_tiny_tau_is_tau_zero(self, runner, tmp_path, tau):
+        x = json.dumps({"n": 3, "entries": [["1", "1", "1/2"], ["0", "1", "1"], ["0", "0", "1"]]})
+        z = json.dumps({"n": 3, "entries": [["1", "2", "1"], ["0", "1", "1"], ["0", "0", "1"]]})
+        (tmp_path / "z.json").write_text(z)
+        argv = ["retract", "--u", "1,2,3", "--v", "3,2,1", "--z", str(tmp_path / "z.json"), "--tau"]
+        at_zero, res = runner.invoke(main, argv + ["0"], input=x), runner.invoke(main, argv + [tau], input=x)
+        assert at_zero.exit_code == res.exit_code == 0
+        assert res.stdout == at_zero.stdout and res.stderr == ""
+
     def test_forward_needs_target(self, runner):
         res = runner.invoke(
             main, ["flow", "--u", "1,2,3", "--direction", "forward"], input=UPPER3

@@ -183,7 +183,10 @@ def options(draw, **valid):
 @given(data=st.data(), n=small_sizes)
 def test_retract(matrix_file, data, n):
     x, z = data.draw(matrix_json(n)), data.draw(st.just(TOP[n]) | matrix_json(n))
-    (u, v), tau = data.draw(perm_pair(n)), st.floats(0, 1).map(str)
+    # tiny tau, where the torus powers underflow, is drawn by name: the
+    # derandomized float draws never reach it
+    tiny = st.sampled_from(["1e-200", "5e-324"])
+    (u, v), tau = data.draw(perm_pair(n)), st.floats(0, 1).map(str) | tiny
     matrix_file.write_text(z)
     argv = ["retract", "--z", str(matrix_file)]
     argv += data.draw(options(u=st.just(u), v=st.just(v), tau=tau, epsilon=epsilons))

@@ -423,7 +423,7 @@ def level_field_stack():
     sample = link_sample(u, v, 1.0, 2, seed=2)
     base = np.array(sample.base.to_floats())
     z = np.linalg.solve(base, np.array([pt for pt, _ in sample.points]))
-    integ = flow_module._LevelField(u, base, tol=1e-12)
+    integ = flow_module._LevelField(u, base)
     return integ, z, np.linspace(0.05, 0.2, len(z))
 
 

@@ -94,6 +94,15 @@ def test_rho_move_matches_rho(n):
         u0, uinv0 = kernels.perm_arrays(u)
         got = kernels.rho_move(floats(xt), floats(base), u0, uinv0)
         assert rel_err(got, floats(x)) <= REL
+    # a stack (B, n, n) of points moved into one fiber
+    u = Permutation.parse(",".join(map(str, [2, 1] + list(range(3, n + 1)))))
+    base = pi_u(random_cell_point(u, random.Random(80 + n)), u)
+    xts = [xt for _, xt, _, _ in fiber_cases(n, 8, seed=80 + n, u=u)]
+    u0, uinv0 = kernels.perm_arrays(u)
+    got = kernels.rho_move(np.stack([floats(xt) for xt in xts]), floats(base), u0, uinv0)
+    assert got.shape == (len(xts), n, n)
+    for row, xt in zip(got, xts):
+        assert rel_err(row, floats(rho(xt, base, u))) <= REL
 
 
 def test_ldu_factors_reconstruct():
