@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
+from ._np import np
 from .cells import cell_of, is_tnn, lusztig_point
 from .errors import InvalidArgument, PreconditionError, TnnStrataError
 from .fiber import factor_u, rho

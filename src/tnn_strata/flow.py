@@ -10,9 +10,8 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-import numpy as np
-
 from . import kernels
+from ._np import np
 from .cells import is_tnn, lusztig_point
 from .errors import (
     InvalidArgument,
@@ -120,26 +119,29 @@ def sign_lemma_check(A: RatMatrix, u: Permutation) -> SignReport:
 
 # --- numerical integration ---------------------------------------------
 
-# Dormand-Prince 5(4) tableau: row s of _DP_A gives stage s + 1's point,
-# and its last row is the 5th-order weights B5, so the 7th stage is the
-# field at x5 ("first same as last": it is the next step's first stage).
-# _DP_E = B5 - B4 are the weights of the error estimate x5 - x4; the
-# 7th stage enters only there, with weight -1/40.
-_DP_A = np.array(
-    [
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
-        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-    ]
-)
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-_DP_E = np.append(_DP_A[6], 0.0) - _DP_B4
+@functools.cache
+def _dp_tableau():
+    """The Dormand-Prince 5(4) tableau (A, E), built on first use.  Row s
+    of A gives stage s + 1's point, and its last row is the 5th-order
+    weights B5, so the 7th stage is the field at x5 ("first same as last":
+    it is the next step's first stage).  E = B5 - B4 are the weights of the
+    error estimate x5 - x4; the 7th stage enters only there, with weight
+    -1/40."""
+    A = np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+            [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+            [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+            [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+            [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+        ]
+    )
+    B4 = np.array(
+        [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+    )
+    return A, np.append(A[6], 0.0) - B4
 
 
 @dataclass
@@ -204,6 +206,7 @@ class FiberIntegrator:
         evaluations.  Each stage's point is one product of its tableau row
         with the stages so far, and the error one product of B5 - B4 with
         all seven, so a stage that is nan gives a nan error."""
+        dp_a, dp_e = _dp_tableau()
         h = np.asarray(h, dtype=np.float64)
         if h.ndim:
             h = h[:, None, None]
@@ -211,10 +214,10 @@ class FiberIntegrator:
         k[0] = self.rhs(x) if k1 is None else k1
         flat = k.reshape(7, -1)
         for s in range(1, 7):
-            xs = x + h * (_DP_A[s, :s] @ flat[:s]).reshape(x.shape)
+            xs = x + h * (dp_a[s, :s] @ flat[:s]).reshape(x.shape)
             k[s] = self.rhs(xs)
-        x5 = xs  # the last row of _DP_A is B5
-        delta = np.abs(h * (_DP_E @ flat).reshape(x.shape)).max(axis=(-2, -1))
+        x5 = xs  # the last row of A is B5
+        delta = np.abs(h * (dp_e @ flat).reshape(x.shape)).max(axis=(-2, -1))
         err = delta / (self.tol * self.error_scale(x5))
         return x5, float(err.max()), k[6]
 
@@ -549,11 +552,14 @@ def retraction(
     xf = conj_d_float(1.0 - tau, np.asarray(x, dtype=np.float64))
     y = zf @ xf
     v0, vinv0 = kernels.perm_arrays(v)
-    with np.errstate(all="ignore"):  # a zero pivot shows as inf or nan
+    # A zero pivot shows as inf or nan, in the v-projection or, for x in a
+    # stratum below v, in the move into the fiber over the u-cell's base.
+    with np.errstate(all="ignore"):
         y_v = kernels.fiber_parts(y, v0, vinv0)[0]
-    if not np.all(np.isfinite(y_v)):
+        moved = _link_field(u).reproject(y_v) if np.isfinite(y_v).all() else y_v
+    if not np.isfinite(moved).all():
         raise ZNotInYgeqV(
             "projection onto the v-cell blew up; the input point must lie in "
             "the open v-stratum at the tau endpoints"
         )
-    return link_point(_link_field(u).reproject(y_v), u, epsilon)
+    return link_point(moved, u, epsilon)

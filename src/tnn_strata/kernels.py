@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
+from ._np import np
 
 # The package has one backend, numpy; the flag stays for reports that stamp it.
 USING_NUMBA = False

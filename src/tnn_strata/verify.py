@@ -13,8 +13,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
+from ._np import np
 from .cells import TNN_GUARD, cell_of, is_tnn, lusztig_point
 from .errors import InvalidArgument, RankTooLarge, TnnStrataError
 from .fiber import conj_d, factor_u, fiber_A, pi_u, recover_shift, rho
@@ -32,7 +31,6 @@ from .flow import (
     str_of,
 )
 from .perms import (
-    INTERVAL_GUARD,
     Permutation,
     all_permutations,
     all_reduced_words,
@@ -56,6 +54,10 @@ from .ratmat import (
 )
 
 SUITES: dict = {}
+
+# verma compares the rank tables of every pair of S_n at once: n = 6 takes
+# about 1 s and 50 MB, n = 7 would take about 1.8 GB.
+VERMA_GUARD = 6
 
 
 @dataclass(frozen=True)
@@ -265,8 +267,8 @@ def suite_bruhat(run, rng, samples):
 @_suite("verma")
 def suite_verma(run, rng, samples):
     n = run.config.n
-    if n > INTERVAL_GUARD:
-        raise RankTooLarge(f"verma suite guarded at n <= {INTERVAL_GUARD}")
+    if n > VERMA_GUARD:
+        raise RankTooLarge(f"verma suite guarded at n <= {VERMA_GUARD}")
     perms = all_permutations(n)
     leq = _leq_matrix(perms)
     signs = np.array([(-1) ** p.length for p in perms], dtype=np.int64)

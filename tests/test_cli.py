@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from tnn_strata import cli
+from tnn_strata import Permutation, cli, default_base, link_sample
 from tnn_strata.cli import main
 
 IDENTITY3 = json.dumps(
@@ -197,6 +197,20 @@ class TestFlowVerbs:
         at_zero, res = runner.invoke(main, argv + ["0"], input=x), runner.invoke(main, argv + [tau], input=x)
         assert at_zero.exit_code == res.exit_code == 0
         assert res.stdout == at_zero.stdout and res.stderr == ""
+
+    # at tau = 0, y = x: a link point drawn in a stratum w < v is outside
+    # G_0 v, though its float v-projection stays finite; the move into the
+    # fiber over the u-cell's base meets the zero pivot
+    def test_retract_below_v_at_tau_zero_exit_3(self, runner, tmp_path):
+        u, v, w = (Permutation.parse(p) for p in ("1,3,2,4", "4,2,3,1", "2,3,4,1"))
+        [x] = [p for p, label in link_sample(u, v, 1.0, 1, seed=5).points if label == w]
+        (tmp_path / "z.json").write_text(json.dumps(default_base(Permutation.longest(4)).to_json_obj()))
+        x_json = json.dumps({"n": 4, "entries": [[repr(float(e)) for e in row] for row in x]})
+        argv = ["retract", "--u", "1,3,2,4", "--v", "4,2,3,1", "--z", str(tmp_path / "z.json"), "--tau", "0"]
+        res = runner.invoke(main, argv, input=x_json)
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "ZNotInYgeqV"
 
     def test_forward_needs_target(self, runner):
         res = runner.invoke(

@@ -22,6 +22,15 @@ def test_verma_guarded_before_allocating():
         run_suite("verma", RunConfig(n=8))
 
 
+def test_verma_guarded_above_six(monkeypatch):
+    def no_matrix(perms):
+        raise AssertionError("built the Bruhat matrix")
+
+    monkeypatch.setattr(verify, "_leq_matrix", no_matrix)
+    with pytest.raises(RankTooLarge):
+        run_suite("verma", RunConfig(n=7))
+
+
 def test_n_below_two_rejected():
     with pytest.raises(InvalidArgument):
         run_suite("bruhat", RunConfig(n=1))
