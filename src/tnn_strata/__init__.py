@@ -4,7 +4,7 @@ parametrization and identification, fiber projections, a gradient-like
 fiber flow, link sampling, and a link retraction — all at desk scale.
 """
 
-from .cells import CellPoint, cell_of, chevalley_x, is_tnn, lusztig_point
+from .cells import CellPoint, cell_of, is_tnn, lusztig_point
 from .errors import (
     CellMismatch,
     FlowError,

@@ -15,12 +15,7 @@ from .errors import (
     Singular,
 )
 from .perms import INTERVAL_GUARD, Permutation, ReducedWord, decode_rank_jumps
-from .ratmat import (
-    RatMatrix,
-    is_in_N,
-    minor,
-    rank,
-)
+from .ratmat import RatMatrix, _eliminate, _int_rows, is_in_N, minor, rank
 
 TNN_GUARD = 6
 
@@ -30,15 +25,6 @@ class CellPoint:
     matrix: RatMatrix
     cell: Permutation
     tnn: bool
-
-
-def chevalley_x(i: int, t, n: int) -> RatMatrix:
-    """Elementary unipotent matrix: identity plus t in entry (i, i+1)."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for rank {n}")
-    rows = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
-    rows[i - 1][i] = Fraction(t)
-    return RatMatrix.from_rows(rows)
 
 
 def lusztig_point(word: ReducedWord, params) -> CellPoint:
@@ -52,7 +38,7 @@ def lusztig_point(word: ReducedWord, params) -> CellPoint:
     n = word.target.n
     rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for a, t in zip(word.letters, params):
-        # x <- x chevalley_x(a, t): add t times column a to column a+1
+        # x <- x (I + t E_{a,a+1}): add t times column a to column a+1
         for r in rows:
             if r[a - 1]:
                 r[a] += t * r[a - 1]
@@ -87,16 +73,18 @@ def cell_of(x: RatMatrix) -> Permutation:
     """The w with x in B_- w B_-, recovered from northwest/southeast ranks.
 
     r(i,j) = rank of the submatrix on rows 1..i and columns j..n is constant
-    on each double coset B_- x B_-, and decodes to w.  Guarded at n <= INTERVAL_GUARD.
+    on each double coset B_- x B_-, and decodes to w.  One elimination over
+    the columns n..1 gives every r(i,j): it swaps no rows and pivots on the
+    topmost free row, so r(i,j) counts its pivots in rows 1..i and columns
+    j..n.  Guarded at n <= INTERVAL_GUARD.
     """
     n = x.n
     if n > INTERVAL_GUARD:
         raise RankTooLarge(f"cell_of guarded at n <= {INTERVAL_GUARD}")
     if rank(x) < n:
         raise Singular("cell_of needs an invertible matrix")
-    r = [[0] * (n + 2) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            r[i][j] = rank(x, range(1, i + 1), range(j, n + 1))
+    pivots = _eliminate(*_int_rows(x.rows), range(n - 1, -1, -1))
+    r = [[0] * (n + 2)]
+    for i in range(n):  # row i + 1 pivots in column pivots[i] + 1
+        r.append([v + (0 < j <= pivots[i] + 1) for j, v in enumerate(r[-1])])
     return decode_rank_jumps(r)
-

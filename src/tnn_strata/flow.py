@@ -74,7 +74,9 @@ def psi(x: RatMatrix, u: Permutation) -> RatMatrix:
     """Exact tangent vector x * pi_n(A^-1 nu A); zero exactly at the
     fiber's base point."""
     A = fiber_A(x, u)
-    return x @ pi_n(A.inverse() @ nu_matrix(x.n) @ A)
+    n = x.n  # A^-1 nu scales column j of A^-1 (0-based) by n - j
+    Ainv_nu = RatMatrix(tuple(tuple(v * (n - j) for j, v in enumerate(r)) for r in A.inverse().rows))
+    return x @ pi_n(Ainv_nu @ A)
 
 
 @dataclass(frozen=True)
@@ -551,6 +553,9 @@ def retraction(
     zf = conj_d_float(tau, np.array(z.to_floats()))
     xf = conj_d_float(1.0 - tau, np.asarray(x, dtype=np.float64))
     y = zf @ xf
+    # y outside G_0 v can keep float pivots that are residues, not zeros
+    if np.isfinite(y).all() and not bruhat_leq(v, _float_label(y, v)):
+        raise ZNotInYgeqV("the scaled point's stratum is not above v")
     v0, vinv0 = kernels.perm_arrays(v)
     # A zero pivot shows as inf or nan, in the v-projection or, for x in a
     # stratum below v, in the move into the fiber over the u-cell's base.

@@ -177,8 +177,9 @@ def _eliminate(work: list[list[int]], dens: list[int], cols, lower=None) -> dict
 
 def minor(x: RatMatrix, rows, cols) -> Fraction:
     """Determinant of the submatrix on 1-based, strictly increasing index
-    sets: the sign of the row -> column pivot permutation times the product
-    of the pivots, or 0 when a column has no pivot."""
+    sets: the entry or a*d - b*c for one or two indices, otherwise the sign
+    of the row -> column pivot permutation times the product of the pivots,
+    or 0 when a column has no pivot."""
     rows, cols = list(rows), list(cols)
     if len(rows) != len(cols):
         raise ValueError("row and column sets must have equal size")
@@ -187,6 +188,12 @@ def minor(x: RatMatrix, rows, cols) -> Fraction:
             raise ValueError("index out of range")
         if any(map(ge, idx, idx[1:])):
             raise ValueError("index sets must be strictly increasing")
+    if len(rows) == 1:
+        return x.rows[rows[0] - 1][cols[0] - 1]
+    if len(rows) == 2:
+        p, q = x.rows[rows[0] - 1], x.rows[rows[1] - 1]
+        j, k = cols[0] - 1, cols[1] - 1
+        return p[j] * q[k] - p[k] * q[j]
     work, dens = _int_rows([[x.rows[i - 1][j - 1] for j in cols] for i in rows])
     pivots = _eliminate(work, dens, range(len(cols)))
     if len(pivots) < len(cols):
@@ -217,8 +224,9 @@ class GaussFactors:
     upper: RatMatrix
 
 
-def gauss_decompose(x: RatMatrix) -> GaussFactors:
-    """LDU factorization x = [x]_- [x]_0 [x]_+, defined iff x is in G_0.
+def _g0_eliminate(x: RatMatrix, with_lower: bool = False):
+    """One elimination of x in column order: its rows as work[i] / dens[i],
+    and the unit lower factor of multipliers when ``with_lower``, else None.
 
     The first k whose pivot is not (k, k) certifies that the (k+1)x(k+1)
     leading principal minor vanishes (all earlier ones are nonzero), which
@@ -226,27 +234,36 @@ def gauss_decompose(x: RatMatrix) -> GaussFactors:
     """
     n = x.n
     work, dens = _int_rows(x.rows)
-    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)] if with_lower else None
     pivots = _eliminate(work, dens, range(n), lower)
     k = next((k for k in range(n) if pivots.get(k) != k), None)
     if k is not None:
         raise NotInG0(k + 1)
+    return work, dens, lower
+
+
+def gauss_decompose(x: RatMatrix) -> GaussFactors:
+    """LDU factorization x = [x]_- [x]_0 [x]_+, defined iff x is in G_0."""
+    n = x.n
+    work, dens, lower = _g0_eliminate(x, with_lower=True)
     diag = [[Fraction(work[i][i], dens[i]) if i == j else Fraction(0) for j in range(n)]
             for i in range(n)]
-    upper = [[Fraction(work[i][j], work[i][i]) for j in range(n)] for i in range(n)]
-    return GaussFactors(
-        RatMatrix.from_rows(lower),
-        RatMatrix.from_rows(diag),
-        RatMatrix.from_rows(upper),
-    )
+    return GaussFactors(RatMatrix.from_rows(lower), RatMatrix.from_rows(diag), _over_pivots(work))
+
+
+def _over_pivots(work: list[list[int]]) -> RatMatrix:
+    """[x]_+ from the eliminated rows of x: each row over its pivot."""
+    return RatMatrix(tuple(tuple(Fraction(v, r[i]) for v in r) for i, r in enumerate(work)))
 
 
 def gauss_plus(x: RatMatrix) -> RatMatrix:
-    return gauss_decompose(x).upper
+    """[x]_+ alone, with no lower factor and no diagonal."""
+    return _over_pivots(_g0_eliminate(x)[0])
 
 
 def gauss_minus(x: RatMatrix) -> RatMatrix:
-    return gauss_decompose(x).lower
+    """[x]_- alone: the multipliers of the elimination."""
+    return RatMatrix.from_rows(_g0_eliminate(x, with_lower=True)[2])
 
 
 # --- membership predicates ---------------------------------------------

@@ -2,18 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tnn_strata.cells import (
     cell_of,
-    chevalley_x,
     is_tnn,
     lusztig_point,
 )
 from tnn_strata.errors import (
     InvalidArgument,
     NonPositiveParameter,
+    NotInG0,
     NotUnipotentUpper,
     RankTooLarge,
+    Singular,
 )
 from tnn_strata.perms import (
     ReducedWord,
@@ -23,7 +25,17 @@ from tnn_strata.perms import (
     bruhat_leq,
     reduced_word,
 )
-from tnn_strata.ratmat import RatMatrix, all_minors_nonnegative, is_in_G0_u
+from tnn_strata.perms import decode_rank_jumps
+from tnn_strata.ratmat import (
+    RatMatrix,
+    all_minors_nonnegative,
+    gauss_decompose,
+    gauss_minus,
+    gauss_plus,
+    is_in_G0_u,
+    perm_matrix,
+    rank,
+)
 
 
 def random_params(rng, k):
@@ -38,6 +50,15 @@ def random_word(rng, w):
         letters.append(i)
         v = v * Permutation.transposition(i, v.n)
     return ReducedWord(tuple(reversed(letters)), w)
+
+
+def chevalley_x(i: int, t, n: int) -> RatMatrix:
+    """Elementary unipotent matrix: identity plus t in entry (i, i+1)."""
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator index {i} out of range for rank {n}")
+    rows = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
+    rows[i - 1][i] = Fraction(t)
+    return RatMatrix.from_rows(rows)
 
 
 def chevalley_product(word, params):
@@ -170,3 +191,119 @@ class TestCellOf:
             # x in Y_{>=u} by two routes: TNN and x u^-1 in G_0, or TNN and u <= cell_of(x)
             assert is_tnn(pt.matrix)
             assert is_in_G0_u(pt.matrix, u) == bruhat_leq(u, cell_of(pt.matrix)) == bruhat_leq(u, w)
+
+
+# --- oracle: the cell from n * n separate rank eliminations, which the one
+# pivot pass of cell_of replaced
+
+
+def cell_of_by_ranks(x):
+    n = x.n
+    if rank(x) < n:
+        raise Singular("cell_of needs an invertible matrix")
+    r = [[0] * (n + 2) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            r[i][j] = rank(x, range(1, i + 1), range(j, n + 1))
+    return decode_rank_jumps(r)
+
+
+def outcome(f, *args):
+    """f's result, or the type, message and witness of what it raised."""
+    try:
+        return f(*args)
+    except (Singular, NotInG0) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def random_lower(rng, n):
+    """A random element of B_-: signed rational entries on and below the
+    diagonal, about half of those below it zero."""
+    return RatMatrix.from_rows(
+        [[(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+           if j == i else 0 if j > i or rng.random() < 0.5
+           else Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+          for j in range(n)] for i in range(n)]
+    )
+
+
+class TestCellOfOnePass:
+    def test_lusztig_points_up_to_s5(self):
+        rng = random.Random(16)
+        for n in range(1, 6):
+            for w in all_permutations(n):
+                x = lusztig_point(reduced_word(w), random_params(rng, w.length)).matrix
+                assert cell_of(x) == cell_of_by_ranks(x) == w
+
+    def test_random_invertible_non_tnn(self):
+        """600 invertible matrices with a negative entry, n = 2..6: products
+        b P_w b' with b, b' in B_-, and dense and half-zero random ones."""
+        rng = random.Random(17)
+        cells_seen = []
+        while len(cells_seen) < 600:
+            n, kind = 2 + len(cells_seen) % 5, len(cells_seen) % 3
+            if kind == 0:
+                w = rng.choice(all_permutations(n))
+                x = random_lower(rng, n) @ perm_matrix(w) @ random_lower(rng, n)
+            else:
+                zero = 0.5 if kind == 1 else 0.0
+                x = RatMatrix.from_rows(
+                    [[0 if rng.random() < zero else Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                      for _ in range(n)] for _ in range(n)]
+                )
+            if rank(x) < n or all(v >= 0 for r in x.rows for v in r):
+                continue  # singular, or possibly TNN
+            cells_seen.append(cell_of(x))
+            assert cells_seen[-1] == cell_of_by_ranks(x)
+        assert len(set(cells_seen)) > 100
+
+    def test_products_of_borels_land_in_their_cell(self):
+        rng = random.Random(18)
+        for n in range(1, 6):
+            for w in all_permutations(n):
+                x = random_lower(rng, n) @ perm_matrix(w) @ random_lower(rng, n)
+                assert cell_of(x) == w
+
+    def test_singular_rejected(self):
+        rng = random.Random(19)
+        for n in range(1, 7):
+            rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                    for _ in range(n)]
+            rows[rng.randrange(n)] = [Fraction(0)] * n
+            x = RatMatrix.from_rows(rows)
+            with pytest.raises(Singular, match="invertible"):
+                cell_of(x)
+            assert outcome(cell_of, x) == outcome(cell_of_by_ranks, x)
+
+    def test_guard_before_any_elimination(self, eliminations):
+        with pytest.raises(RankTooLarge, match="cell_of guarded"):
+            cell_of(RatMatrix.identity(8))
+        assert eliminations == []
+
+    def test_two_eliminations(self, eliminations):
+        """The rank gate and the one table pass; a rank per table entry
+        would make n * n + 1."""
+        x = lusztig_point(reduced_word(Permutation.longest(6)), [1] * 15).matrix
+        assert cell_of(x) == Permutation.longest(6)
+        assert len(eliminations) == 2
+
+
+# n = 1..5 with signed rational entries, about half of them zero, so that
+# singular matrices, vanishing leading minors and every cell are common
+rats = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.just(Fraction(0)) | rats, min_size=n, max_size=n), min_size=n, max_size=n
+    )
+).map(RatMatrix.from_rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(matrices)
+def test_one_pass_paths_match_their_oracles(x):
+    assert outcome(cell_of, x) == outcome(cell_of_by_ranks, x)
+    f = outcome(gauss_decompose, x)
+    if isinstance(f, tuple):
+        assert outcome(gauss_plus, x) == outcome(gauss_minus, x) == f
+    else:
+        assert gauss_plus(x) == f.upper and gauss_minus(x) == f.lower

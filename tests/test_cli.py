@@ -199,8 +199,8 @@ class TestFlowVerbs:
         assert res.stdout == at_zero.stdout and res.stderr == ""
 
     # at tau = 0, y = x: a link point drawn in a stratum w < v is outside
-    # G_0 v, though its float v-projection stays finite; the move into the
-    # fiber over the u-cell's base meets the zero pivot
+    # G_0 v, though its float v-projection stays finite; its float label is
+    # not above v
     def test_retract_below_v_at_tau_zero_exit_3(self, runner, tmp_path):
         u, v, w = (Permutation.parse(p) for p in ("1,3,2,4", "4,2,3,1", "2,3,4,1"))
         [x] = [p for p, label in link_sample(u, v, 1.0, 1, seed=5).points if label == w]

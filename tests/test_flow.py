@@ -81,6 +81,16 @@ class TestField:
             assert str_of(psi(x, u)) > 0
             hits += 1
 
+    def test_psi_scales_columns_as_nu(self):
+        """psi scales the columns of A^-1 by nu instead of multiplying by
+        the diagonal nu_matrix: the same Fractions as x pi_n(A^-1 nu A)."""
+        rng = random.Random(16)
+        for n in (2, 3, 4, 5):
+            for _ in range(10):
+                x, u, _w = fiber_case(rng, n)
+                A = factor_u(x, u).A
+                assert psi(x, u) == x @ pi_n(A.inverse() @ nu_matrix(n) @ A)
+
     def test_psi_raises_what_factor_u_raises(self):
         """psi builds only A, but rejects its input exactly as the full
         factorization does: rank mismatch, x not in N, x outside G_0 u
@@ -530,6 +540,17 @@ class TestRetraction:
         z = RatMatrix.from_rows([[1, 2, 1], [0, 1, 2], [0, 0, 1]])
         with pytest.raises(PreconditionError, match="away from its level"):
             retraction(x, 0.1, u, v, z, 0.1)
+
+    # at tau = 0, y = x; both points lie below v, so outside G_0 v, but their
+    # float pivots are residues, not zeros: the v-projection stays finite and
+    # only the float label of y shows v is not below it
+    @pytest.mark.parametrize("w", ["2,4,3,1", "3,2,4,1"])
+    def test_point_below_v_at_tau_zero_rejected(self, w):
+        u, v, w = (Permutation.parse(p) for p in ("1,3,2,4", "4,2,3,1", w))
+        [x] = [p for p, label in link_sample(u, v, 1.0, 1, seed=5).points if label == w]
+        assert not bruhat_leq(v, cell_of_float(x))
+        with pytest.raises(ZNotInYgeqV, match="not above v"):
+            retraction(x, 0.0, u, v, default_base(Permutation.longest(4)), 1.0)
 
     def test_rank_mismatch_rejected(self):
         u, v = Permutation.identity(3), Permutation.longest(3)

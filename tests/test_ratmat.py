@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tnn_strata import ratmat
 from tnn_strata.errors import NotInG0, Singular
 from tnn_strata.perms import Permutation, all_permutations
 from tnn_strata.ratmat import (
@@ -150,12 +151,39 @@ class TestMinorsRank:
             ((2, 1), (1, 2), "strictly increasing"),
             ((1, 2), (1, 4), "out of range"),
             ((1, 2), (3, 3), "strictly increasing"),
+            ((), (1,), "equal size"),
+            ((0,), (1,), "out of range"),
+            ((1,), (4,), "out of range"),
+            ((2, 1), (4, 5), "strictly increasing"),
         ],
     )
     def test_minor_rejects_bad_index_sets(self, rows, cols, message):
         x = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
         with pytest.raises(ValueError, match=message):
             minor(x, rows, cols)
+
+    def test_empty_index_set(self):
+        x = RatMatrix.from_rows([[1, 2], [3, 4]])
+        assert minor(x, (), ()) == 1 and type(minor(x, (), ())) is Fraction
+
+    def test_small_minors_closed_form(self, eliminations):
+        """Minors on one or two indices are the entry and a*d - b*c, with
+        no elimination; they equal the Fraction elimination and the
+        cofactor expansion, as reduced Fractions."""
+        rng = random.Random(16)
+        for n in range(1, 7):
+            x = RatMatrix.from_rows(
+                [[0 if rng.random() < 0.3 else Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                  for _ in range(n)] for _ in range(n)]
+            )
+            idx = range(1, n + 1)
+            for k in (1, 2):
+                for rows in itertools.combinations(idx, k):
+                    for cols in itertools.combinations(idx, k):
+                        m = minor(x, rows, cols)
+                        assert type(m) is Fraction
+                        assert m == ref_minor(x, rows, cols) == naive_minor(x, rows, cols)
+        assert eliminations == []
 
     def test_rank_of_rank_one(self):
         x = RatMatrix.from_rows([[1, 2], [2, 4]])
@@ -229,6 +257,32 @@ class TestGauss:
             x, f = self.rand_g0(rng, 3)
             assert gauss_plus(x) == f.upper
             assert gauss_minus(x) == f.lower
+
+    def test_same_witness_off_g0(self):
+        # the witness is the size of the first vanishing leading principal minor
+        for rows, witness in [
+            ([[0, 1], [1, 0]], 1),
+            ([[1, 2], [2, 4]], 2),
+            ([[1, 0, 1], [0, 2, 5], [1, 0, 1]], 3),
+        ]:
+            x = RatMatrix.from_rows(rows)
+            for f in (gauss_decompose, gauss_plus, gauss_minus):
+                with pytest.raises(NotInG0) as exc:
+                    f(x)
+                assert exc.value.witness == witness
+
+    def test_gauss_plus_one_elimination_no_lower(self, eliminations, monkeypatch):
+        """gauss_plus runs one elimination and builds no multipliers."""
+        x, f = self.rand_g0(random.Random(4), 6)
+        eliminations.clear()
+        assert gauss_plus(x) == f.upper
+        assert eliminations == [None]
+        eliminations.clear()
+        assert gauss_minus(x) == f.lower
+        assert len(eliminations) == 1
+        # neither goes through the full decomposition
+        monkeypatch.setattr(ratmat, "gauss_decompose", None)
+        assert gauss_plus(x) == f.upper and gauss_minus(x) == f.lower
 
 
 class TestPermMatrices:
