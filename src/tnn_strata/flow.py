@@ -49,11 +49,12 @@ MAX_STEP = 1.0
 LINK_POINT_BUDGET = 10_000  # most points one fiber_points call may draw
 
 
-def str_of(x) -> float | Fraction:
-    """Sum of the entries just above the diagonal; additive on N."""
+def str_of(x) -> float | Fraction | np.ndarray:
+    """Sum of the entries just above the diagonal (per row of a float stack); additive on N."""
     if isinstance(x, RatMatrix):
         return sum(x.rows[i][i + 1] for i in range(x.n - 1))
-    return float(np.trace(x, offset=1))
+    s = np.trace(x, offset=1, axis1=-2, axis2=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def pi_n(m: RatMatrix) -> RatMatrix:
@@ -154,11 +155,6 @@ class FlowState:
     stratum: Permutation
 
 
-def _heights(x: np.ndarray) -> np.ndarray:
-    """str of each matrix in a stack (a 0-d array for one matrix)."""
-    return np.trace(x, offset=1, axis1=-2, axis2=-1)
-
-
 def _next_step(h: float, err: float, what: str) -> float:
     """The step controller of the embedded 5(4) pair: grow or shrink h by
     the usual safety-factored power of the error ratio, capped at MAX_STEP."""
@@ -224,27 +220,40 @@ class FiberIntegrator:
         return x5, float(err.max()), k[6]
 
 
-def cell_of_float(x: np.ndarray) -> Permutation:
-    """Float analogue of the exact cell identification, using SVD ranks.
+def cell_of_float(x: np.ndarray, fallback=None):
+    """Float analogue of the exact cell identification, using SVD ranks: the
+    label of one matrix (n, n), or the list of labels of a stack (B, n, n),
+    by one SVD call over the stack per top-right submatrix x[:i, j-1:].
 
-    Raises UndecidableRank when some top-right submatrix has a singular
-    value between the thresholds ``RANK_TOL`` and ``RANK_ZERO_TOL``
-    (relative), so its rank is not determined at working precision, or
-    when the rank table decodes to no permutation.
-    """
-    n = x.shape[0]
-    r = np.zeros((n + 1, n + 2), dtype=int)
+    A row whose rank table decodes to no permutation, or where some singular
+    value lies between ``RANK_ZERO_TOL`` and ``RANK_TOL`` (relative) so a rank
+    is undecidable, is labelled ``fallback`` (one per row for a stack), or
+    with no fallback raises UndecidableRank."""
+    stack = x.reshape((-1,) + x.shape[-2:])
+    n = x.shape[-1]
+    # sv[b, i, j]: row b's x[:i, j-1:] singular values, zero-padded, 0 at the borders
+    sv = np.zeros((len(stack), n + 1, n + 2, n))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            sv = np.linalg.svd(x[:i, j - 1 :], compute_uv=False)
-            scale = max(1.0, sv[0])
-            r[i][j] = int(np.sum(sv > RANK_TOL * scale))
-            if r[i][j] != int(np.sum(sv > RANK_ZERO_TOL * scale)):
-                raise UndecidableRank(f"rank of x[:{i}, {j - 1}:] is undecidable")
-    try:
-        return decode_rank_jumps(r)
-    except ValueError as exc:
-        raise UndecidableRank(f"rank table decodes to no permutation: {exc}") from exc
+            sv[:, i, j, : min(i, n + 1 - j)] = np.linalg.svd(stack[:, :i, j - 1 :], compute_uv=False)
+    scale = np.maximum(1.0, sv[..., :1])
+    ranks = np.sum(sv > RANK_TOL * scale, axis=-1)
+    undecidable = ranks != np.sum(sv > RANK_ZERO_TOL * scale, axis=-1)
+    labels = []
+    for b, r in enumerate(ranks.tolist()):
+        if undecidable[b].any():
+            i, j = np.argwhere(undecidable[b])[0].tolist()
+            why = f"rank of x[:{i}, {j - 1}:] is undecidable"
+        else:
+            try:
+                labels.append(decode_rank_jumps(r))
+                continue
+            except ValueError as exc:
+                why = f"rank table decodes to no permutation: {exc}"
+        if fallback is None:
+            raise UndecidableRank(why)
+        labels.append(fallback if x.ndim == 2 else fallback[b])
+    return labels[0] if x.ndim == 2 else labels
 
 
 def _require(ok: bool, message: str):
@@ -270,8 +279,8 @@ def flow(
     float fiber parts of x0 are not finite or u is not below its label.
     The stratum label is frozen at the start and re-checked at snapshots
     away from the base, where float rank detection is meaningful; a
-    snapshot whose label is undecidable (UndecidableRank) is not checked,
-    and an undecidable label at x0 raises UndecidableRank.
+    snapshot whose label is undecidable is not checked, and an undecidable
+    label at x0 raises UndecidableRank.
     """
     forward = direction == "forward"
     _require(not forward or target_str is not None, "forward flow needs target_str")
@@ -314,7 +323,7 @@ def flow(
                 k = integ.rhs(x)
             if accepted % snapshot_every == 0:
                 s = str_of(x)
-                if s - base_str > STRATUM_CHECK_FLOOR and _float_label(x, stratum) != stratum:
+                if s - base_str > STRATUM_CHECK_FLOOR and cell_of_float(x, stratum) != stratum:
                     raise StratumEscape(
                         f"stratum label changed along trajectory at t={t}"
                     )
@@ -325,14 +334,6 @@ def flow(
     if traj[-1].time != t:
         traj.append(FlowState(x.copy(), t, str_of(x), stratum))
     return traj
-
-
-def _float_label(x: np.ndarray, fallback: Permutation) -> Permutation:
-    """cell_of_float(x), or ``fallback`` where that label is undecidable."""
-    try:
-        return cell_of_float(x)
-    except UndecidableRank:
-        return fallback
 
 
 def _require_epsilon(epsilon: float):
@@ -351,7 +352,7 @@ class _LevelField(FiberIntegrator):
 
     def rhs(self, z: np.ndarray) -> np.ndarray:
         d = kernels.psi_tangent(z, self._M, self._mask)
-        s = _heights(d)
+        s = str_of(d)
         # nan where the field does not raise str: an RK stage that overshoots
         # the totally nonnegative part fails its step's error test instead
         return d / np.where(s > 0.0, s, np.nan)[..., None, None]
@@ -382,7 +383,7 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float) -> np.ndarray:
     base = integ.base
     x = np.asarray(x, dtype=np.float64)
     out = x.reshape((-1,) + x.shape[-2:]).copy()
-    d = str_of(base) + epsilon - _heights(out)
+    d = str_of(base) + epsilon - str_of(out)
     rows = np.flatnonzero(~(np.abs(d) <= LEVEL_TOL))
     z, d = np.linalg.solve(base, out[rows]), d[rows]
     k = integ.rhs(z)
@@ -432,7 +433,7 @@ class LinkCensus:
 
     def counting(self, landed) -> LinkCensus:
         """The same strata counting ``landed``: (landed label, drawn label)
-        pairs, as from landed_labels."""
+        pairs."""
         landed = list(landed)
         found = Counter(got for got, _ in landed)
         return replace(
@@ -448,16 +449,10 @@ def _require_below(u: Permutation, v: Permutation):
         raise NotComparable(f"{u.serialize()} must be strictly below {v.serialize()}")
 
 
-def landed_labels(points) -> list[tuple[Permutation, Permutation]]:
-    """(landed, drawn) label pairs of (point, drawn label) pairs such as
-    LinkSample.points: a point lands under its float label, or under its
-    drawn label where the float label is undecidable."""
-    return [(_float_label(p, w), w) for p, w in points]
-
-
 def link_census(u: Permutation, v: Permutation, points=()) -> LinkCensus:
     """The census of the link of the u-cell inside Y_[u,v], counting where
-    ``points`` land (see landed_labels)."""
+    ``points``, a sequence of (point, drawn label) pairs such as LinkSample.points,
+    land: under the point's float label, or its drawn label where that is undecidable."""
     _require_below(u, v)
     labels = sorted(
         (w for w in interval(u, v).elements if w != u),
@@ -465,7 +460,9 @@ def link_census(u: Permutation, v: Permutation, points=()) -> LinkCensus:
     )
     dims = {w: w.length - u.length - 1 for w in labels}
     census = LinkCensus(dims, {}, sum((-1) ** d for d in dims.values()), True)
-    return census.counting(landed_labels(points))
+    drawn = [w for _, w in points]
+    landed = cell_of_float(np.array([p for p, _ in points]), drawn) if points else []
+    return census.counting(zip(landed, drawn))
 
 
 @functools.cache
@@ -554,7 +551,7 @@ def retraction(
     xf = conj_d_float(1.0 - tau, np.asarray(x, dtype=np.float64))
     y = zf @ xf
     # y outside G_0 v can keep float pivots that are residues, not zeros
-    if np.isfinite(y).all() and not bruhat_leq(v, _float_label(y, v)):
+    if np.isfinite(y).all() and not bruhat_leq(v, cell_of_float(y, v)):
         raise ZNotInYgeqV("the scaled point's stratum is not above v")
     v0, vinv0 = kernels.perm_arrays(v)
     # A zero pivot shows as inf or nan, in the v-projection or, for x in a

@@ -8,6 +8,7 @@ is the pass condition for both the CLI and the acceptance tests.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -18,10 +19,11 @@ from .cells import TNN_GUARD, cell_of, is_tnn, lusztig_point
 from .errors import InvalidArgument, RankTooLarge, TnnStrataError
 from .fiber import conj_d, factor_u, fiber_A, pi_u, recover_shift, rho
 from .flow import (
+    LEVEL_TOL,
+    cell_of_float,
     default_base,
     fiber_points,
     flow,
-    landed_labels,
     link_census,
     link_point,
     psi,
@@ -315,18 +317,24 @@ def suite_param_cell(run, rng, reps):
             )
 
 
-def _rand_pair_below(rng, perms):
+@functools.cache
+def _pairs_below(n: int) -> dict[Permutation, list[Permutation]]:
+    """Each w != e of S_n with every u <= w, both in all_permutations order."""
+    perms = all_permutations(n)
+    return {w: [u for u in perms if bruhat_leq(u, w)] for w in perms if w.length >= 1}
+
+
+def _rand_pair_below(rng, n: int):
     """Random (x in a cell w, u <= w) from S_n."""
-    w = rng.choice([p for p in perms if p.length >= 1])
-    u = rng.choice([p for p in perms if bruhat_leq(p, w)])
-    return w, u
+    below = _pairs_below(n)
+    w = rng.choice(list(below))
+    return w, rng.choice(below[w])
 
 
 @_suite("factorization", samples=500)
 def suite_factorization(run, rng, samples):
-    perms = all_permutations(4)
     for i in range(samples):
-        w, u = _rand_pair_below(rng, perms)
+        w, u = _rand_pair_below(rng, 4)
         x = random_cell_point(w, rng)
         fr = factor_u(x, u)
         run.check(fr.x_u @ fr.x_upper_u == x, f"product[{i}]")
@@ -346,9 +354,8 @@ def suite_factorization(run, rng, samples):
 
 @_suite("rho", samples=500)
 def suite_rho(run, rng, samples):
-    perms = all_permutations(4)
     for i in range(samples):
-        w, u = _rand_pair_below(rng, perms)
+        w, u = _rand_pair_below(rng, 4)
         xt = random_cell_point(w, rng)
         base = random_cell_point(u, rng)
         xp = rho(xt, base, u)
@@ -386,10 +393,9 @@ def suite_rho(run, rng, samples):
 
 @_suite("equivariance", samples=200)
 def suite_equivariance(run, rng, samples):
-    perms = all_permutations(4)
     taus = [Fraction(1, 3), Fraction(2), Fraction(7, 5)]
     for i in range(samples):
-        w, u = _rand_pair_below(rng, perms)
+        w, u = _rand_pair_below(rng, 4)
         x = random_cell_point(w, rng)
         tau = taus[i % len(taus)]
         fr = factor_u(x, u)
@@ -418,8 +424,7 @@ def suite_equivariance(run, rng, samples):
 def suite_signs(run, rng, samples):
     for i in range(samples):
         n = 3 if i % 2 == 0 else 4
-        perms = all_permutations(n)
-        w, u = _rand_pair_below(rng, perms)
+        w, u = _rand_pair_below(rng, n)
         x = random_cell_point(w, rng)
         rep = sign_lemma_check(fiber_A(x, u), u)
         run.check(
@@ -436,8 +441,7 @@ def suite_psi_positivity(run, rng, samples):
     zero = {n: RatMatrix.from_rows([[0] * n for _ in range(n)]) for n in (3, 4)}
     for i in range(samples):
         n = 3 if i % 2 == 0 else 4
-        perms = all_permutations(n)
-        w, u = _rand_pair_below(rng, perms)
+        w, u = _rand_pair_below(rng, n)
         # x lies in the fiber over its own projection, so rho would return
         # x itself; x is that base point iff it lies in the u-cell: w = u
         x = random_cell_point(w, rng)
@@ -462,9 +466,8 @@ def suite_psi_positivity(run, rng, samples):
 
 @_suite("flow", samples=100)
 def suite_flow(run, rng, samples):
-    perms = all_permutations(3)
     for i in range(samples):
-        w, u = _rand_pair_below(rng, perms)
+        w, u = _rand_pair_below(rng, 3)
         x = random_cell_point(w, rng)
         base_f = np.array(pi_u(x, u).to_floats())
         x_f = np.array(x.to_floats())
@@ -519,9 +522,9 @@ def suite_link_census(run, rng, count):
     # with per-stratum counts stable across epsilon.  The stratum of w in
     # the link of the u-cell is the same for every v >= w, so each u flows
     # one stack, ``count`` points per w > u, through the radii in turn,
-    # labels each landed row once, and (u, v) reads the rows with w in
-    # (u, v].  A radius that fails leaves the next one to start from the
-    # last that landed.
+    # labels and measures the landed stack once per radius, and (u, v)
+    # reads the rows with w in (u, v].  A radius that fails leaves the next
+    # one to start from the last that landed.
     radii = (0.5, 1.0, 2.0)
     landed = {}
     for u in perms:
@@ -532,8 +535,8 @@ def suite_link_census(run, rng, count):
         for eps in radii:
             try:
                 x = link_point(x, u, eps)
-                rows = list(zip(x, landed_labels(zip(x, labels))))
-                landed[u, eps] = (float(str_of(default_base(u))) + eps, rows)
+                off = np.abs(str_of(x) - (float(str_of(default_base(u))) + eps))
+                landed[u, eps] = list(zip(off.tolist(), cell_of_float(x, labels), labels))
             except TnnStrataError as exc:
                 landed[u, eps] = exc
     for u, v in pairs:
@@ -547,15 +550,14 @@ def suite_link_census(run, rng, count):
                     f"{type(got).__name__}: {got}",
                 )
                 continue
-            target, rows = got
-            rows = [(p, pair) for p, pair in rows if bruhat_leq(pair[1], v)]
-            worst = max(abs(str_of(p) - target) for p, _ in rows)
+            rows = [row for row in got if bruhat_leq(row[2], v)]
+            worst = max(off for off, _, _ in rows)
             run.check(
-                worst <= 1e-9,
+                worst <= LEVEL_TOL,
                 f"level[{u.serialize()};{v.serialize()};eps={eps}]",
                 f"worst={worst}",
             )
-            census = censuses[u, v].counting(pair for _, pair in rows)
+            census = censuses[u, v].counting((got, w) for _, got, w in rows)
             per_eps[eps] = census.counts
             run.check(
                 census.labels_ok,

@@ -20,12 +20,15 @@ from tnn_strata.fiber import factor_u, pi_u, rho
 from tnn_strata.flow import (
     LINK_EPSILON_GUARD,
     LINK_POINT_BUDGET,
+    RANK_TOL,
+    RANK_ZERO_TOL,
     FiberIntegrator,
     cell_of_float,
     conj_d_float,
     default_base,
     fiber_points,
     flow,
+    link_census,
     link_point,
     link_sample,
     nu_matrix,
@@ -36,7 +39,14 @@ from tnn_strata.flow import (
     sign_lemma_check,
     str_of,
 )
-from tnn_strata.perms import Permutation, all_permutations, bruhat_leq, interval
+from tnn_strata.perms import (
+    Permutation,
+    all_permutations,
+    bruhat_leq,
+    bruhat_less,
+    decode_rank_jumps,
+    interval,
+)
 from tnn_strata.ratmat import RatMatrix, conj_by_perm, gauss_plus, mul_perm_right
 
 
@@ -176,6 +186,103 @@ class TestCellOfFloat:
     def test_minor_below_both_thresholds_reads_zero(self):
         x = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1e-14], [0.0, 0.0, 1.0]])
         assert cell_of_float(x) == Permutation.parse("2,1,3")
+
+    def test_stack_matches_the_per_row_rule(self, s4_census_rows):
+        x, drawn = s4_census_rows
+        oracle = [per_row_label(p, w) for p, w in zip(x, drawn)]
+        assert len(x) == 567
+        assert sum(per_row_label(p, None) is None for p in x) > 0  # the fallback is reached
+        assert cell_of_float(x, drawn) == oracle
+
+    def test_one_row_stack_is_the_one_matrix_call(self, s4_census_rows):
+        x, drawn = s4_census_rows
+        for p, w in zip(x, drawn):
+            assert cell_of_float(p[None], [w]) == [cell_of_float(p, w)]
+
+    def test_stack_mixes_decidable_and_undecidable_rows(self):
+        w = Permutation.parse("2,3,1")
+        decidable = np.array(random_cell_point(w, random.Random(3)).to_floats())
+        between_cuts = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1e-10], [0.0, 0.0, 1.0]])
+        no_permutation = np.ones((3, 3))  # every top-right rank is 1
+        fallback = [Permutation.parse(t) for t in ("1,2,3", "1,3,2", "3,2,1")]
+        stack = np.array([decidable, between_cuts, no_permutation])
+        assert cell_of_float(stack, fallback) == [w, fallback[1], fallback[2]]
+        with pytest.raises(UndecidableRank, match=r"rank of x\[:2, 1:\] is undecidable"):
+            cell_of_float(stack)
+        with pytest.raises(UndecidableRank, match="decodes to no permutation"):
+            cell_of_float(stack[[0, 2, 1]])
+
+    def test_empty_stack(self):
+        assert cell_of_float(np.empty((0, 3, 3))) == []
+        assert cell_of_float(np.empty((0, 3, 3)), []) == []
+
+    # One SVD per top-right submatrix, over the whole stack: a reader that
+    # went back to one row at a time would make B times as many.
+    @pytest.mark.parametrize("rows", [1, 7, 40])
+    def test_a_stack_costs_n_squared_svd_calls(self, svd_calls, rows):
+        rng = random.Random(rows)
+        x = np.array([random_cell_point(Permutation.longest(4), rng).to_floats() for _ in range(rows)])
+        cell_of_float(x)
+        assert len(svd_calls) == 16
+
+    def test_link_census_labels_its_points_in_one_stack(self, svd_calls):
+        u, v = Permutation.identity(3), Permutation.longest(3)
+        points = link_sample(u, v, 1.0, 3, seed=0).points
+        svd_calls.clear()
+        census = link_census(u, v, points)
+        assert len(points) == 15 and sum(census.counts.values()) == 15
+        assert len(svd_calls) == 9
+
+
+def per_row_label(x, fallback):
+    """One matrix's label by one SVD per submatrix, or ``fallback`` where it
+    is undecidable: the rule of the stacked reader, row by row, as its oracle."""
+    n = x.shape[0]
+    r = np.zeros((n + 1, n + 2), dtype=int)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            sv = np.linalg.svd(x[:i, j - 1 :], compute_uv=False)
+            scale = max(1.0, sv[0])
+            r[i][j] = int(np.sum(sv > RANK_TOL * scale))
+            if r[i][j] != int(np.sum(sv > RANK_ZERO_TOL * scale)):
+                return fallback
+    try:
+        return decode_rank_jumps(r)
+    except ValueError:
+        return fallback
+
+
+@pytest.fixture(scope="module")
+def s4_census_rows():
+    """The rows that the S4 link-census suite labels at seed 0: one point
+    per stratum above each u, flowed to the radii 0.5, 1 and 2 in turn,
+    stacked, with their drawn labels."""
+    rng = random.Random(0)
+    perms = all_permutations(4)
+    stacks, drawn = [], []
+    for u in perms:
+        above = [w for w in perms if bruhat_less(u, w)]
+        if not above:
+            continue
+        x, labels = fiber_points(u, above, 1, rng)
+        for eps in (0.5, 1.0, 2.0):
+            x = link_point(x, u, eps)
+            stacks.append(x)
+            drawn += labels
+    return np.concatenate(stacks), drawn
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """One entry per numpy.linalg.svd call made during the test."""
+    calls, real = [], np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
 
 
 # Backward flows that pass close to the base with snapshots above
