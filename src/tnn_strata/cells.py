@@ -15,7 +15,7 @@ from .errors import (
     Singular,
 )
 from .perms import INTERVAL_GUARD, Permutation, ReducedWord, decode_rank_jumps
-from .ratmat import RatMatrix, _eliminate, _int_rows, is_in_N, minor, rank
+from .ratmat import RatMatrix, _eliminate, _of_ints, _work_rows, is_in_N, minor, rank
 
 TNN_GUARD = 6
 
@@ -36,13 +36,20 @@ def lusztig_point(word: ReducedWord, params) -> CellPoint:
     if any(t <= 0 for t in params):
         raise NonPositiveParameter("all parameters must be > 0")
     n = word.target.n
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    dens = [1] * n  # row i is rows[i] / dens[i]
     for a, t in zip(word.letters, params):
-        # x <- x (I + t E_{a,a+1}): add t times column a to column a+1
-        for r in rows:
+        # x <- x (I + t E_{a,a+1}): add t times column a to column a+1; with
+        # t = p/q a row with a nonzero in column a is scaled by q
+        p, q = t.numerator, t.denominator
+        for i, r in enumerate(rows):
             if r[a - 1]:
-                r[a] += t * r[a - 1]
-    return CellPoint(RatMatrix.from_rows(rows), word.target, True)
+                new = q * r[a] + p * r[a - 1]
+                if q != 1:
+                    r[:] = [v * q for v in r]
+                    dens[i] *= q
+                r[a] = new
+    return CellPoint(_of_ints(rows, dens), word.target, True)
 
 
 def is_tnn(x: RatMatrix) -> bool:
@@ -83,7 +90,7 @@ def cell_of(x: RatMatrix) -> Permutation:
         raise RankTooLarge(f"cell_of guarded at n <= {INTERVAL_GUARD}")
     if rank(x) < n:
         raise Singular("cell_of needs an invertible matrix")
-    pivots = _eliminate(*_int_rows(x.rows), range(n - 1, -1, -1))
+    pivots = _eliminate(*_work_rows(x), range(n - 1, -1, -1))
     r = [[0] * (n + 2)]
     for i in range(n):  # row i + 1 pivots in column pivots[i] + 1
         r.append([v + (0 < j <= pivots[i] + 1) for j, v in enumerate(r[-1])])

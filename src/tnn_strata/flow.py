@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fiber import fiber_A, rho
 from .perms import Permutation, bruhat_leq, bruhat_less, decode_rank_jumps, interval, reduced_word
-from .ratmat import RatMatrix, is_in_G0_u
+from .ratmat import RatMatrix, _map_rows, is_in_G0_u
 
 # The fixed tolerances of the float path.  flow re-checks the stratum label
 # only above STRATUM_CHECK_FLOOR over the base, where float ranks mean
@@ -60,9 +60,7 @@ def str_of(x) -> float | Fraction | np.ndarray:
 def pi_n(m: RatMatrix) -> RatMatrix:
     """Projection onto strictly upper-triangular matrices (kernel: the
     Borel algebra on and below the diagonal)."""
-    return RatMatrix.from_rows(
-        [[m.rows[i][j] if j > i else 0 for j in range(m.n)] for i in range(m.n)]
-    )
+    return _map_rows(m, lambda i, r: [v if j > i else 0 for j, v in enumerate(r)])
 
 
 def nu_matrix(n: int) -> RatMatrix:
@@ -76,7 +74,7 @@ def psi(x: RatMatrix, u: Permutation) -> RatMatrix:
     fiber's base point."""
     A = fiber_A(x, u)
     n = x.n  # A^-1 nu scales column j of A^-1 (0-based) by n - j
-    Ainv_nu = RatMatrix(tuple(tuple(v * (n - j) for j, v in enumerate(r)) for r in A.inverse().rows))
+    Ainv_nu = _map_rows(A.inverse(), lambda i, r: [v * (n - j) for j, v in enumerate(r)])
     return x @ pi_n(Ainv_nu @ A)
 
 

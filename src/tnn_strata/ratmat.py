@@ -1,10 +1,12 @@
 """Exact rational matrices and the Gaussian (LDU) decomposition calculus.
 
-Entries are stdlib ``fractions.Fraction`` (always reduced, positive
-denominator); everything in this module is exact.  The arithmetic runs on
-Python integers: a product works on integer numerators over a common
-denominator, and one fraction-free elimination serves every
-decomposition.  Fractions are built only at the boundary.
+Everything in this module is exact.  A matrix holds one canonical integer
+form: row i is a tuple of integer numerators over a positive row
+denominator, in lowest terms (gcd(d, *row) = 1).  Products, inverses,
+eliminations and permutations work on these integers and build each
+result row with one gcd, and ``==`` and ``hash`` compare the form
+directly.  The reduced ``Fraction`` entries, ``.rows``, are a view built
+on first read and then cached; the core never reads it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import ge, mul
 
@@ -22,35 +24,63 @@ from .perms import Permutation
 
 def _rat(v) -> Fraction:
     """v as a Fraction.  Text in exponent notation is rejected: Fraction
-    would build the whole power, and "1e999999999" has a billion digits."""
+    would build the whole power, and "1e999999999" has a billion digits.
+    A bool is rejected too: JSON true is not the number 1."""
     if isinstance(v, Fraction):
         return v
+    if isinstance(v, bool):
+        raise ValueError(f"{v!r} is not a number")
     if isinstance(v, str) and ("e" in v or "E" in v):
         raise ValueError(f"{v!r}: exponent notation is not accepted")
     return Fraction(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class RatMatrix:
-    rows: tuple[tuple[Fraction, ...], ...]
+    """An immutable square matrix of rationals, built from rows of
+    ``Fraction``s or ints.  Row i is ``_num[i]`` over ``_den[i]``, and
+    ``_rows`` caches the Fraction view."""
+
+    _num: tuple[tuple[int, ...], ...]
+    _den: tuple[int, ...]
+    _rows: tuple | None = field(compare=False)
+
+    def __init__(self, rows):
+        num, den = [], []
+        for r in rows:
+            if len(r) != len(rows):
+                raise ValueError("matrix must be square")
+            # Reduced entries over their least common denominator are a row
+            # in lowest terms.  *[...], not *(...): unpacking a generator
+            # leaves a tuple per call in the interpreter's free lists.
+            d = math.lcm(*[v.denominator for v in r])
+            num.append(tuple([v.numerator * (d // v.denominator) for v in r]))
+            den.append(d)
+        _fill(self, tuple(num), tuple(den))
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as reduced Fractions, built on first read."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", tuple(
+                tuple(Fraction(v, d) for v in r) for r, d in zip(self._num, self._den)
+            ))
+        return self._rows
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self._den)
 
-    def __post_init__(self):
-        if any(len(r) != self.n for r in self.rows):
-            raise ValueError("matrix must be square")
+    def __repr__(self):
+        return f"RatMatrix(rows={self.rows!r})"
 
     @staticmethod
     def from_rows(rows) -> "RatMatrix":
-        return RatMatrix(tuple(tuple(_rat(v) for v in r) for r in rows))
+        return RatMatrix([[_rat(v) for v in r] for r in rows])
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        return _of_ints([[int(i == j) for j in range(n)] for i in range(n)], [1] * n)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         """1-based entry access, matching the x_{ij} of the formulas."""
@@ -58,23 +88,25 @@ class RatMatrix:
         return self.rows[i - 1][j - 1]
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        """Integer dot products of the numerators over each operand's least
-        common denominator, with one reduction per entry."""
-        a, da = _over_lcd(self.rows)
-        b, db = _over_lcd(other.rows)
-        d = da * db
+        """Integer dot products: with the rows of ``other`` over their least
+        common denominator D, row i of the product is the row of dot
+        products of self's numerators over d_i D."""
+        lcd = math.lcm(*other._den)
+        b = [r if d == lcd else [v * (lcd // d) for v in r]
+             for r, d in zip(other._num, other._den)]
         cols = list(zip(*b))
-        return RatMatrix(
-            tuple(tuple(Fraction(sum(map(mul, r, c)), d) for c in cols) for r in a)
+        return _of_ints(
+            [[sum(map(mul, r, c)) for c in cols] for r in self._num],
+            [d * lcd for d in self._den],
         )
 
     def inverse(self) -> "RatMatrix":
         """Forward elimination of [x | I], then back substitution: the pivot
         rows, last pivot column first, eliminated over the columns n-1..0.
-        Each row ends as r/d with r[c] its pivot, so its entries of the
-        inverse are r[n+j]/r[c] and the row denominator cancels."""
+        Each row ends as r/d with r[c] its pivot, so its row of the inverse
+        is r[n:]/r[c] and the row denominator cancels."""
         n = self.n
-        work, dens = _int_rows(self.rows)
+        work, dens = _work_rows(self)
         for i, (r, d) in enumerate(zip(work, dens)):
             r.extend(d if i == j else 0 for j in range(n))
         pivots = _eliminate(work, dens, range(n))
@@ -83,13 +115,14 @@ class RatMatrix:
         order = sorted(pivots, key=pivots.get, reverse=True)
         back, back_dens = [work[i] for i in order], [dens[i] for i in order]
         _eliminate(back, back_dens, range(n - 1, -1, -1))
-        return RatMatrix(
-            tuple(tuple(Fraction(v, r[c]) for v in r[n:]) for c, r in enumerate(reversed(back)))
-        )
+        back.reverse()
+        return _of_ints([r[n:] for r in back], [r[c] for c, r in enumerate(back)])
 
     def to_floats(self):
+        """Each entry as float(Fraction) gives it: int / int is correctly
+        rounded, so the unreduced quotient rounds to the same float."""
         try:
-            return [[float(v) for v in r] for r in self.rows]
+            return [[v / d for v in r] for r, d in zip(self._num, self._den)]
         except OverflowError:
             raise InvalidArgument("matrix entry too large for a float") from None
 
@@ -110,6 +143,8 @@ class RatMatrix:
         m = RatMatrix.from_rows(obj["entries"])
         if m.n < 1:
             raise ValueError("matrix must be at least 1x1")
+        if type(obj["n"]) is not int:
+            raise ValueError("declared size must be an integer")
         if m.n != obj["n"]:
             raise ValueError("declared size disagrees with entries")
         return m
@@ -118,24 +153,38 @@ class RatMatrix:
         return json.dumps(self.to_json_obj())
 
 
-def _over_lcd(rows) -> tuple[list[list[int]], int]:
-    """The integer numerators of ``rows`` over their least common denominator."""
-    # *[...], not *(...), here and in _int_rows: unpacking a generator leaves
-    # one tuple per call in the interpreter's tuple free lists, which grew
-    # the resident memory of a long exact run by about 1 MB
-    d = math.lcm(*[v.denominator for r in rows for v in r])
-    return [[v.numerator * (d // v.denominator) for v in r] for r in rows], d
+def _fill(m: RatMatrix, num: tuple, den: tuple) -> RatMatrix:
+    object.__setattr__(m, "_num", num)
+    object.__setattr__(m, "_den", den)
+    object.__setattr__(m, "_rows", None)
+    return m
 
 
-def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
-    """Each row of Fractions as integer numerators over the row's own least
-    common denominator: row i is work[i] / dens[i]."""
-    work, dens = [], []
-    for r in rows:
-        d = math.lcm(*[v.denominator for v in r])
-        work.append([v.numerator * (d // v.denominator) for v in r])
-        dens.append(d)
-    return work, dens
+def _of_ints(rows, dens) -> RatMatrix:
+    """The matrix with row i equal to rows[i] / dens[i], any integers with
+    dens[i] nonzero: each row is brought to canonical form with one gcd."""
+    num, den = [], []
+    for r, d in zip(rows, dens):
+        if d < 0:
+            r, d = [-v for v in r], -d
+        g = math.gcd(d, *r)
+        if g != 1:
+            r, d = [v // g for v in r], d // g
+        num.append(tuple(r))
+        den.append(d)
+    return _fill(object.__new__(RatMatrix), tuple(num), tuple(den))
+
+
+def _map_rows(x: RatMatrix, f) -> RatMatrix:
+    """The matrix whose row i is f(i, r) / d for r / d row i of x, with r
+    its integer numerators: f scales or zeroes entries of one row."""
+    return _of_ints([f(i, r) for i, r in enumerate(x._num)], x._den)
+
+
+def _work_rows(x: RatMatrix) -> tuple[list[list[int]], list[int]]:
+    """Mutable copies of x's integer rows and row denominators, for
+    ``_eliminate``: row i is work[i] / dens[i]."""
+    return [list(r) for r in x._num], list(x._den)
 
 
 def _eliminate(work: list[list[int]], dens: list[int], cols, lower=None) -> dict[int, int]:
@@ -188,13 +237,17 @@ def minor(x: RatMatrix, rows, cols) -> Fraction:
             raise ValueError("index out of range")
         if any(map(ge, idx, idx[1:])):
             raise ValueError("index sets must be strictly increasing")
+    num, den = x._num, x._den
     if len(rows) == 1:
-        return x.rows[rows[0] - 1][cols[0] - 1]
+        i = rows[0] - 1
+        return Fraction(num[i][cols[0] - 1], den[i])
     if len(rows) == 2:
-        p, q = x.rows[rows[0] - 1], x.rows[rows[1] - 1]
-        j, k = cols[0] - 1, cols[1] - 1
-        return p[j] * q[k] - p[k] * q[j]
-    work, dens = _int_rows([[x.rows[i - 1][j - 1] for j in cols] for i in rows])
+        i, k = rows[0] - 1, rows[1] - 1
+        p, q = num[i], num[k]
+        j, l = cols[0] - 1, cols[1] - 1
+        return Fraction(p[j] * q[l] - p[l] * q[j], den[i] * den[k])
+    work = [[num[i - 1][j - 1] for j in cols] for i in rows]
+    dens = [den[i - 1] for i in rows]
     pivots = _eliminate(work, dens, range(len(cols)))
     if len(pivots) < len(cols):
         return Fraction(0)
@@ -213,8 +266,8 @@ def rank(x: RatMatrix, rows=None, cols=None) -> int:
     """Exact rank of the (sub)matrix on the given 1-based index lists."""
     rows = list(rows) if rows is not None else list(range(1, x.n + 1))
     cols = list(cols) if cols is not None else list(range(1, x.n + 1))
-    work, dens = _int_rows([[x.rows[i - 1][j - 1] for j in cols] for i in rows])
-    return len(_eliminate(work, dens, range(len(cols))))
+    work = [[x._num[i - 1][j - 1] for j in cols] for i in rows]
+    return len(_eliminate(work, [x._den[i - 1] for i in rows], range(len(cols))))
 
 
 @dataclass(frozen=True)
@@ -233,8 +286,8 @@ def _g0_eliminate(x: RatMatrix, with_lower: bool = False):
     is the NotInG0 witness.
     """
     n = x.n
-    work, dens = _int_rows(x.rows)
-    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)] if with_lower else None
+    work, dens = _work_rows(x)
+    lower = [[int(i == j) for j in range(n)] for i in range(n)] if with_lower else None
     pivots = _eliminate(work, dens, range(n), lower)
     k = next((k for k in range(n) if pivots.get(k) != k), None)
     if k is not None:
@@ -246,14 +299,13 @@ def gauss_decompose(x: RatMatrix) -> GaussFactors:
     """LDU factorization x = [x]_- [x]_0 [x]_+, defined iff x is in G_0."""
     n = x.n
     work, dens, lower = _g0_eliminate(x, with_lower=True)
-    diag = [[Fraction(work[i][i], dens[i]) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
-    return GaussFactors(RatMatrix.from_rows(lower), RatMatrix.from_rows(diag), _over_pivots(work))
+    diag = [[work[i][i] if i == j else 0 for j in range(n)] for i in range(n)]
+    return GaussFactors(RatMatrix(lower), _of_ints(diag, dens), _over_pivots(work))
 
 
 def _over_pivots(work: list[list[int]]) -> RatMatrix:
     """[x]_+ from the eliminated rows of x: each row over its pivot."""
-    return RatMatrix(tuple(tuple(Fraction(v, r[i]) for v in r) for i, r in enumerate(work)))
+    return _of_ints(work, [r[i] for i, r in enumerate(work)])
 
 
 def gauss_plus(x: RatMatrix) -> RatMatrix:
@@ -263,64 +315,52 @@ def gauss_plus(x: RatMatrix) -> RatMatrix:
 
 def gauss_minus(x: RatMatrix) -> RatMatrix:
     """[x]_- alone: the multipliers of the elimination."""
-    return RatMatrix.from_rows(_g0_eliminate(x, with_lower=True)[2])
+    return RatMatrix(_g0_eliminate(x, with_lower=True)[2])
 
 
 # --- membership predicates ---------------------------------------------
+# A canonical row has entry 1 at j exactly when its numerator there equals
+# the row denominator, and entry 0 exactly when the numerator is 0.
 
 
 def is_in_N(x: RatMatrix) -> bool:
-    return all(
-        x.rows[i][j] == (1 if i == j else 0)
-        for i in range(x.n)
-        for j in range(i + 1)
-    )
+    return all(r[i] == d and not any(r[:i]) for i, (r, d) in enumerate(zip(x._num, x._den)))
 
 
 def is_in_N_minus(x: RatMatrix) -> bool:
-    return all(
-        x.rows[i][j] == (1 if i == j else 0)
-        for i in range(x.n)
-        for j in range(i, x.n)
-    )
+    return all(r[i] == d and not any(r[i + 1:]) for i, (r, d) in enumerate(zip(x._num, x._den)))
 
 
 def is_in_G0(x: RatMatrix) -> bool:
     """All leading principal minors are nonzero: every pivot of one
     elimination in column order lies on the diagonal."""
-    pivots = _eliminate(*_int_rows(x.rows), range(x.n))
+    pivots = _eliminate(*_work_rows(x), range(x.n))
     return all(pivots.get(k) == k for k in range(x.n))
 
 
 def perm_matrix(w: Permutation) -> RatMatrix:
     """Representative P_w with (P_w)_{ij} = 1 iff i = w(j)."""
     n = w.n
-    return RatMatrix.from_rows(
-        [[1 if i + 1 == w(j + 1) else 0 for j in range(n)] for i in range(n)]
-    )
+    return _of_ints([[int(i + 1 == w(j + 1)) for j in range(n)] for i in range(n)], [1] * n)
 
 
 def mul_perm_right(x: RatMatrix, w: Permutation) -> RatMatrix:
     """x P_w: column j of the result is column w(j) of x."""
-    return RatMatrix(
-        tuple(tuple(r[w(j + 1) - 1] for j in range(x.n)) for r in x.rows)
-    )
+    cols = [w(j + 1) - 1 for j in range(x.n)]
+    return _of_ints([[r[k] for k in cols] for r in x._num], x._den)
 
 
 def mul_perm_left(w: Permutation, x: RatMatrix) -> RatMatrix:
     """P_w x: row i of the result is row w^-1(i) of x."""
     winv = w.inverse()
-    return RatMatrix(tuple(x.rows[winv(i + 1) - 1] for i in range(x.n)))
+    order = [winv(i + 1) - 1 for i in range(x.n)]
+    return _of_ints([x._num[i] for i in order], [x._den[i] for i in order])
 
 
 def conj_by_perm(w: Permutation, x: RatMatrix) -> RatMatrix:
     """w^-1 x w, i.e. entry (i,j) of the result is x_{w(i),w(j)}."""
-    return RatMatrix(
-        tuple(
-            tuple(x.rows[w(i + 1) - 1][w(j + 1) - 1] for j in range(x.n))
-            for i in range(x.n)
-        )
-    )
+    idx = [w(i + 1) - 1 for i in range(x.n)]
+    return _of_ints([[x._num[i][j] for j in idx] for i in idx], [x._den[i] for i in idx])
 
 
 def is_in_G0_u(x: RatMatrix, u: Permutation) -> bool:
@@ -336,7 +376,7 @@ def in_N_of_w(x: RatMatrix, w: Permutation) -> bool:
     if not is_in_N(x):
         return False
     return all(
-        x.rows[i][j] == 0
+        x._num[i][j] == 0
         for i in range(x.n)
         for j in range(i + 1, x.n)
         if w(i + 1) > w(j + 1)
@@ -348,7 +388,7 @@ def in_Nminus_of_w(x: RatMatrix, w: Permutation) -> bool:
     if not is_in_N_minus(x):
         return False
     return all(
-        x.rows[i][j] == 0
+        x._num[i][j] == 0
         for i in range(x.n)
         for j in range(i)
         if w(i + 1) > w(j + 1)

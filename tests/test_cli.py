@@ -83,6 +83,27 @@ class TestQueries:
         res = runner.invoke(main, ["cell-of"], input=bad)
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 2, "entries": [[True, True], [False, True]]},
+            {"n": 2, "entries": [["1", "2"], [0, True]]},
+            {"n": True, "entries": [["1"]]},
+            {"n": 1.0, "entries": [["1"]]},
+            {"n": "1", "entries": [["1"]]},
+        ],
+    )
+    def test_booleans_and_non_integer_size_parse_error(self, runner, obj):
+        res = runner.invoke(main, ["cell-of"], input=json.dumps(obj))
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "parse"
+
+    def test_json_integers_are_entries(self, runner):
+        res = runner.invoke(main, ["cell-of"], input=json.dumps({"n": 2, "entries": [[1, 1], [0, 1]]}))
+        assert res.exit_code == 0
+        assert json.loads(res.output) == {"cell": "2,1", "length": 1}
+
 
     @pytest.mark.parametrize(
         "argv, entry",

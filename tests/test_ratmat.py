@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tnn_strata import ratmat
-from tnn_strata.errors import NotInG0, Singular
+from tnn_strata.errors import InvalidArgument, NotInG0, Singular
 from tnn_strata.perms import Permutation, all_permutations
 from tnn_strata.ratmat import (
     GaussFactors,
@@ -321,15 +323,16 @@ class TestPredicates:
 # --- oracle: the Fraction product and elimination the integer core replaced
 
 
-def ref_matmul(x, y):
+def ref_matmul_rows(x, y):
     n = x.n
     a, b = x.rows, y.rows
-    return RatMatrix(
-        tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
     )
+
+
+def ref_matmul(x, y):
+    return RatMatrix(ref_matmul_rows(x, y))
 
 
 def ref_eliminate(work, cols, lower=None):
@@ -364,7 +367,7 @@ def ref_rank(x, rows, cols):
     return len(ref_eliminate(work, range(len(cols))))
 
 
-def ref_inverse(x):
+def ref_inverse_rows(x):
     n = x.n
     aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(x.rows)]
     pivots = ref_eliminate(aug, range(n))
@@ -372,12 +375,15 @@ def ref_inverse(x):
         raise Singular("matrix is singular")
     back = [aug[i] for i in sorted(pivots, key=pivots.get, reverse=True)]
     ref_eliminate(back, range(n - 1, -1, -1))
-    return RatMatrix(
-        tuple(tuple(v / r[c] for v in r[n:]) for c, r in enumerate(reversed(back)))
-    )
+    return tuple(tuple(v / r[c] for v in r[n:]) for c, r in enumerate(reversed(back)))
 
 
-def ref_gauss_decompose(x):
+def ref_inverse(x):
+    return RatMatrix(ref_inverse_rows(x))
+
+
+def ref_gauss_rows(x):
+    """The Fraction rows of [x]_-, [x]_0 and [x]_+."""
     n = x.n
     work = [list(r) for r in x.rows]
     lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -387,9 +393,11 @@ def ref_gauss_decompose(x):
         raise NotInG0(k + 1)
     diag = [[work[i][i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     upper = [[work[i][j] / work[i][i] for j in range(n)] for i in range(n)]
-    return GaussFactors(
-        RatMatrix.from_rows(lower), RatMatrix.from_rows(diag), RatMatrix.from_rows(upper)
-    )
+    return lower, diag, upper
+
+
+def ref_gauss_decompose(x):
+    return GaussFactors(*map(RatMatrix.from_rows, ref_gauss_rows(x)))
 
 
 def outcome(f, *args):
@@ -467,3 +475,123 @@ class TestIntegerCoreOracle:
     def test_gauss_decompose(self, x):
         assert outcome(gauss_decompose, x) == outcome(ref_gauss_decompose, x)
         assert is_in_G0(x) == isinstance(outcome(ref_gauss_decompose, x), GaussFactors)
+
+
+# --- the canonical integer form ------------------------------------------
+
+REPRESENTATION = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+NEAR_LIMITS = [Fraction(10**300 + 7, 3), Fraction(-3, 10**300 + 1), Fraction(1, 10**320),
+               Fraction(2**1023 * 3 - 1, 2), Fraction(10**308, 10**400 + 1)]
+
+
+def is_canonical(x):
+    return all(d > 0 and math.gcd(d, *r) == 1 for r, d in zip(x._num, x._den))
+
+
+def fraction_rows(rows):
+    return tuple(tuple(Fraction(v) for v in r) for r in rows)
+
+
+def bits(rows):
+    return [[v.hex() for v in r] for r in rows]
+
+
+class TestRepresentation:
+    """A matrix is its integer rows over positive row denominators in
+    lowest terms; ``.rows`` is the reduced-Fraction view of that form."""
+
+    @REPRESENTATION
+    @given(oracle_matrices(), st.sampled_from([1, -1, 6, -35]))
+    def test_integer_and_fraction_builds_agree(self, x, k):
+        rows = fraction_rows(x.rows)
+        lcd = math.lcm(*[v.denominator for r in rows for v in r])
+        scaled = [[v.numerator * (lcd // v.denominator) * k for v in r] for r in rows]
+        from_ints = ratmat._of_ints(scaled, [lcd * k] * x.n)
+        for m in (RatMatrix(rows), RatMatrix.from_rows([[str(v) for v in r] for r in rows]), from_ints):
+            assert m == x and hash(m) == hash(x)
+            assert is_canonical(m) and m.rows == rows
+
+    @settings(REPRESENTATION, max_examples=50)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(oracle_matrices(n), oracle_matrices(n))))
+    def test_results_are_canonical(self, pair):
+        x, y = pair
+        made = [(x @ y, ref_matmul_rows(x, y))]
+        if rank(x) == x.n:
+            made.append((x.inverse(), ref_inverse_rows(x)))
+        if is_in_G0(x):
+            fac = gauss_decompose(x)
+            made += zip((fac.lower, fac.diag, fac.upper), ref_gauss_rows(x))
+        for m, rows in made:
+            ref = RatMatrix.from_rows(rows)
+            assert is_canonical(m)
+            assert m == ref and hash(m) == hash(ref)
+            assert m.rows == fraction_rows(rows)
+
+    @REPRESENTATION
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(rats | st.sampled_from(NEAR_LIMITS), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_to_floats_is_float_of_each_fraction(self, rows):
+        x = RatMatrix.from_rows(rows)
+        assert bits(x.to_floats()) == bits([[float(v) for v in r] for r in x.rows])
+
+    def test_to_floats_near_the_float_limits(self):
+        x = RatMatrix.from_rows([NEAR_LIMITS[:3], NEAR_LIMITS[2:], [0, 1, NEAR_LIMITS[0]]])
+        assert bits(x.to_floats()) == bits([[float(v) for v in r] for r in x.rows])
+
+    def test_400_digit_entry_is_too_large_for_a_float(self):
+        with pytest.raises(InvalidArgument, match="too large for a float"):
+            RatMatrix.from_rows([[1, 10**400 + 1], [0, Fraction(1, 10**400)]]).to_floats()
+
+    def test_repr_shows_the_fraction_rows(self):
+        x = RatMatrix.from_rows([[1, "1/2"], [0, "-3/4"]])
+        assert repr(x) == (
+            "RatMatrix(rows=((Fraction(1, 1), Fraction(1, 2)), (Fraction(0, 1), Fraction(-3, 4))))"
+        )
+
+    @pytest.mark.parametrize("rows", [[[1, 2]], [[1, 2], [3]], [[1], [2]]])
+    def test_non_square_rejected(self, rows):
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            RatMatrix(fraction_rows(rows))
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            RatMatrix.from_rows(rows)
+
+    def test_immutable(self):
+        x = RatMatrix.identity(2)
+        with pytest.raises(AttributeError):
+            x.rows = RatMatrix.identity(3).rows
+        with pytest.raises(AttributeError):
+            x._num = ((5,),)
+        assert x == RatMatrix.identity(2)
+
+    def test_copy_and_pickle_keep_the_matrix(self):
+        x = RatMatrix.from_rows([[1, "1/2"], [0, "-3/4"]])
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x) and y.rows == x.rows
+
+    def test_rho_and_psi_build_only_the_lower_multipliers(self):
+        """fiber.rho and flow.psi at n = 6 run on integer rows: the only
+        Fractions they build are the 6 nonzero multipliers of the lower
+        factors in factor_u and gauss_minus.  Reading one matrix's
+        Fraction view would build 36 more."""
+        from tnn_strata.cells import lusztig_point
+        from tnn_strata.fiber import pi_u, rho
+        from tnn_strata.flow import psi
+        from tnn_strata.perms import reduced_word
+
+        w, u = Permutation.longest(6), Permutation.parse("2,1,4,3,6,5")
+        xt = lusztig_point(reduced_word(w), [Fraction(k % 7 + 1, k % 5 + 1) for k in range(15)]).matrix
+        base = lusztig_point(reduced_word(u), [Fraction(2, 3), Fraction(5), Fraction(7, 4)]).matrix
+        built, original = [], Fraction.__dict__["__new__"]
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return original.__func__(cls, *args, **kwargs)
+
+        Fraction.__new__ = staticmethod(counted)
+        try:
+            y = rho(xt, base, u)
+            field = psi(y, u)
+        finally:
+            Fraction.__new__ = original
+        assert len(built) == 6, built
+        assert pi_u(y, u) == base and field[1, 3] == Fraction(3071, 184)
