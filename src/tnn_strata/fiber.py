@@ -50,7 +50,7 @@ def fiber_A(x: RatMatrix, u: Permutation) -> RatMatrix:
     if x.n != u.n:
         raise InvalidArgument("rank mismatch")
     if not is_in_N(x):
-        raise NotUnipotentUpper("factor_u expects x in N")
+        raise NotUnipotentUpper("expected a unipotent upper-triangular matrix")
     try:
         plus = gauss_plus(mul_perm_right(x, u.inverse()))
     except NotInG0 as exc:
@@ -87,37 +87,30 @@ def pi_u(x: RatMatrix, u: Permutation) -> RatMatrix:
     return factor_u(x, u).x_u
 
 
-def recover_shift(x_w: RatMatrix, xt_w: RatMatrix, w: Permutation) -> RatMatrix:
-    """The unique n_1 in N_-(w) with [xt_w n_1]_+ = x_w:
-
-        n_1 = w^-1 ([xt_w w^-1]_+)^-1 [x_w w^-1]_+ w.
-
-    Only x_w is checked to lie in the w-cell.  Every caller passes as xt_w
-    the x_u of a ``factor_u`` over w, or a ``conj_d`` of it, which lies in
-    the w-cell by construction.
-    """
-    if not x_w.n == xt_w.n == w.n:
+def recover_shift(x_w: RatMatrix, xt: RatMatrix, w: Permutation) -> RatMatrix:
+    """The shift A(xt)^-1 A(x_w), A = ``fiber_A``; for xt in the w-cell it
+    is the unique n_1 in N_-(w) with [xt n_1]_+ = x_w.  Checks xt as
+    ``fiber_A`` does, then x_w's size and cell, then x_w as ``fiber_A``."""
+    a = fiber_A(xt, w)
+    if x_w.n != w.n:
         raise InvalidArgument("rank mismatch")
     if cell_of(x_w) != w:
         raise CellMismatch(
             f"recover_shift arguments must lie in the {w.serialize()}-cell"
         )
-    winv = w.inverse()
-    a = gauss_plus(mul_perm_right(xt_w, winv)).inverse()
-    b = gauss_plus(mul_perm_right(x_w, winv))
-    return conj_by_perm(w, a @ b)
+    return a.inverse() @ fiber_A(x_w, w)
 
 
 def rho(xt: RatMatrix, x_u: RatMatrix, u: Permutation) -> RatMatrix:
     """Move xt into the fiber of pi_u over x_u, preserving its Bruhat cell:
 
-        n_- = [(xt^u)^-1 n_1]_-,   rho(xt) = [xt n_-]_+.
+        n_- = [A(xt)^-1 A(x_u)]_-,   rho(xt) = [xt n_-]_+,
+
+    the formula ``kernels.rho_move`` evaluates in floats.
     """
-    frame = factor_u(xt, u)
-    n_1 = recover_shift(x_u, frame.x_u, u)
+    n_1 = recover_shift(x_u, xt, u)
     try:
-        n_minus = gauss_minus(frame.x_upper_u.inverse() @ n_1)
-        return gauss_plus(xt @ n_minus)
+        return gauss_plus(xt @ gauss_minus(n_1))
     except NotInG0 as exc:
         raise InternalInvariantError(
             f"rho hit an undecomposable intermediate for u={u.serialize()}"

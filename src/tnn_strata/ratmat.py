@@ -140,7 +140,10 @@ class RatMatrix:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "RatMatrix":
-        m = RatMatrix.from_rows(obj["entries"])
+        entries = obj["entries"]
+        if type(entries) is not list or any(type(r) is not list for r in entries):
+            raise ValueError("entries must be a list of rows, each a list")
+        m = RatMatrix.from_rows(entries)
         if m.n < 1:
             raise ValueError("matrix must be at least 1x1")
         if type(obj["n"]) is not int:
@@ -187,7 +190,7 @@ def _work_rows(x: RatMatrix) -> tuple[list[list[int]], list[int]]:
     return [list(r) for r in x._num], list(x._den)
 
 
-def _eliminate(work: list[list[int]], dens: list[int], cols, lower=None) -> dict[int, int]:
+def _eliminate(work: list[list[int]], dens: list[int], cols) -> dict[int, int]:
     """Fraction-free forward Gaussian elimination of the rational rows
     work[i] / dens[i], in place, with no row swaps; returns
     {pivot row: pivot column}.
@@ -197,9 +200,8 @@ def _eliminate(work: list[list[int]], dens: list[int], cols, lower=None) -> dict
     and the column is cleared from the non-pivot rows below it that have a
     nonzero entry in it: with p_c the pivot entry and f the row's,
     r <- p_c r - f p over the denominator d p_c, then the row and its
-    denominator are divided by their gcd (nonzero, since d is).  The
-    multiplier f dens[p] / (p_c dens[i]) is written to ``lower[i][c]`` when
-    ``lower`` is given.  A column with no such row gets no pivot.
+    denominator are divided by their gcd (nonzero, since d is).  A column
+    with no such row gets no pivot.
     """
     pivots: dict[int, int] = {}
     for c in cols:
@@ -212,8 +214,6 @@ def _eliminate(work: list[list[int]], dens: list[int], cols, lower=None) -> dict
         for i in range(p + 1, len(work)):
             f = work[i][c]
             if f and i not in pivots:
-                if lower is not None:
-                    lower[i][c] = Fraction(f * dens[p], pc * dens[i])
                 row = [pc * a - f * b for a, b in zip(work[i], prow)]
                 d = dens[i] * pc
                 g = math.gcd(d, *row)
@@ -277,35 +277,38 @@ class GaussFactors:
     upper: RatMatrix
 
 
-def _g0_eliminate(x: RatMatrix, with_lower: bool = False):
-    """One elimination of x in column order: its rows as work[i] / dens[i],
-    and the unit lower factor of multipliers when ``with_lower``, else None.
+def _g0_eliminate(x: RatMatrix):
+    """One elimination of x in column order: its rows as work[i] / dens[i].
 
     The first k whose pivot is not (k, k) certifies that the (k+1)x(k+1)
     leading principal minor vanishes (all earlier ones are nonzero), which
     is the NotInG0 witness.
     """
-    n = x.n
     work, dens = _work_rows(x)
-    lower = [[int(i == j) for j in range(n)] for i in range(n)] if with_lower else None
-    pivots = _eliminate(work, dens, range(n), lower)
-    k = next((k for k in range(n) if pivots.get(k) != k), None)
+    pivots = _eliminate(work, dens, range(x.n))
+    k = next((k for k in range(x.n) if pivots.get(k) != k), None)
     if k is not None:
         raise NotInG0(k + 1)
-    return work, dens, lower
+    return work, dens
 
 
 def gauss_decompose(x: RatMatrix) -> GaussFactors:
     """LDU factorization x = [x]_- [x]_0 [x]_+, defined iff x is in G_0."""
     n = x.n
-    work, dens, lower = _g0_eliminate(x, with_lower=True)
+    work, dens = _g0_eliminate(x)
     diag = [[work[i][i] if i == j else 0 for j in range(n)] for i in range(n)]
-    return GaussFactors(RatMatrix(lower), _of_ints(diag, dens), _over_pivots(work))
+    return GaussFactors(gauss_minus(x), _of_ints(diag, dens), _over_pivots(work))
 
 
 def _over_pivots(work: list[list[int]]) -> RatMatrix:
     """[x]_+ from the eliminated rows of x: each row over its pivot."""
     return _of_ints(work, [r[i] for i, r in enumerate(work)])
+
+
+def _transpose(x: RatMatrix) -> RatMatrix:
+    """x^T, each row over the lcd of x's row denominators."""
+    lcd = math.lcm(*x._den)
+    return _of_ints(zip(*[[v * (lcd // d) for v in r] for r, d in zip(x._num, x._den)]), [lcd] * x.n)
 
 
 def gauss_plus(x: RatMatrix) -> RatMatrix:
@@ -314,8 +317,9 @@ def gauss_plus(x: RatMatrix) -> RatMatrix:
 
 
 def gauss_minus(x: RatMatrix) -> RatMatrix:
-    """[x]_- alone: the multipliers of the elimination."""
-    return RatMatrix(_g0_eliminate(x, with_lower=True)[2])
+    """[x]_- alone, as [x^T]_+^T: x^T = [x]_+^T [x]_0 [x]_-^T, and x^T has
+    the leading principal minors of x, so the NotInG0 witness is x's."""
+    return _transpose(gauss_plus(_transpose(x)))
 
 
 # --- membership predicates ---------------------------------------------

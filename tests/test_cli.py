@@ -99,6 +99,24 @@ class TestQueries:
         assert res.stdout == ""
         assert json.loads(res.stderr)["error"] == "parse"
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 2, "entries": ["12", "01"]},
+            {"n": 1, "entries": {"5": 0}},
+            {"n": 1, "entries": [{"5": 0}]},
+        ],
+        ids=["string-rows", "dict-entries", "dict-row"],
+    )
+    def test_entries_not_a_list_of_lists_parse_error(self, runner, obj):
+        res = runner.invoke(main, ["cell-of"], input=json.dumps(obj))
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert json.loads(res.stderr) == {
+            "error": "parse",
+            "message": "bad matrix JSON: entries must be a list of rows, each a list",
+        }
+
     def test_json_integers_are_entries(self, runner):
         res = runner.invoke(main, ["cell-of"], input=json.dumps({"n": 2, "entries": [[1, 1], [0, 1]]}))
         assert res.exit_code == 0
@@ -140,6 +158,20 @@ class TestProjectRho:
         assert res.exit_code == 2
         err = json.loads(res.stderr)
         assert err == {"error": "usage", "message": "rank mismatch"}
+
+    def test_rho_base_outside_N_exit_3(self, runner, tmp_path):
+        """The base [[2, 4, 0], [0, 1, 0], [0, 0, 1]] lies in the 2,1,3-cell
+        but is not unipotent, so no fiber lies over it."""
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"n": 3, "entries": [["2", "4", "0"], ["0", "1", "0"], ["0", "0", "1"]]}))
+        x = json.dumps({"n": 3, "entries": [["1", "1", "2"], ["0", "1", "3"], ["0", "0", "1"]]})
+        res = runner.invoke(main, ["rho", "--u", "2,1,3", "--base", str(base)], input=x)
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert json.loads(res.stderr) == {
+            "error": "NotUnipotentUpper",
+            "message": "expected a unipotent upper-triangular matrix",
+        }
 
     def test_rho_roundtrip(self, runner, tmp_path):
         base = tmp_path / "base.json"

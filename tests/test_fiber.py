@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tnn_strata.cells import cell_of, is_tnn
 from tnn_strata.errors import (
@@ -10,11 +11,21 @@ from tnn_strata.errors import (
     NonPositiveTau,
     NotInG0u,
     NotUnipotentUpper,
+    Singular,
 )
-from tnn_strata.fiber import conj_d, factor_u, pi_u, recover_shift, rho
+from tnn_strata.fiber import conj_d, factor_u, fiber_A, pi_u, recover_shift, rho
 from tnn_strata.flow import random_cell_point
 from tnn_strata.perms import Permutation, all_permutations, bruhat_leq
-from tnn_strata.ratmat import RatMatrix, in_N_of_w, minor, mul_perm_right
+from tnn_strata.ratmat import (
+    RatMatrix,
+    conj_by_perm,
+    gauss_minus,
+    gauss_plus,
+    in_N_of_w,
+    in_Nminus_of_w,
+    minor,
+    mul_perm_right,
+)
 
 
 def fiber_case(rng, n=4):
@@ -149,6 +160,123 @@ class TestRho:
         u = Permutation.parse("2,1,3")
         x = random_cell_point(u, rng)
         assert recover_shift(x, x, u) == RatMatrix.identity(3)
+
+
+# --- oracle: rho through the factorization of xt, a second derivation of
+# the map that rho computes from the shift A(xt)^-1 A(x_u) -----------------
+
+
+def shift_by_frame(x_u, xt_u, u):
+    """n_1 = u^-1 ([xt_u u^-1]_+)^-1 [x_u u^-1]_+ u, for xt_u in the u-cell."""
+    uinv = u.inverse()
+    a = gauss_plus(mul_perm_right(xt_u, uinv)).inverse()
+    return conj_by_perm(u, a @ gauss_plus(mul_perm_right(x_u, uinv)))
+
+
+def rho_by_frame(xt, x_u, u):
+    """rho from the factorization xt = xt_u xt^u: n_1 moves the base xt_u
+    onto x_u, and rho(xt) = [xt n_-]_+ with n_- = [(xt^u)^-1 n_1]_-."""
+    frame = factor_u(xt, u)
+    if x_u.n != u.n:
+        raise InvalidArgument("rank mismatch")
+    if cell_of(x_u) != u:
+        raise CellMismatch(f"recover_shift arguments must lie in the {u.serialize()}-cell")
+    n_1 = shift_by_frame(x_u, frame.x_u, u)
+    return gauss_plus(xt @ gauss_minus(frame.x_upper_u.inverse() @ n_1))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def cell_point(w, rng):
+    return random_cell_point(w, rng) if w.length else RatMatrix.identity(w.n)
+
+
+class TestRhoOracle:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_every_pair_matches_the_frame_derivation(self, n):
+        rng = random.Random(60 + n)
+        perms = all_permutations(n)
+        for w in perms:
+            for u in perms:
+                if bruhat_leq(u, w):
+                    for _ in range(3):
+                        xt, base = random_cell_point(w, rng), cell_point(u, rng)
+                        assert rho(xt, base, u) == rho_by_frame(xt, base, u)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.sampled_from(all_permutations(n)), st.sampled_from(all_permutations(n)),
+        st.none() | st.sampled_from(all_permutations(n)), st.integers(0, 2**32),
+    )))
+    def test_matches_the_frame_derivation(self, case):
+        """On any w, u and base cell v (u when None), rho and its oracle
+        give the same point or the same error: outside G_0 u when u is not
+        below w, a cell mismatch when v is not u."""
+        w, u, v, seed = case
+        rng = random.Random(seed)
+        xt, base = cell_point(w, rng), cell_point(u if v is None else v, rng)
+        assert outcome(rho, xt, base, u) == outcome(rho_by_frame, xt, base, u)
+
+    def test_errors_match_the_frame_derivation(self):
+        rng = random.Random(71)
+        u, w = Permutation.parse("2,1,3,4"), Permutation.longest(4)
+        xt, base = random_cell_point(w, rng), random_cell_point(u, rng)
+        not_N = RatMatrix([list(r[:3]) + [1] for r in xt.rows[:3]] + [[1, 0, 0, 1]])
+        singular = RatMatrix([[0, 0, 0, 0]] + [list(r) for r in base.rows[1:]])
+        cases = {
+            "xt not in N": (not_N, base, NotUnipotentUpper),
+            "xt outside G_0 u": (RatMatrix.identity(4), base, NotInG0u),
+            "wrong size": (xt, RatMatrix.identity(3), InvalidArgument),
+            "base of another cell": (xt, random_cell_point(Permutation.parse("1,3,2,4"), rng), CellMismatch),
+            "singular base": (xt, singular, Singular),
+            "both bad": (not_N, RatMatrix.identity(3), NotUnipotentUpper),
+            "both bad, singular base": (RatMatrix.identity(4), singular, NotInG0u),
+        }
+        for name, (x, b, cls) in cases.items():
+            got = outcome(rho, x, b, u)
+            assert got == outcome(rho_by_frame, x, b, u), name
+            assert isinstance(got, tuple) and issubclass(got[0], cls), (name, got)
+
+    def test_recover_shift_off_the_cell(self):
+        """For xt in a cell above w the shift is A(xt)^-1 A(x_w); on the
+        w-cell it is the frame's n_1 in N_-(w)."""
+        rng = random.Random(73)
+        for u in all_permutations(4):
+            xt, base = random_cell_point(Permutation.longest(4), rng), cell_point(u, rng)
+            shift = recover_shift(base, xt, u)
+            assert shift == fiber_A(xt, u).inverse() @ fiber_A(base, u)
+            on_cell = factor_u(xt, u).x_u
+            n_1 = recover_shift(base, on_cell, u)
+            assert n_1 == shift_by_frame(base, on_cell, u)
+            assert in_Nminus_of_w(n_1, u)
+
+    def test_base_outside_N_rejected(self):
+        """A base in the u-cell but not unipotent: the frame derivation
+        returned a point outside the fiber over it."""
+        rng = random.Random(79)
+        u = Permutation.parse("2,1,3")
+        xt, base = random_cell_point(Permutation.longest(3), rng), random_cell_point(u, rng)
+        doubled = RatMatrix([[2 * v for v in base.rows[0]]] + [list(r) for r in base.rows[1:]])
+        assert cell_of(doubled) == u
+        assert pi_u(rho_by_frame(xt, doubled, u), u) != doubled
+        with pytest.raises(NotUnipotentUpper, match="^expected a unipotent upper-triangular matrix$"):
+            rho(xt, doubled, u)
+
+    def test_eight_eliminations_at_n6(self, eliminations):
+        """fiber_A of xt and of the base, the base's cell (rank gate and
+        table pass), the inverse (forward and back), gauss_minus and
+        gauss_plus: 8."""
+        rng = random.Random(83)
+        u = Permutation.parse("2,1,4,3,6,5")
+        xt, base = random_cell_point(Permutation.longest(6), rng), random_cell_point(u, rng)
+        eliminations.clear()
+        rho(xt, base, u)
+        assert len(eliminations) == 8
 
 
 class TestConjD:

@@ -5,6 +5,11 @@ byte: tests/golden/link_census_s3.json holds the stdout of `link-census
 --count 1 --seed 0` on every pair u < v of S3 and of `verify link-census
 --n 3 --seed 0`.
 
+tests/golden/exact_verbs.json holds the stdout of `project`, `psi` and
+`rho` on Lusztig points of every pair u <= w of S3 and of every u in S4
+below the longest element, so the exact verbs' rationals are pinned byte
+for byte too.
+
 tests/golden/verify_checks.json pins, per suite at seed 0 and a small size,
 the number of checks and the sha256 of their ordered `case<TAB>ok` lines, so
 a suite that drops, adds, renames or reorders a check, or draws other
@@ -23,11 +28,24 @@ from tnn_strata.verify import SUITES, RunConfig, _Run, run_suite
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "link_census_s3.json").read_text())
 CHECKS = json.loads((GOLDEN / "verify_checks.json").read_text())
+EXACT = json.loads((GOLDEN / "exact_verbs.json").read_text())
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]))
 def test_census_stdout_is_pinned(case):
     res = CliRunner().invoke(main, case["argv"])
+    assert res.exit_code == 0
+    assert res.stdout == case["stdout"]
+
+
+@pytest.mark.parametrize("case", EXACT, ids=lambda c: " ".join(c["argv"]))
+def test_exact_verb_stdout_is_pinned(case, tmp_path):
+    argv = list(case["argv"])
+    if "base" in case:
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(case["base"]))
+        argv += ["--base", str(base)]
+    res = CliRunner().invoke(main, argv, input=json.dumps(case["in"]))
     assert res.exit_code == 0
     assert res.stdout == case["stdout"]
 
