@@ -53,26 +53,29 @@ def lusztig_point(word: ReducedWord, params) -> CellPoint:
 
 
 def is_tnn(x: RatMatrix) -> bool:
-    """All-minors nonnegativity test for unipotent upper-triangular matrices.
+    """Total nonnegativity of a unipotent upper-triangular matrix, from
+    its 2^n - n - 1 minors on rows a..a+k-1 and any k columns > a.
 
-    On such an x the minor on rows I and columns J is 0 unless I <= J
-    entrywise.  When I_k = J_k for some k the submatrix is block upper
-    triangular with a 1 at (k, k), so the minor is a product of two smaller
-    minors of the same kind; only the minors with I < J entrywise are
-    computed (131 at n = 6, of 365 with I <= J), and
-    ``all_minors_nonnegative`` gives the same answer.
+    Gasca and Pena (1992): a nonsingular matrix is TN iff its row-initial
+    minors det x[1..k | J] and column-initial minors det x[I | 1..k] are
+    >= 0 and its leading principal minors are > 0.  On x in N the last two
+    kinds are 0 or 1, so only the row-initial minors decide.  When J
+    starts with 1..m but lacks m + 1, the submatrix is block upper
+    triangular with a unitriangular block on rows and columns 1..m, so the
+    minor is det x[m+1..k | J - {1..m}], one of the minors above.  There
+    are 57 of them at n = 6, and ``all_minors_nonnegative`` gives the same
+    answer.
     """
     if x.n > TNN_GUARD:
         raise RankTooLarge(f"is_tnn guarded at n <= {TNN_GUARD}")
     if not is_in_N(x):
         raise NotUnipotentUpper("is_tnn expects a unipotent upper-triangular matrix")
-    idx = range(1, x.n + 1)
+    n = x.n
     return all(
-        minor(x, rows, cols) >= 0
-        for k in idx
-        for rows in itertools.combinations(idx, k)
-        for cols in itertools.combinations(idx, k)
-        if all(i < j for i, j in zip(rows, cols))
+        minor(x, range(a, a + k), cols) >= 0
+        for a in range(1, n)
+        for k in range(1, n - a + 1)
+        for cols in itertools.combinations(range(a + 1, n + 1), k)
     )
 
 

@@ -163,6 +163,13 @@ def _fill(m: RatMatrix, num: tuple, den: tuple) -> RatMatrix:
     return m
 
 
+def _of_canonical(num, den) -> RatMatrix:
+    """The matrix with row i equal to num[i] / den[i], rows already in
+    canonical form, as permuting the entries of canonical rows, or whole
+    rows with their denominators, leaves them."""
+    return _fill(object.__new__(RatMatrix), tuple(num), tuple(den))
+
+
 def _of_ints(rows, dens) -> RatMatrix:
     """The matrix with row i equal to rows[i] / dens[i], any integers with
     dens[i] nonzero: each row is brought to canonical form with one gcd."""
@@ -175,7 +182,7 @@ def _of_ints(rows, dens) -> RatMatrix:
             r, d = [v // g for v in r], d // g
         num.append(tuple(r))
         den.append(d)
-    return _fill(object.__new__(RatMatrix), tuple(num), tuple(den))
+    return _of_canonical(num, den)
 
 
 def _map_rows(x: RatMatrix, f) -> RatMatrix:
@@ -351,20 +358,22 @@ def perm_matrix(w: Permutation) -> RatMatrix:
 def mul_perm_right(x: RatMatrix, w: Permutation) -> RatMatrix:
     """x P_w: column j of the result is column w(j) of x."""
     cols = [w(j + 1) - 1 for j in range(x.n)]
-    return _of_ints([[r[k] for k in cols] for r in x._num], x._den)
+    return _of_canonical([tuple([r[k] for k in cols]) for r in x._num], x._den)
 
 
 def mul_perm_left(w: Permutation, x: RatMatrix) -> RatMatrix:
     """P_w x: row i of the result is row w^-1(i) of x."""
     winv = w.inverse()
     order = [winv(i + 1) - 1 for i in range(x.n)]
-    return _of_ints([x._num[i] for i in order], [x._den[i] for i in order])
+    return _of_canonical([x._num[i] for i in order], [x._den[i] for i in order])
 
 
 def conj_by_perm(w: Permutation, x: RatMatrix) -> RatMatrix:
     """w^-1 x w, i.e. entry (i,j) of the result is x_{w(i),w(j)}."""
     idx = [w(i + 1) - 1 for i in range(x.n)]
-    return _of_ints([[x._num[i][j] for j in idx] for i in idx], [x._den[i] for i in idx])
+    return _of_canonical(
+        [tuple([x._num[i][j] for j in idx]) for i in idx], [x._den[i] for i in idx]
+    )
 
 
 def is_in_G0_u(x: RatMatrix, u: Permutation) -> bool:

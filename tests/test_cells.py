@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tnn_strata import cells
 from tnn_strata.cells import (
     cell_of,
     is_tnn,
@@ -177,6 +179,99 @@ class TestTnn:
         verdicts = [all_minors_nonnegative(x) for x in cases]
         assert [is_tnn(x) for x in cases] == verdicts
         assert any(verdicts) and (n < 2 or not all(verdicts))
+
+
+def sweep_n4():
+    """Every matrix in N at n = 4 with entries in {-1, 0, 1, 2, 3} above
+    the diagonal: 5^6 = 15,625 of them."""
+    above = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    cases = []
+    for values in itertools.product(range(-1, 4), repeat=len(above)):
+        rows = [[int(i == j) for j in range(4)] for i in range(4)]
+        for (i, j), v in zip(above, values):
+            rows[i][j] = v
+        cases.append(RatMatrix.from_rows(rows))
+    return cases
+
+
+def boundary_cases(n, count, seed):
+    """Products along the longest word with about 40 % of the parameters 0,
+    so the points lie in lower cells; in about 80 % of them one entry above
+    the diagonal moves by +-1/q, q in {1, 2, 5, 50}, which the verdict often
+    turns on a larger minor to see."""
+    rng = random.Random(seed)
+    word = reduced_word(Permutation.longest(n))
+    cases = []
+    for _ in range(count):
+        params = [0 if rng.random() < 0.4 else Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                  for _ in word.letters]
+        x = chevalley_product(word, params)
+        if rng.random() < 0.8:
+            rows = [list(r) for r in x.rows]
+            i = rng.randrange(n - 1)
+            j = rng.randrange(i + 1, n)
+            rows[i][j] += Fraction(rng.choice((-1, 1)), rng.choice((1, 2, 5, 50)))
+            x = RatMatrix.from_rows(rows)
+        cases.append(x)
+    return cases
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """The n = 4 sweep with the all-minors verdict of each case."""
+    cases = sweep_n4()
+    return cases, [all_minors_nonnegative(x) for x in cases]
+
+
+def only_minors(monkeypatch, keep):
+    """Make is_tnn skip (read as 0) every minor whose index sets fail keep."""
+    original = cells.minor
+
+    def mutant(x, rows, cols):
+        rows, cols = tuple(rows), tuple(cols)
+        return original(x, rows, cols) if keep(rows, cols) else Fraction(0)
+
+    monkeypatch.setattr(cells, "minor", mutant)
+
+
+class TestTnnInitialMinors:
+    """is_tnn reads the 2^n - n - 1 row-solid minors with rows < columns
+    (Gasca-Pena initial minors reduced on N); all_minors_nonnegative is
+    the oracle."""
+
+    def test_exhaustive_n4(self, sweep):
+        cases, verdicts = sweep
+        assert [is_tnn(x) for x in cases] == verdicts
+        assert sum(verdicts) == 535
+
+    @pytest.mark.parametrize("n, count", [(5, 500), (6, 250)])
+    def test_boundary_cases(self, n, count):
+        cases = boundary_cases(n, count, seed=n)
+        verdicts = [all_minors_nonnegative(x) for x in cases]
+        assert [is_tnn(x) for x in cases] == verdicts
+        assert 0.2 < sum(verdicts) / count < 0.8
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_counts_row_solid_minors(self, n, minors):
+        rng = random.Random(n)
+        w = Permutation.longest(n)
+        x = lusztig_point(random_word(rng, w), random_params(rng, w.length)).matrix
+        assert is_tnn(x)
+        assert len(minors) == len(set(minors)) == 2**n - n - 1
+        for rows, cols in minors:
+            assert rows == tuple(range(rows[0], rows[0] + len(rows)))
+            assert len(cols) == len(rows) and cols[0] > rows[0]
+
+    @pytest.mark.parametrize("keep, missed", [
+        (lambda rows, cols: cols == tuple(range(cols[0], cols[0] + len(cols))), 48),
+        (lambda rows, cols: len(rows) != 3, 158),
+    ], ids=["contiguous-columns-only", "no-level-n-1"])
+    def test_smaller_minor_sets_are_caught(self, sweep, monkeypatch, keep, missed):
+        """Negative controls: dropping the non-contiguous column sets, or
+        the k = n - 1 level, changes the verdict on some sweep cases."""
+        cases, verdicts = sweep
+        only_minors(monkeypatch, keep)
+        assert sum(is_tnn(x) != v for x, v in zip(cases, verdicts)) == missed
 
 
 class TestCellOf:

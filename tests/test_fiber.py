@@ -18,14 +18,13 @@ from tnn_strata.flow import random_cell_point
 from tnn_strata.perms import Permutation, all_permutations, bruhat_leq
 from tnn_strata.ratmat import (
     RatMatrix,
-    conj_by_perm,
-    gauss_minus,
-    gauss_plus,
     in_N_of_w,
     in_Nminus_of_w,
     minor,
     mul_perm_right,
 )
+
+from conftest import rho_by_frame, shift_by_frame
 
 
 def fiber_case(rng, n=4):
@@ -162,27 +161,9 @@ class TestRho:
         assert recover_shift(x, x, u) == RatMatrix.identity(3)
 
 
-# --- oracle: rho through the factorization of xt, a second derivation of
-# the map that rho computes from the shift A(xt)^-1 A(x_u) -----------------
-
-
-def shift_by_frame(x_u, xt_u, u):
-    """n_1 = u^-1 ([xt_u u^-1]_+)^-1 [x_u u^-1]_+ u, for xt_u in the u-cell."""
-    uinv = u.inverse()
-    a = gauss_plus(mul_perm_right(xt_u, uinv)).inverse()
-    return conj_by_perm(u, a @ gauss_plus(mul_perm_right(x_u, uinv)))
-
-
-def rho_by_frame(xt, x_u, u):
-    """rho from the factorization xt = xt_u xt^u: n_1 moves the base xt_u
-    onto x_u, and rho(xt) = [xt n_-]_+ with n_- = [(xt^u)^-1 n_1]_-."""
-    frame = factor_u(xt, u)
-    if x_u.n != u.n:
-        raise InvalidArgument("rank mismatch")
-    if cell_of(x_u) != u:
-        raise CellMismatch(f"recover_shift arguments must lie in the {u.serialize()}-cell")
-    n_1 = shift_by_frame(x_u, frame.x_u, u)
-    return gauss_plus(xt @ gauss_minus(frame.x_upper_u.inverse() @ n_1))
+# --- oracle: rho through the factorization of xt (rho_by_frame and
+# shift_by_frame, in conftest.py), a second derivation of the map that rho
+# computes from the shift A(xt)^-1 A(x_u) ----------------------------------
 
 
 def outcome(f, *args):

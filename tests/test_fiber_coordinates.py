@@ -16,7 +16,9 @@ import pytest
 from tnn_strata.fiber import factor_u, fiber_A, pi_u, recover_shift, rho
 from tnn_strata.flow import nu_matrix, pi_n, psi, random_cell_point, str_of
 from tnn_strata.perms import all_permutations, bruhat_leq
-from tnn_strata.ratmat import gauss_minus, gauss_plus, in_N_of_w
+from tnn_strata.ratmat import in_N_of_w
+
+from conftest import rho_by_frame
 
 
 def fiber_points(n, count, seed):
@@ -49,7 +51,9 @@ def test_fiber_coordinate_identities(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_rho_shift_from_fiber_A(n):
+    """rho, which forms n_- from A(xt)^-1 A(x_u), is the map derived from
+    the factorization xt = xt_u xt^u and the shift n_1 = y_t^-1 y."""
     for u, base, xt, x in fiber_points(n, 50, seed=70 + n):
-        assert x == gauss_plus(xt @ gauss_minus(fiber_A(xt, u).inverse() @ fiber_A(base, u)))
+        assert x == rho_by_frame(xt, base, u)
         frame = factor_u(xt, u)
         assert recover_shift(base, frame.x_u, u) == frame.y.inverse() @ factor_u(base, u).y

@@ -512,10 +512,21 @@ class TestRepresentation:
             assert is_canonical(m) and m.rows == rows
 
     @settings(REPRESENTATION, max_examples=50)
-    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(oracle_matrices(n), oracle_matrices(n))))
-    def test_results_are_canonical(self, pair):
-        x, y = pair
-        made = [(x @ y, ref_matmul_rows(x, y))]
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        oracle_matrices(n), oracle_matrices(n), st.permutations(range(1, n + 1)))))
+    def test_results_are_canonical(self, case):
+        x, y, images = case
+        w = Permutation(tuple(images))
+        cols = [w(j + 1) - 1 for j in range(x.n)]
+        order = [w.inverse()(i + 1) - 1 for i in range(x.n)]
+        permuted = [
+            (mul_perm_right(x, w), [[r[k] for k in cols] for r in x.rows]),
+            (mul_perm_left(w, x), [x.rows[i] for i in order]),
+            (conj_by_perm(w, x), [[x.rows[i][j] for j in cols] for i in cols]),
+        ]
+        for m, _ in permuted:  # the permutation products skip _of_ints
+            assert m == ratmat._of_ints(m._num, m._den)
+        made = [(x @ y, ref_matmul_rows(x, y)), *permuted]
         if rank(x) == x.n:
             made.append((x.inverse(), ref_inverse_rows(x)))
         if is_in_G0(x):
