@@ -14,7 +14,7 @@ from .errors import (
     RankTooLarge,
     Singular,
 )
-from .perms import INTERVAL_GUARD, Permutation, ReducedWord, decode_rank_jumps
+from .perms import INTERVAL_GUARD, Permutation, ReducedWord
 from .ratmat import RatMatrix, _eliminate, _of_ints, _work_rows, is_in_N, minor, rank
 
 TNN_GUARD = 6
@@ -83,18 +83,18 @@ def cell_of(x: RatMatrix) -> Permutation:
     """The w with x in B_- w B_-, recovered from northwest/southeast ranks.
 
     r(i,j) = rank of the submatrix on rows 1..i and columns j..n is constant
-    on each double coset B_- x B_-, and decodes to w.  One elimination over
-    the columns n..1 gives every r(i,j): it swaps no rows and pivots on the
-    topmost free row, so r(i,j) counts its pivots in rows 1..i and columns
-    j..n.  Guarded at n <= INTERVAL_GUARD.
+    on each double coset B_- x B_-, and w(j) = i where its double difference
+    at (i, j) is 1.  One elimination over the columns n..1 swaps no rows and
+    pivots on the topmost free row, so r(i,j) counts its pivots in rows
+    1..i and columns j..n: w(j) = i when row i pivots in column j.
+    Guarded at n <= INTERVAL_GUARD.
     """
     n = x.n
     if n > INTERVAL_GUARD:
         raise RankTooLarge(f"cell_of guarded at n <= {INTERVAL_GUARD}")
     if rank(x) < n:
         raise Singular("cell_of needs an invertible matrix")
-    pivots = _eliminate(*_work_rows(x), range(n - 1, -1, -1))
-    r = [[0] * (n + 2)]
-    for i in range(n):  # row i + 1 pivots in column pivots[i] + 1
-        r.append([v + (0 < j <= pivots[i] + 1) for j, v in enumerate(r[-1])])
-    return decode_rank_jumps(r)
+    image = [0] * n
+    for i, c in _eliminate(*_work_rows(x), range(n - 1, -1, -1)).items():
+        image[c] = i + 1
+    return Permutation(tuple(image))

@@ -274,7 +274,7 @@ def flow(
     Backward runs until the field (or the height above the base) is below
     ``STATIONARY_TOL``; forward runs until ``target_str`` is reached.
     x0 must lie in G_0 u: NotInG0u is raised, before any step, when the
-    float fiber parts of x0 are not finite or u is not below its label.
+    float x_u of x0 is not finite or u is not below its label.
     The stratum label is frozen at the start and re-checked at snapshots
     away from the base, where float rank detection is meaningful; a
     snapshot whose label is undecidable is not checked, and an undecidable
@@ -290,10 +290,10 @@ def flow(
     stratum = cell_of_float(x0)
     u0, uinv0 = kernels.perm_arrays(u)
     with np.errstate(all="ignore"):  # a zero pivot shows as inf or nan
-        parts = kernels.fiber_parts(x0, u0, uinv0)
-    if not (all(np.isfinite(p).all() for p in parts) and bruhat_leq(u, stratum)):
+        x_u = kernels.pi_u(x0, u0, uinv0)
+    if not (np.isfinite(x_u).all() and bruhat_leq(u, stratum)):
         raise NotInG0u(None)
-    integ = FiberIntegrator(u, parts[0])
+    integ = FiberIntegrator(u, x_u)
     base_str = str_of(integ.base)
 
     traj: list[FlowState] = [
@@ -555,7 +555,7 @@ def retraction(
     # A zero pivot shows as inf or nan, in the v-projection or, for x in a
     # stratum below v, in the move into the fiber over the u-cell's base.
     with np.errstate(all="ignore"):
-        y_v = kernels.fiber_parts(y, v0, vinv0)[0]
+        y_v = kernels.pi_u(y, v0, vinv0)
         moved = _link_field(u).reproject(y_v) if np.isfinite(y_v).all() else y_v
     if not np.isfinite(moved).all():
         raise ZNotInYgeqV(

@@ -1,11 +1,12 @@
 """Float kernels for the flow integrator.
 
-Mirrors the exact-arithmetic maps (Gaussian factors, fiber factorization,
-the tangent field, rho) on float64 numpy arrays.  Every kernel takes one
-matrix of shape ``(n, n)`` or a stack of shape ``(..., n, n)`` and works on
-the last two axes, so a whole batch of points costs one call.  The tangent
-field works in fiber coordinates: x = x_u z with the base x_u fixed and z
-in N(u).
+Mirrors the exact-arithmetic maps (fiber_A, pi_u, the tangent field, rho)
+on float64 numpy arrays.  Every kernel takes one matrix of shape ``(n, n)``
+or a stack of shape ``(..., n, n)`` and works on the last two axes, so a
+whole batch of points costs one call.  As in ``ratmat``, an elimination
+gives the upper Gaussian factor alone and the lower one is [M^T]_+^T.
+The tangent field works in fiber coordinates: x = x_u z with the base x_u
+fixed and z in N(u).
 
 Permutations enter as 0-based index arrays: ``u0[j] = u(j+1)-1`` and
 ``uinv0`` for the inverse.  Column permutation ``x[..., :, uinv0]`` is
@@ -30,24 +31,20 @@ def _upper_mask(n: int, k: int) -> np.ndarray:
     return mask
 
 
-def _eliminate(M, lower=None):
-    """Unipotent upper Gaussian factor U of M = L D U (no pivoting); the
-    multipliers of L are written into ``lower`` when it is given."""
+def _eliminate(M):
+    """Unipotent upper Gaussian factor U of M = L D U (no pivoting)."""
     work = np.array(M, dtype=np.float64)
     n = work.shape[-1]
     for k in range(n - 1):
         f = work[..., k + 1 :, k] / work[..., k, k, None]
-        if lower is not None:
-            lower[..., k + 1 :, k] = f
         work[..., k + 1 :, k + 1 :] -= f[..., :, None] * work[..., None, k, k + 1 :]
     return work * _upper_mask(n, 0) / np.diagonal(work, axis1=-2, axis2=-1)[..., :, None]
 
 
-def ldu_factors(M):
-    """Unipotent lower and upper Gaussian factors of M (no pivoting)."""
-    M = np.asarray(M, dtype=np.float64)
-    lower = np.broadcast_to(np.eye(M.shape[-1]), M.shape).copy()
-    return lower, _eliminate(M, lower)
+def _lower(M):
+    """Unipotent lower Gaussian factor L of M = L D U (no pivoting), as the
+    transposed upper factor of M^T = U^T D L^T."""
+    return np.swapaxes(_eliminate(np.swapaxes(M, -1, -2)), -1, -2)
 
 
 def fiber_A(x, u0, uinv0):
@@ -55,12 +52,10 @@ def fiber_A(x, u0, uinv0):
     return _eliminate(x[..., :, uinv0])[..., u0[:, None], u0]
 
 
-def fiber_parts(x, u0, uinv0):
-    """(x_u, x^u, A) of the factorization of x with respect to u."""
-    A = fiber_A(x, u0, uinv0)
-    y, x_upper = ldu_factors(A)
-    x_u = _eliminate(y[..., uinv0, :])
-    return x_u, x_upper, A
+def pi_u(x, u0, uinv0):
+    """x_u = [u [A]_-]_+ with A = ``fiber_A``, the float mirror of
+    ``fiber.pi_u``."""
+    return _eliminate(_lower(fiber_A(x, u0, uinv0))[..., uinv0, :])
 
 
 def base_field(base, u0, uinv0):
@@ -84,7 +79,7 @@ def psi_tangent(z, M, mask):
 def rho_move(xt, x_u, u0, uinv0):
     """Float rho: move xt into the fiber over x_u (same cell), by the shift
     n_- = [A(xt)^-1 A(x_u)]_- (A = y x^u with y fixed by the base)."""
-    n_minus = ldu_factors(np.linalg.solve(fiber_A(xt, u0, uinv0), fiber_A(x_u, u0, uinv0)))[0]
+    n_minus = _lower(np.linalg.solve(fiber_A(xt, u0, uinv0), fiber_A(x_u, u0, uinv0)))
     return _eliminate(xt @ n_minus)
 
 

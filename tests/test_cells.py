@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tnn_strata import cells
+from tnn_strata import cells, ratmat
 from tnn_strata.cells import (
     cell_of,
     is_tnn,
@@ -303,6 +303,17 @@ def cell_of_by_ranks(x):
     return decode_rank_jumps(r)
 
 
+def cell_of_by_table(x):
+    """The cell from the whole rank table of cell_of's pivot pass, decoded
+    by its double differences; cell_of reads the pivots directly."""
+    n = x.n
+    pivots = ratmat._eliminate(*ratmat._work_rows(x), range(n - 1, -1, -1))
+    r = [[0] * (n + 2)]
+    for i in range(n):  # row i + 1 pivots in column pivots[i] + 1
+        r.append([v + (0 < j <= pivots[i] + 1) for j, v in enumerate(r[-1])])
+    return decode_rank_jumps(r)
+
+
 def outcome(f, *args):
     """f's result, or the type, message and witness of what it raised."""
     try:
@@ -351,6 +362,31 @@ class TestCellOfOnePass:
             cells_seen.append(cell_of(x))
             assert cells_seen[-1] == cell_of_by_ranks(x)
         assert len(set(cells_seen)) > 100
+
+    def test_pivot_map_is_the_decoded_table(self):
+        """Every cell point of S3..S5 and 1,500 random invertible matrices
+        with n = 2..6 (b P_w b' products and dense and half-zero ones)."""
+        rng = random.Random(21)
+        points = [lusztig_point(reduced_word(w), random_params(rng, w.length)).matrix
+                  for n in range(3, 6) for w in all_permutations(n)]
+        xs = []
+        while len(xs) < 1500:
+            n, kind = 2 + len(xs) % 5, len(xs) % 3
+            if kind == 0:
+                w = rng.choice(all_permutations(n))
+                x = random_lower(rng, n) @ perm_matrix(w) @ random_lower(rng, n)
+            else:
+                zero = 0.5 if kind == 1 else 0.0
+                x = RatMatrix.from_rows(
+                    [[0 if rng.random() < zero else Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                      for _ in range(n)] for _ in range(n)]
+                )
+            if rank(x) == n:
+                xs.append(x)
+        xs += points
+        cells_seen = [cell_of(x) for x in xs]
+        assert cells_seen == [cell_of_by_table(x) for x in xs]
+        assert len(set(cells_seen)) > 200
 
     def test_products_of_borels_land_in_their_cell(self):
         rng = random.Random(18)

@@ -10,6 +10,12 @@ tests/golden/exact_verbs.json holds the stdout of `project`, `psi` and
 below the longest element, so the exact verbs' rationals are pinned byte
 for byte too.
 
+tests/golden/float_verbs.json holds the stdout of `flow` (backward, and
+forward to str + 1) and `link-sample --count 1 --seed 0` on a Lusztig point
+of w for every pair u < w of S3, and of `retract` on (e, w0) in S3 at tau in
+{0, 0.5, 1}.  Its float digits are those numpy 2.4 gave on x86-64; a change
+to the float integrator states what it moves against this file.
+
 tests/golden/verify_checks.json pins, per suite at seed 0 and a small size,
 the number of checks and the sha256 of their ordered `case<TAB>ok` lines, so
 a suite that drops, adds, renames or reorders a check, or draws other
@@ -29,6 +35,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "link_census_s3.json").read_text())
 CHECKS = json.loads((GOLDEN / "verify_checks.json").read_text())
 EXACT = json.loads((GOLDEN / "exact_verbs.json").read_text())
+FLOAT = json.loads((GOLDEN / "float_verbs.json").read_text())
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]))
@@ -38,16 +45,27 @@ def test_census_stdout_is_pinned(case):
     assert res.stdout == case["stdout"]
 
 
-@pytest.mark.parametrize("case", EXACT, ids=lambda c: " ".join(c["argv"]))
-def test_exact_verb_stdout_is_pinned(case, tmp_path):
+def replay(case, tmp_path):
+    """Run one pinned case; a "base" or "z" matrix goes in by file."""
     argv = list(case["argv"])
-    if "base" in case:
-        base = tmp_path / "base.json"
-        base.write_text(json.dumps(case["base"]))
-        argv += ["--base", str(base)]
-    res = CliRunner().invoke(main, argv, input=json.dumps(case["in"]))
+    for key in ("base", "z"):
+        if key in case:
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps(case[key]))
+            argv += [f"--{key}", str(path)]
+    res = CliRunner().invoke(main, argv, input=json.dumps(case["in"]) if "in" in case else None)
     assert res.exit_code == 0
     assert res.stdout == case["stdout"]
+
+
+@pytest.mark.parametrize("case", EXACT, ids=lambda c: " ".join(c["argv"]))
+def test_exact_verb_stdout_is_pinned(case, tmp_path):
+    replay(case, tmp_path)
+
+
+@pytest.mark.parametrize("case", FLOAT, ids=lambda c: " ".join(c["argv"]))
+def test_float_verb_stdout_is_pinned(case, tmp_path):
+    replay(case, tmp_path)
 
 
 def test_every_suite_is_pinned():

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from tnn_strata import kernels
-from tnn_strata.fiber import factor_u, pi_u, rho
+from tnn_strata.fiber import fiber_A, pi_u, rho
 from tnn_strata.flow import psi, random_cell_point
 from tnn_strata.perms import Permutation, all_permutations, bruhat_leq
+from tnn_strata.ratmat import RatMatrix, gauss_decompose
 
 REL = 1e-12
 
@@ -78,14 +79,26 @@ def test_psi_tangent_vanishes_at_the_base(n):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_fiber_parts_matches_factor_u(n):
+def test_fiber_A_matches_fiber_A(n):
     for u, xt, _, _ in fiber_cases(n, 12, seed=30 + n):
         u0, uinv0 = kernels.perm_arrays(u)
-        x_u, x_upper, A = kernels.fiber_parts(floats(xt), u0, uinv0)
-        frame = factor_u(xt, u)
-        assert rel_err(x_u, floats(frame.x_u)) <= REL
-        assert rel_err(x_upper, floats(frame.x_upper_u)) <= REL
-        assert rel_err(A, floats(frame.A)) <= REL
+        assert rel_err(kernels.fiber_A(floats(xt), u0, uinv0), floats(fiber_A(xt, u))) <= REL
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_pi_u_matches_pi_u_on_every_pair(n):
+    """kernels.pi_u on a stack of one cell point per w >= u, for every u of
+    S_n, against the exact projection row by row."""
+    rng = random.Random(90 + n)
+    perms = all_permutations(n)
+    for u in perms:
+        xts = [random_cell_point(w, rng) for w in perms if bruhat_leq(u, w)]
+        u0, uinv0 = kernels.perm_arrays(u)
+        got = kernels.pi_u(np.stack([floats(xt) for xt in xts]), u0, uinv0)
+        assert got.shape == (len(xts), n, n)
+        for row, xt in zip(got, xts):
+            assert rel_err(row, floats(pi_u(xt, u))) <= REL
+        assert np.array_equal(kernels.pi_u(floats(xts[0]), u0, uinv0), got[0])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -105,11 +118,29 @@ def test_rho_move_matches_rho(n):
         assert rel_err(row, floats(rho(xt, base, u))) <= REL
 
 
-def test_ldu_factors_reconstruct():
-    rng = np.random.default_rng(0)
-    M = rng.uniform(1.0, 2.0, size=(5, 4, 4)) + 4.0 * np.eye(4)
-    lower, upper = kernels.ldu_factors(M)
-    d = np.linalg.solve(lower, M) @ np.linalg.inv(upper)
-    assert np.allclose(np.tril(lower, -1) + np.eye(4), lower)
-    assert np.allclose(np.triu(upper, 1) + np.eye(4), upper)
-    assert np.allclose(d, d * np.eye(4))
+def random_g0(rng, n):
+    """An exact matrix L D U of G_0 with small unipotent factors and a
+    positive diagonal, so its float elimination is well conditioned."""
+    def unipotent(upper):
+        return RatMatrix.from_rows(
+            [[1 if i == j else rng.randint(-3, 3) if (i < j) == upper else 0 for j in range(n)]
+             for i in range(n)]
+        )
+    diag = RatMatrix.from_rows([[rng.randint(1, 4) if i == j else 0 for j in range(n)] for i in range(n)])
+    return unipotent(False) @ diag @ unipotent(True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_lower_and_upper_match_gauss_decompose(n):
+    """_lower and _eliminate against the exact [M]_- and [M]_+, one matrix
+    at a time and as one stack."""
+    rng = random.Random(100 + n)
+    ms = [random_g0(rng, n) for _ in range(8)]
+    stack = np.stack([floats(m) for m in ms])
+    lower, upper = kernels._lower(stack), kernels._eliminate(stack)
+    for m, lo, up in zip(ms, lower, upper):
+        fac = gauss_decompose(m)
+        assert rel_err(lo, floats(fac.lower)) <= REL
+        assert rel_err(up, floats(fac.upper)) <= REL
+        assert np.array_equal(kernels._lower(floats(m)), lo)
+        assert np.array_equal(kernels._eliminate(floats(m)), up)
