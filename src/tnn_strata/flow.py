@@ -18,6 +18,7 @@ from .errors import (
     MaxStepsExceeded,
     NotComparable,
     NotInG0u,
+    NotUnipotentUpper,
     PreconditionError,
     RankTooLarge,
     StepUnderflow,
@@ -259,6 +260,12 @@ def _require(ok: bool, message: str):
         raise InvalidArgument(message)
 
 
+def _require_unipotent(x: np.ndarray):
+    """x, one matrix or a stack, must lie in N: its lower triangle is exactly I."""
+    if not (np.tril(x) == np.eye(x.shape[-1])).all():
+        raise NotUnipotentUpper("expected a unipotent upper-triangular matrix")
+
+
 def flow(
     x0: np.ndarray,
     u: Permutation,
@@ -273,8 +280,9 @@ def flow(
 
     Backward runs until the field (or the height above the base) is below
     ``STATIONARY_TOL``; forward runs until ``target_str`` is reached.
-    x0 must lie in G_0 u: NotInG0u is raised, before any step, when the
-    float x_u of x0 is not finite or u is not below its label.
+    x0 must be unipotent upper-triangular (NotUnipotentUpper otherwise) and
+    lie in G_0 u: NotInG0u is raised, before any step, when the float x_u
+    of x0 is not finite or u is not below its label.
     The stratum label is frozen at the start and re-checked at snapshots
     away from the base, where float rank detection is meaningful; a
     snapshot whose label is undecidable is not checked, and an undecidable
@@ -287,6 +295,7 @@ def flow(
     _require(max_steps >= 1, "max_steps must be at least 1")
     x0 = np.asarray(x0, dtype=np.float64)
     _require(x0.shape == (u.n, u.n), "rank mismatch")
+    _require_unipotent(x0)
     stratum = cell_of_float(x0)
     u0, uinv0 = kernels.perm_arrays(u)
     with np.errstate(all="ignore"):  # a zero pivot shows as inf or nan
@@ -519,12 +528,10 @@ def link_sample(
 
 
 def conj_d_float(tau: float, x: np.ndarray) -> np.ndarray:
-    """Float torus conjugation, extended continuously to tau = 0, where it
-    collapses any unipotent upper-triangular x to the identity."""
-    n = x.shape[0]
-    if tau == 0.0:
-        return np.eye(n)
-    j = np.arange(n)
+    """Float torus conjugation of one matrix or each row of a stack, extended
+    continuously to tau = 0, where it collapses any unipotent
+    upper-triangular x to the identity (0.0 ** 0 = 1 keeps its diagonal)."""
+    j = np.arange(x.shape[-1])
     return x * (float(tau) ** np.maximum(j[None, :] - j[:, None], 0))
 
 
@@ -536,20 +543,24 @@ def retraction(
     z: RatMatrix,
     epsilon: float,
 ) -> np.ndarray:
-    """One stage of the deformation retraction of the link to a point:
-    scale z up and x down with the torus, project onto the v-cell, move
-    into the fiber over the canonical base of the u-cell with rho, and land
-    on the level set."""
+    """One stage of the deformation retraction of the link to a point, for
+    one matrix x (n, n) or each row of a stack (B, n, n): scale z up and x
+    down with the torus, project onto the v-cell, move into the fiber over
+    the canonical base of the u-cell with rho, and land on the level set.
+    Every row of x must be unipotent upper-triangular (NotUnipotentUpper
+    otherwise)."""
     _require(0.0 <= tau <= 1.0, "tau must lie in [0, 1]")
-    _require(np.shape(x) == (u.n, u.n) and u.n == v.n == z.n, "rank mismatch")
+    x = np.asarray(x, dtype=np.float64)
+    _require(x.shape[-2:] == (u.n, u.n) and u.n == v.n == z.n, "rank mismatch")
+    _require_unipotent(x)
     _require_below(u, v)
     if not (is_tnn(z) and is_in_G0_u(z, v)):
         raise ZNotInYgeqV("z must be totally nonnegative with cell >= v")
-    zf = conj_d_float(tau, np.array(z.to_floats()))
-    xf = conj_d_float(1.0 - tau, np.asarray(x, dtype=np.float64))
-    y = zf @ xf
+    y = conj_d_float(tau, np.array(z.to_floats())) @ conj_d_float(1.0 - tau, x)
+    rows = y.reshape((-1,) + y.shape[-2:])
     # y outside G_0 v can keep float pivots that are residues, not zeros
-    if np.isfinite(y).all() and not bruhat_leq(v, cell_of_float(y, v)):
+    labels = cell_of_float(rows, [v] * len(rows)) if np.isfinite(y).all() else []
+    if not all(bruhat_leq(v, w) for w in labels):
         raise ZNotInYgeqV("the scaled point's stratum is not above v")
     v0, vinv0 = kernels.perm_arrays(v)
     # A zero pivot shows as inf or nan, in the v-projection or, for x in a

@@ -578,13 +578,11 @@ def suite_retraction(run, rng, samples):
     z = default_base(v)
     eps = 1.0
     drawn, _ = fiber_points(u, [v], samples, rng)
-    pts = list(link_point(drawn, u, eps))
-    ends = []
-    for i, x in enumerate(pts):
-        r0 = retraction(x, 0.0, u, v, z, eps)
+    pts = link_point(drawn, u, eps)
+    for i, (x, r0) in enumerate(zip(pts, retraction(pts, 0.0, u, v, z, eps))):
         d0 = float(np.abs(r0 - x).max())
         run.check(d0 < 1e-6, f"tau0[{i}]", f"dist={d0}")
-        ends.append(retraction(x, 1.0, u, v, z, eps))
+    ends = retraction(pts, 1.0, u, v, z, eps)
     spread = max(
         float(np.abs(a - b).max()) for a in ends for b in ends
     )

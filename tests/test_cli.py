@@ -218,6 +218,38 @@ class TestFlowVerbs:
         assert res.stdout == ""
         assert json.loads(res.stderr)["error"] == "NotInG0u"
 
+    # x outside N, by its diagonal and below it: flow and retract check it
+    # before any label or z, as project does
+    @pytest.mark.parametrize(
+        "x",
+        [
+            json.dumps({"n": 3, "entries": [["2", "1", "1"], ["0", "1", "1"], ["0", "0", "1"]]}),
+            json.dumps({"n": 3, "entries": [["1", "1", "1"], ["0", "1", "1"], ["1", "0", "1"]]}),
+        ],
+        ids=["diagonal", "below-diagonal"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flow", "--u", "1,2,3"],
+            ["retract", "--u", "1,2,3", "--v", "3,2,1", "--tau", "0.5"],
+            ["retract", "--u", "1,2,3", "--v", "3,2,1", "--tau", "1"],
+        ],
+        ids=["flow", "retract-half", "retract-one"],
+    )
+    def test_outside_N_exit_3(self, runner, tmp_path, argv, x):
+        if argv[0] == "retract":
+            z = {"n": 3, "entries": [["1", "2", "1"], ["0", "1", "1"], ["0", "0", "1"]]}
+            (tmp_path / "z.json").write_text(json.dumps(z))
+            argv = argv + ["--z", str(tmp_path / "z.json")]
+        res = runner.invoke(main, argv, input=x)
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert json.loads(res.stderr) == {
+            "error": "NotUnipotentUpper",
+            "message": "expected a unipotent upper-triangular matrix",
+        }
+
     # a 401-digit entry has no float, in flow's x and in retract's x or z
     @pytest.mark.parametrize(
         "argv, x, z",

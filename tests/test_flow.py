@@ -9,6 +9,7 @@ import pytest
 from tnn_strata.errors import (
     InvalidArgument,
     NotComparable,
+    NotUnipotentUpper,
     PreconditionError,
     RankTooLarge,
     StratumEscape,
@@ -165,6 +166,12 @@ class TestFlow:
         x0 = np.array(x.to_floats())
         traj = flow(x0, u, "forward", target_str=str_of(x0) + 1.0)
         assert all(s.stratum == w for s in traj)
+
+    # x0 outside N, by its diagonal and below it: checked before its label
+    @pytest.mark.parametrize("x0", [[[2, 1, 1], [0, 1, 1], [0, 0, 1]], [[1, 1, 1], [0, 1, 1], [1, 0, 1]]])
+    def test_x0_outside_N_rejected(self, x0):
+        with pytest.raises(NotUnipotentUpper):
+            flow(np.array(x0, dtype=float), Permutation.identity(3), "backward")
 
     def test_bad_arguments_rejected(self):
         u = Permutation.identity(3)
@@ -615,20 +622,23 @@ class TestRkStep:
 
 
 # H(x, tau) = retraction(x, tau, u, v, z, 1) at these tau, on the two
-# top-stratum link points of every S3 interval and of three S4 intervals
+# top-stratum link points of every S3 and S4 interval
 RETRACTION_TAUS = (0.0, 0.25, 0.5, 0.75, 1.0)
-RETRACTION_S4 = (("1,2,3,4", "4,3,2,1"), ("2,1,3,4", "4,3,2,1"), ("1,3,2,4", "4,2,3,1"))
 
 
-def retraction_case(u, v, rng):
-    """z, a random v-cell point, and the top-stratum points of
-    link_sample(u, v, 1, 2, seed 3)."""
-    z = random_cell_point(v, rng)
-    return z, [pt for pt, w in link_sample(u, v, 1.0, 2, seed=3).points if w == v]
+def top_points(u):
+    """{v: the two points that link_sample(u, w0, 1, 2, seed 3) draws in
+    stratum v}.  A link point's stratum over u does not depend on v, so
+    these are top-stratum points of (u, v)."""
+    by_label = {}
+    for pt, w in link_sample(u, Permutation.longest(u.n), 1.0, 2, seed=3).points:
+        by_label.setdefault(w, []).append(pt)
+    return {w: np.array(pts) for w, pts in by_label.items()}
 
 
 def retraction_stages(u, v, z, x):
-    return np.stack([retraction(x, tau, u, v, z, 1.0) for tau in RETRACTION_TAUS])
+    """H at RETRACTION_TAUS, one call per tau over the stack x: (B, tau, n, n)."""
+    return np.stack([retraction(x, tau, u, v, z, 1.0) for tau in RETRACTION_TAUS], axis=1)
 
 
 def level_error(u, stages) -> float:
@@ -643,17 +653,19 @@ def base_error(u, stages) -> float:
 
 @pytest.fixture(scope="module")
 def retraction_runs():
-    """(u, v, x, stages) for every point of every interval."""
-    s3 = sorted(all_permutations(3), key=lambda p: p.image)
-    pairs = [(u, v) for u in s3 for v in s3 if bruhat_less(u, v)]
-    pairs += [(Permutation.parse(u), Permutation.parse(v)) for u, v in RETRACTION_S4]
+    """(u, v, x, stages) for every S3 and S4 interval, x the stack of its two
+    top-stratum points, with z = random_cell_point(v) drawn in pair order."""
     rng = random.Random(8)
     runs = []
-    for u, v in pairs:
-        z, points = retraction_case(u, v, rng)
-        assert len(points) == 2
-        runs += [(u, v, x, retraction_stages(u, v, z, x)) for x in points]
-    assert len(runs) == 2 * (13 + len(RETRACTION_S4))
+    for n in (3, 4):
+        perms = sorted(all_permutations(n), key=lambda p: p.image)
+        for u in perms[:-1]:  # every u but w0, which is last
+            tops = top_points(u)
+            for v in (v for v in perms if bruhat_less(u, v)):
+                z = random_cell_point(v, rng)
+                assert len(tops[v]) == 2
+                runs.append((u, v, tops[v], retraction_stages(u, v, z, tops[v])))
+    assert len(runs) == 202
     return runs
 
 
@@ -671,7 +683,8 @@ class TestRetraction:
     def test_stage_labels_lie_in_the_interval(self, retraction_runs):
         decided = undecidable = 0
         for u, v, _, stages in retraction_runs:
-            for w in cell_of_float(stages, [None] * len(stages)):
+            flat = stages.reshape((-1,) + stages.shape[-2:])
+            for w in cell_of_float(flat, [None] * len(flat)):
                 if w is None:
                     undecidable += 1
                     continue
@@ -680,7 +693,7 @@ class TestRetraction:
         assert decided > 0, f"no decidable label, {undecidable} undecidable"
 
     def test_tau_zero_is_the_identity(self, retraction_runs):
-        assert max(float(np.abs(stages[0] - x).max()) for _, _, x, stages in retraction_runs) <= 1e-9
+        assert max(float(np.abs(stages[:, 0] - x).max()) for _, _, x, stages in retraction_runs) <= 1e-9
 
     def test_continuity_modulus(self):
         """The path is steepest at tau = 0: the largest jump over [0, 1/80]
@@ -698,13 +711,13 @@ class TestRetraction:
 
     def test_level_check_fails_without_link_point(self, monkeypatch):
         u, v = Permutation.parse("2,1,3"), Permutation.parse("2,3,1")
-        z, [x, _] = retraction_case(u, v, random.Random(8))
+        x, z = top_points(u)[v], random_cell_point(v, random.Random(8))
         monkeypatch.setattr(flow_module, "link_point", lambda x, u, epsilon: x)
         assert level_error(u, retraction_stages(u, v, z, x)) > LEVEL_TOL
 
     def test_base_check_fails_without_reproject(self, monkeypatch):
         u, v = Permutation.parse("2,1,3"), Permutation.parse("2,3,1")
-        z, [x, _] = retraction_case(u, v, random.Random(8))
+        x, z = top_points(u)[v], random_cell_point(v, random.Random(8))
         monkeypatch.setattr(FiberIntegrator, "reproject", lambda self, x: x)
         assert base_error(u, retraction_stages(u, v, z, x)) > 1e-9
 
@@ -713,13 +726,9 @@ class TestRetraction:
         v = Permutation.longest(3)
         rng = random.Random(9)
         z = random_cell_point(v, rng)
-        sample = link_sample(u, v, 1.0, 2, seed=3)
-        tops = [pt for pt, w in sample.points if w == v][:4]
-        ends = []
-        for pt in tops:
-            r0 = retraction(pt, 0.0, u, v, z, 1.0)
-            assert np.max(np.abs(r0 - pt)) < 1e-6
-            ends.append(retraction(pt, 1.0, u, v, z, 1.0))
+        tops = top_points(u)[v]
+        assert np.max(np.abs(retraction(tops, 0.0, u, v, z, 1.0) - tops)) < 1e-6
+        ends = retraction(tops, 1.0, u, v, z, 1.0)
         spread = max(
             np.max(np.abs(a - b)) for a in ends for b in ends
         )
@@ -770,6 +779,16 @@ class TestRetraction:
         with pytest.raises(ZNotInYgeqV, match="not above v"):
             retraction(x, 0.0, u, v, default_base(Permutation.longest(4)), 1.0)
 
+    # one row outside N rejects the stack, before z is read, at every tau
+    def test_row_outside_N_rejected(self):
+        u, v = Permutation.identity(3), Permutation.longest(3)
+        bad_z = RatMatrix.from_rows([[1, -1, 0], [0, 1, 0], [0, 0, 1]])
+        stack = np.array([np.eye(3), [[1.0, 1, 1], [0, 1, 1], [1, 0, 1]]])
+        for tau in (0.0, 0.5, 1.0):
+            for z in (default_base(v), bad_z):
+                with pytest.raises(NotUnipotentUpper):
+                    retraction(stack, tau, u, v, z, 1.0)
+
     def test_rank_mismatch_rejected(self):
         u, v = Permutation.identity(3), Permutation.longest(3)
         z = default_base(v)
@@ -792,6 +811,66 @@ class TestConjDFloat:
 
         exact = np.array(conj_d(Fraction(1, 3), x).to_floats())
         assert np.allclose(conj_d_float(1 / 3, np.array(x.to_floats())), exact)
+
+
+STACK_U, STACK_V = Permutation.parse("2,1,3,4"), Permutation.longest(4)
+
+
+@pytest.fixture(scope="module")
+def stack_case():
+    """51 S4 link points, three in each stratum of (2,1,3,4; 4,3,2,1], and
+    each float map with its input: the points, or for psi_tangent their
+    fiber coordinates over the base."""
+    rows = np.array([pt for pt, _ in link_sample(STACK_U, STACK_V, 1.0, 3, seed=0).points])
+    u0, uinv0 = kernels.perm_arrays(STACK_U)
+    base = np.array(default_base(STACK_U).to_floats())
+    other_base = np.array(random_cell_point(STACK_U, random.Random(1)).to_floats())
+    M, mask = kernels.base_field(base, u0, uinv0)
+    maps = {
+        "fiber_A": (rows, lambda x: kernels.fiber_A(x, u0, uinv0)),
+        "pi_u": (rows, lambda x: kernels.pi_u(x, u0, uinv0)),
+        "rho_move": (rows, lambda x: kernels.rho_move(x, other_base, u0, uinv0)),
+        "psi_tangent": (np.linalg.solve(base, rows), lambda z: kernels.psi_tangent(z, M, mask)),
+        "str_of": (rows, str_of),
+        "conj_d_float": (rows, lambda x: conj_d_float(0.3, x)),
+        "conj_d_float-tau-0": (rows, lambda x: conj_d_float(0.0, x)),
+    }
+    return rows, maps
+
+
+class TestStackContract:
+    """Each float map takes one matrix (n, n) or a stack (B, n, n) and gives
+    on the stack, row by row, what it gives on each row alone: bit for bit,
+    except where the rows share link_point's step controller, within
+    LEVEL_TOL.  TestCellOfFloat and TestLink's stacked-rows test hold
+    cell_of_float and link_point to the same contract."""
+
+    @pytest.mark.parametrize(
+        "name", ["fiber_A", "pi_u", "rho_move", "psi_tangent", "str_of", "conj_d_float", "conj_d_float-tau-0"]
+    )
+    def test_rows_are_bit_identical(self, stack_case, name):
+        x, fn = stack_case[1][name]
+        got = fn(x)
+        assert len(got) == len(x) == 51
+        for row, want in zip(x, got):
+            assert np.array_equal(fn(row), want)
+
+    def test_retraction_rows_within_level_tol(self, stack_case):
+        rows = stack_case[0][::3]  # one per stratum
+        z = random_cell_point(STACK_V, random.Random(8))
+        stages = retraction(rows, 0.5, STACK_U, STACK_V, z, 1.0)
+        assert stages.shape == rows.shape
+        worst = max(float(np.abs(retraction(x, 0.5, STACK_U, STACK_V, z, 1.0) - y).max()) for x, y in zip(rows, stages))
+        assert worst <= LEVEL_TOL
+
+    # at tau = 0, y = x: the row drawn in w < v rejects the whole stack
+    def test_one_row_below_v_rejects_the_stack(self):
+        u, v, w = (Permutation.parse(p) for p in ("1,3,2,4", "4,2,3,1", "2,4,3,1"))
+        drawn = {label: p for p, label in link_sample(u, v, 1.0, 1, seed=5).points}
+        z = default_base(Permutation.longest(4))
+        assert retraction(drawn[v][None], 0.0, u, v, z, 1.0).shape == (1, 4, 4)
+        with pytest.raises(ZNotInYgeqV, match="not above v"):
+            retraction(np.array([drawn[v], drawn[w]]), 0.0, u, v, z, 1.0)
 
 
 class TestNu:

@@ -1,5 +1,6 @@
 import importlib
 
+import numpy as np
 import pytest
 
 from tnn_strata import verify
@@ -81,3 +82,18 @@ def test_census_counts_the_stratum_a_point_lands_in(monkeypatch):
         [rep] = run_suite("link-census", RunConfig(n=3, samples=samples))
         assert rep.failures
         assert {f.case.split("[")[0] for f in rep.failures} == {"labels"}
+
+
+def test_retraction_suite_calls_retraction_once_per_tau(monkeypatch):
+    """One call over the 20 points at tau = 0, one at tau = 1 and one per
+    step of the 11-step grid; a call per point would make 51."""
+    calls, real = [], verify.retraction
+
+    def counted(x, *args):
+        calls.append(np.shape(x))
+        return real(x, *args)
+
+    monkeypatch.setattr(verify, "retraction", counted)
+    [rep] = run_suite("retraction", RunConfig(n=3))
+    assert rep.ok
+    assert calls == [(20, 3, 3)] * 2 + [(3, 3)] * 11
