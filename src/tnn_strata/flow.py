@@ -156,8 +156,11 @@ class FlowState:
 
 def _next_step(h: float, err: float, what: str) -> float:
     """The step controller of the embedded 5(4) pair: grow or shrink h by
-    the usual safety-factored power of the error ratio, capped at MAX_STEP."""
-    h *= min(5.0, max(0.2, 0.9 * (1.0 / max(err, 1e-16)) ** 0.2))
+    the usual safety-factored power of the error ratio, capped at MAX_STEP.
+    A non-finite error (a stage that left the domain of the field) shrinks
+    h by the largest factor, 0.2."""
+    grow = 0.9 * (1.0 / max(err, 1e-16)) ** 0.2 if math.isfinite(err) else 0.2
+    h *= min(5.0, max(0.2, grow))
     h = math.copysign(min(abs(h), MAX_STEP), h)
     if abs(h) < 1e-16:
         raise StepUnderflow(f"{what} step size underflow")
@@ -383,6 +386,8 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float) -> np.ndarray:
     descend) d is fixed at the start; all rows advance in one shared
     fraction of their own d, stepped by the RK45 controller and clamped to
     the fraction left, so they land on the level together by construction.
+    The first step tries the whole climb; the controller shrinks it where
+    the trajectory bends, so a straight climb takes one step.
     Each row's error is measured against its displacement max|z - I|.
     """
     _require_epsilon(epsilon)
@@ -399,7 +404,7 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float) -> np.ndarray:
             "the field does not raise str at a point away from its level: str(psi) <= 0 "
             "there, so the point is the base or not totally nonnegative"
         )
-    left, h = 1.0, 0.01  # the fraction of each d still to go; the next step
+    left, h = 1.0, 1.0  # the fraction of each d still to go; the next step
     for _ in range(100_000):
         if not rows.size or left == 0.0:
             break

@@ -141,8 +141,11 @@ def interval(u: Permutation, v: Permutation) -> BruhatInterval:
         raise RankTooLarge(f"interval enumeration guarded at n <= {INTERVAL_GUARD}")
     if not bruhat_leq(u, v):
         raise NotComparable(f"{u.serialize()} is not <= {v.serialize()}")
+    # u <= w <= v implies l(u) <= l(w) <= l(v): test only those lengths
     elems = frozenset(
-        w for w in all_permutations(u.n) if bruhat_leq(u, w) and bruhat_leq(w, v)
+        w
+        for w in all_permutations(u.n)
+        if u.length <= w.length <= v.length and bruhat_leq(u, w) and bruhat_leq(w, v)
     )
     return BruhatInterval(u, v, elems)
 

@@ -12,13 +12,14 @@ from tnn_strata.errors import (
     NotUnipotentUpper,
     PreconditionError,
     RankTooLarge,
+    StepUnderflow,
     StratumEscape,
     UndecidableRank,
     ZNotInYgeqV,
 )
 from tnn_strata import kernels
-from tnn_strata.cells import lusztig_point
-from tnn_strata.fiber import factor_u, pi_u, rho
+from tnn_strata.cells import cell_of, lusztig_point
+from tnn_strata.fiber import conj_d, factor_u, pi_u, rho
 from tnn_strata.flow import (
     LEVEL_TOL,
     LINK_EPSILON_GUARD,
@@ -522,6 +523,92 @@ class TestCallGraph:
         flow(x, Permutation.identity(3), direction, target_str=str_of(x) + 2.0)
         assert calls["rho_move"] > 0
         assert calls["psi_tangent"] == 6 * calls["rk_step"] + 1 + calls["rho_move"]
+
+    # The link of a covering pair u < v is one point: link_point's first
+    # step, the whole climb, is accepted.
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_covering_pair_climbs_in_one_step(self, calls, n):
+        perms = all_permutations(n)
+        covers = [(u, v) for u in perms for v in perms if bruhat_less(u, v) and v.length == u.length + 1]
+        for u, v in covers:
+            calls.clear()
+            link_sample(u, v, 0.5, 1, seed=0)
+            assert (calls["rk_step"], calls["psi_tangent"]) == (1, 7), (u, v)
+
+    def test_link_sample_reads_its_interval_once(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(flow_module, "interval", lambda u, v: seen.append(1) or interval(u, v))
+        link_sample(Permutation.identity(4), Permutation.longest(4), 1.0, 1, seed=0)
+        assert len(seen) == 1
+
+
+class TestNextStep:
+    """The step controller: a finite error scales h by 0.9 err^(-1/5) within
+    [0.2, 5]; a non-finite one, from a stage that left the field's domain,
+    shrinks h by 0.2."""
+
+    @pytest.mark.parametrize("err", [float("nan"), float("inf")])
+    def test_non_finite_error_shrinks_by_a_fifth(self, err):
+        assert flow_module._next_step(0.5, err, "test") == 0.5 * 0.2
+        assert flow_module._next_step(-0.5, err, "test") == -0.5 * 0.2
+
+    @pytest.mark.parametrize("err", [0.0, 1e-20, 1e-6, 0.3, 1.0, 2.5, 1e4])
+    def test_finite_error_scales_by_the_power_law(self, err):
+        grow = min(5.0, max(0.2, 0.9 * (1.0 / max(err, 1e-16)) ** 0.2))
+        assert flow_module._next_step(0.125, err, "test") == min(0.125 * grow, 1.0)
+        assert flow_module._next_step(-0.125, err, "test") == -min(0.125 * grow, 1.0)
+
+    def test_underflow_raises(self):
+        with pytest.raises(StepUnderflow):
+            flow_module._next_step(1e-16, float("nan"), "test")
+
+
+# A flow line is a torus orbit carried into the fiber by rho: the trajectory
+# through x = rho(x_t, base, u) is {rho(conj_d(tau, x), base, u) : tau > 0}.
+# So for every pair u < w of S3 and S4, the exact point y at a rational tau
+# lies in the w-cell, and link_point carries float(x) to float(y) when asked
+# for y's height.
+
+
+@pytest.fixture(scope="module")
+def torus_orbits():
+    """(u, x, y, epsilon) for every pair u < w of S3 and S4: x drawn in the
+    w-cell and moved into the fiber over default_base(u), y its exact
+    orbit point at tau = 1/3 or 2 (alternately), epsilon y's height."""
+    rng = random.Random(5)
+    cases = []
+    for n in (3, 4):
+        perms = all_permutations(n)
+        for u, w in ((u, w) for u in perms for w in perms if bruhat_less(u, w)):
+            base = default_base(u)
+            tau = Fraction(1, 3) if len(cases) % 2 == 0 else Fraction(2)
+            x = rho(random_cell_point(w, rng), base, u)
+            y = rho(conj_d(tau, x), base, u)
+            assert cell_of(y) == w
+            cases.append((u, x, y, float(str_of(y) - str_of(base))))
+    return cases
+
+
+def orbit_error(cases) -> float:
+    """The largest distance of a link point from its exact orbit point,
+    relative to max(1, |y|)."""
+    worst = 0.0
+    for u, x, y, eps in cases:
+        yf = np.array(y.to_floats())
+        got = link_point(np.array(x.to_floats()), u, eps)
+        worst = max(worst, float(np.abs(got - yf).max()) / max(1.0, float(np.abs(yf).max())))
+    return worst
+
+
+class TestTorusOrbit:
+    def test_link_point_lands_on_the_exact_orbit(self, torus_orbits):
+        assert len(torus_orbits) == 202
+        assert orbit_error(torus_orbits) <= 1e-11
+
+    # negative control: at RK tolerance 1e-6 the S3 points miss their orbit
+    def test_loose_tolerance_misses_the_orbit(self, torus_orbits, monkeypatch):
+        monkeypatch.setattr(flow_module._LevelField, "tol", 1e-6)
+        assert orbit_error(torus_orbits[:19]) > 1e-11
 
 
 # The Dormand-Prince 5(4) pair, stage by stage, as the oracle of rk_step.

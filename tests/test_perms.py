@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -85,6 +86,27 @@ class TestBruhat:
     def test_rank_too_large(self):
         with pytest.raises(RankTooLarge):
             interval(Permutation.identity(8), Permutation.longest(8))
+
+    # interval tests only the w whose length lies in [l(u), l(v)]; the
+    # oracle tests every w of S_n
+    @staticmethod
+    def brute_interval(u, v):
+        return frozenset(w for w in all_permutations(u.n) if bruhat_leq(u, w) and bruhat_leq(w, v))
+
+    def test_interval_matches_brute_force_s4(self):
+        perms = all_permutations(4)
+        pairs = [(u, v) for u in perms for v in perms if bruhat_leq(u, v)]
+        assert pairs
+        for u, v in pairs:
+            assert interval(u, v).elements == self.brute_interval(u, v)
+
+    def test_interval_matches_brute_force_s5_sample(self):
+        perms = all_permutations(5)
+        rng = random.Random(24)
+        pairs = [p for p in (rng.sample(perms, 2) for _ in range(400)) if bruhat_leq(*p)]
+        assert len(pairs) >= 20
+        for u, v in pairs:
+            assert interval(u, v).elements == self.brute_interval(u, v)
 
     def test_mobius_alternates_s3(self):
         e = Permutation.identity(3)
