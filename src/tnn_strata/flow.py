@@ -45,7 +45,6 @@ FLOW_STEP_TOL = 1e-9  # RK tolerance of flow
 LEVEL_TOL = 1e-9
 LINK_STEP_TOL = 1e-12
 LINK_EPSILON_GUARD = 1e3
-REPROJECT_EVERY = 10  # accepted steps between re-projections onto the fiber
 MAX_STEP = 1.0
 LINK_POINT_BUDGET = 10_000  # most points one fiber_points call may draw
 
@@ -169,8 +168,8 @@ def _next_step(h: float, err: float, what: str) -> float:
 
 @dataclass
 class FiberIntegrator:
-    """Adaptive RK45 for xdot = psi(x) on the fiber over a fixed base,
-    with periodic re-projection onto the fiber to cancel drift.  The field
+    """Adaptive RK45 for xdot = psi(x) on the fiber over a fixed base, with
+    re-projection onto the fiber (reproject) to cancel drift.  The field
     is evaluated in fiber coordinates, psi(x) = base z pi_n(z^-1 M z) at
     z = base^-1 x, with M and N(u)'s mask computed once for the base.
     A step (rk_step) is one Dormand-Prince 5(4) step that reuses the last
@@ -230,7 +229,10 @@ def cell_of_float(x: np.ndarray, fallback=None):
     A row whose rank table decodes to no permutation, or where some singular
     value lies between ``RANK_ZERO_TOL`` and ``RANK_TOL`` (relative) so a rank
     is undecidable, is labelled ``fallback`` (one per row for a stack), or
-    with no fallback raises UndecidableRank."""
+    with no fallback raises UndecidableRank.  Input that is not square or
+    not finite raises InvalidArgument."""
+    square = x.ndim >= 2 and x.shape[-2] == x.shape[-1]
+    _require(square and np.isfinite(x).all(), "expected square matrices with finite entries")
     stack = x.reshape((-1,) + x.shape[-2:])
     n = x.shape[-1]
     # sv[b, i, j]: row b's x[:i, j-1:] singular values, zero-padded, 0 at the borders
@@ -263,10 +265,15 @@ def _require(ok: bool, message: str):
         raise InvalidArgument(message)
 
 
-def _require_unipotent(x: np.ndarray):
-    """x, one matrix or a stack, must lie in N: its lower triangle is exactly I."""
-    if not (np.tril(x) == np.eye(x.shape[-1])).all():
+def _require_unipotent(x: np.ndarray, n: int, stack: bool = True):
+    """x must be one matrix (n, n) or, with stack, a stack (..., n, n)
+    (InvalidArgument otherwise), lie in N: its lower triangle is exactly I
+    (NotUnipotentUpper otherwise), and have finite entries (InvalidArgument
+    otherwise)."""
+    _require(x.shape[-2:] == (n, n) and (stack or x.ndim == 2), "rank mismatch")
+    if not (np.tril(x) == np.eye(n)).all():
         raise NotUnipotentUpper("expected a unipotent upper-triangular matrix")
+    _require(np.isfinite(x).all(), "matrix entries must be finite")
 
 
 def flow(
@@ -283,9 +290,10 @@ def flow(
 
     Backward runs until the field (or the height above the base) is below
     ``STATIONARY_TOL``; forward runs until ``target_str`` is reached.
-    x0 must be unipotent upper-triangular (NotUnipotentUpper otherwise) and
-    lie in G_0 u: NotInG0u is raised, before any step, when the float x_u
-    of x0 is not finite or u is not below its label.
+    x0 must be one matrix as _require_unipotent asks and lie in G_0 u:
+    NotInG0u is raised, before any step, when the float x_u of x0 is not
+    finite or u is not below its label.  Only the points reported after
+    x0, each snapshot and the end, are re-projected onto the fiber.
     The stratum label is frozen at the start and re-checked at snapshots
     away from the base, where float rank detection is meaningful; a
     snapshot whose label is undecidable is not checked, and an undecidable
@@ -297,8 +305,7 @@ def flow(
     _require(snapshot_every >= 1, "snapshot_every must be at least 1")
     _require(max_steps >= 1, "max_steps must be at least 1")
     x0 = np.asarray(x0, dtype=np.float64)
-    _require(x0.shape == (u.n, u.n), "rank mismatch")
-    _require_unipotent(x0)
+    _require_unipotent(x0, u.n, stack=False)
     stratum = cell_of_float(x0)
     u0, uinv0 = kernels.perm_arrays(u)
     with np.errstate(all="ignore"):  # a zero pivot shows as inf or nan
@@ -328,21 +335,20 @@ def flow(
         if err <= 1.0:
             x, t, k = xn, t + h, kn
             accepted += 1
-            if accepted % REPROJECT_EVERY == 0:
-                x = integ.reproject(x)
-                k = integ.rhs(x)
             if accepted % snapshot_every == 0:
+                x = integ.reproject(x)
                 s = str_of(x)
                 if s - base_str > STRATUM_CHECK_FLOOR and cell_of_float(x, stratum) != stratum:
                     raise StratumEscape(
                         f"stratum label changed along trajectory at t={t}"
                     )
-                traj.append(FlowState(x.copy(), t, s, stratum))
+                traj.append(FlowState(x, t, s, stratum))
         h = _next_step(h, err, "flow")
     else:
         raise MaxStepsExceeded(f"flow did not terminate in {max_steps} steps")
     if traj[-1].time != t:
-        traj.append(FlowState(x.copy(), t, str_of(x), stratum))
+        x = integ.reproject(x)
+        traj.append(FlowState(x, t, str_of(x), stratum))
     return traj
 
 
@@ -389,11 +395,13 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float) -> np.ndarray:
     The first step tries the whole climb; the controller shrinks it where
     the trajectory bends, so a straight climb takes one step.
     Each row's error is measured against its displacement max|z - I|.
+    Every row must lie in N with finite entries (see _require_unipotent).
     """
     _require_epsilon(epsilon)
+    x = np.asarray(x, dtype=np.float64)
+    _require_unipotent(x, u.n)
     integ = _link_field(u)
     base = integ.base
-    x = np.asarray(x, dtype=np.float64)
     out = x.reshape((-1,) + x.shape[-2:]).copy()
     d = str_of(base) + epsilon - str_of(out)
     rows = np.flatnonzero(~(np.abs(d) <= LEVEL_TOL))
@@ -553,11 +561,11 @@ def retraction(
     down with the torus, project onto the v-cell, move into the fiber over
     the canonical base of the u-cell with rho, and land on the level set.
     Every row of x must be unipotent upper-triangular (NotUnipotentUpper
-    otherwise)."""
+    otherwise) with finite entries (InvalidArgument otherwise)."""
     _require(0.0 <= tau <= 1.0, "tau must lie in [0, 1]")
     x = np.asarray(x, dtype=np.float64)
-    _require(x.shape[-2:] == (u.n, u.n) and u.n == v.n == z.n, "rank mismatch")
-    _require_unipotent(x)
+    _require(u.n == v.n == z.n, "rank mismatch")
+    _require_unipotent(x, u.n)
     _require_below(u, v)
     if not (is_tnn(z) and is_in_G0_u(z, v)):
         raise ZNotInYgeqV("z must be totally nonnegative with cell >= v")

@@ -49,7 +49,8 @@ def _census(lib):
 
 
 def _flows(lib):
-    # long enough to reproject: flow re-projects every tenth accepted step
+    # flow re-projects each point it reports after x0, so any flow that
+    # takes a step reaches rho_move
     x = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
     lib("flow").flow(x, Permutation.identity(3), "backward")
 

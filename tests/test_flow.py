@@ -510,8 +510,9 @@ class TestCallGraph:
         assert min(calls["rk_step"], calls["psi_tangent"], calls["rho_move"]) > 0
 
     # A step evaluates the field 6 times: its first stage is the last stage
-    # of the step before.  link_point evaluates it once more at the start,
-    # flow once at the start and once after each reprojection.
+    # of the step before.  link_point and flow evaluate it once more, at
+    # the start; flow re-projects each point it reports after x0, and only
+    # those.
     def test_link_point_reuses_the_last_stage(self, calls):
         link_sample(Permutation.identity(3), Permutation.longest(3), 1.0, 2, seed=0)
         assert calls["rk_step"] > 0
@@ -520,9 +521,24 @@ class TestCallGraph:
     @pytest.mark.parametrize("direction", ["backward", "forward"])
     def test_flow_reuses_the_last_stage(self, calls, direction):
         x = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
-        flow(x, Permutation.identity(3), direction, target_str=str_of(x) + 2.0)
-        assert calls["rho_move"] > 0
-        assert calls["psi_tangent"] == 6 * calls["rk_step"] + 1 + calls["rho_move"]
+        traj = flow(x, Permutation.identity(3), direction, target_str=str_of(x) + 2.0)
+        assert calls["psi_tangent"] == 6 * calls["rk_step"] + 1
+        assert calls["rho_move"] == len(traj) - 1 > 0
+
+    # Re-projecting only the reported points leaves the trajectory as it
+    # was: the same steps, and endpoints within rounding.
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    def test_snapshot_cadence_leaves_the_flow(self, calls, direction):
+        x = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        steps, ends = [], []
+        for every in (1, 50, 10**6):
+            calls.clear()
+            traj = flow(x, Permutation.parse("2,1,3"), direction, snapshot_every=every, target_str=str_of(x) + 2.0)
+            steps.append(calls["rk_step"])
+            ends.append(traj[-1].point)
+        assert steps[0] == steps[1] == steps[2] > 0
+        for end in ends[1:]:
+            assert np.abs(end - ends[0]).max() <= 1e-12 * max(1.0, np.abs(ends[0]).max())
 
     # The link of a covering pair u < v is one point: link_point's first
     # step, the whole climb, is accepted.
@@ -958,6 +974,51 @@ class TestStackContract:
         assert retraction(drawn[v][None], 0.0, u, v, z, 1.0).shape == (1, 4, 4)
         with pytest.raises(ZNotInYgeqV, match="not above v"):
             retraction(np.array([drawn[v], drawn[w]]), 0.0, u, v, z, 1.0)
+
+
+def _s3_point_with(value):
+    x = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    x[0, 2] = value
+    return x
+
+
+FLOAT_ENTRY_POINTS = {
+    "flow": lambda x: flow(x, Permutation.identity(3), "backward"),
+    "link_point": lambda x: link_point(x, Permutation.identity(3), 1.0),
+    "retraction": lambda x: retraction(
+        x, 0.5, Permutation.identity(3), Permutation.longest(3), default_base(Permutation.longest(3)), 1.0
+    ),
+    "cell_of_float": cell_of_float,
+}
+
+
+# Non-finite entries and a wrong shape raise InvalidArgument at entry,
+# before numpy sees them: no LinAlgError, IndexError or RuntimeWarning.
+@pytest.mark.parametrize("entry", sorted(FLOAT_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (_s3_point_with(np.nan), "finite"),
+        (_s3_point_with(-np.inf), "finite"),
+        (np.eye(3, 4), "rank mismatch|square"),
+        (np.ones(3), "rank mismatch|square"),
+    ],
+    ids=["nan", "-inf", "3x4", "1-d"],
+)
+def test_bad_float_input_raises_invalid_argument(entry, x, message):
+    with pytest.raises(InvalidArgument, match=message):
+        FLOAT_ENTRY_POINTS[entry](x)
+
+
+@pytest.mark.parametrize("entry", ["flow", "link_point", "retraction"])
+def test_wrong_n_raises_rank_mismatch(entry):
+    with pytest.raises(InvalidArgument, match="rank mismatch"):
+        FLOAT_ENTRY_POINTS[entry](np.eye(4))
+
+
+def test_link_point_rejects_x_outside_N():
+    with pytest.raises(NotUnipotentUpper):
+        link_point(np.array([[2.0, 1, 1], [0, 1, 1], [0, 0, 1]]), Permutation.identity(3), 1.0)
 
 
 class TestNu:
