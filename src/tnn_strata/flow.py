@@ -53,7 +53,7 @@ def str_of(x) -> float | Fraction | np.ndarray:
     """Sum of the entries just above the diagonal (per row of a float stack); additive on N."""
     if isinstance(x, RatMatrix):
         return sum(x.rows[i][i + 1] for i in range(x.n - 1))
-    s = np.trace(x, offset=1, axis1=-2, axis2=-1)
+    s = np.asarray(x).trace(1, -2, -1)
     return float(s) if s.ndim == 0 else s
 
 
@@ -168,8 +168,9 @@ def _next_step(h: float, err: float, what: str) -> float:
 
 @dataclass
 class FiberIntegrator:
-    """Adaptive RK45 for xdot = psi(x) on the fiber over a fixed base, with
-    re-projection onto the fiber (reproject) to cancel drift.  The field
+    """Adaptive RK45 for xdot = psi(x) on the fiber over a fixed base.
+    reproject moves a point back onto the fiber, cancelling drift; flow
+    applies it to the points it reports, not at every step.  The field
     is evaluated in fiber coordinates, psi(x) = base z pi_n(z^-1 M z) at
     z = base^-1 x, with M and N(u)'s mask computed once for the base.
     A step (rk_step) is one Dormand-Prince 5(4) step that reuses the last
@@ -265,13 +266,25 @@ def _require(ok: bool, message: str):
         raise InvalidArgument(message)
 
 
+@functools.cache
+def _lower_triangle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column indices of the entries on and below the diagonal of
+    an n x n matrix, and the identity's entries there."""
+    rows, cols = np.tril_indices(n)
+    identity = (rows == cols).astype(np.float64)
+    for a in (rows, cols, identity):
+        a.flags.writeable = False
+    return rows, cols, identity
+
+
 def _require_unipotent(x: np.ndarray, n: int, stack: bool = True):
     """x must be one matrix (n, n) or, with stack, a stack (..., n, n)
     (InvalidArgument otherwise), lie in N: its lower triangle is exactly I
     (NotUnipotentUpper otherwise), and have finite entries (InvalidArgument
     otherwise)."""
     _require(x.shape[-2:] == (n, n) and (stack or x.ndim == 2), "rank mismatch")
-    if not (np.tril(x) == np.eye(n)).all():
+    rows, cols, identity = _lower_triangle(n)
+    if not (x[..., rows, cols] == identity).all():
         raise NotUnipotentUpper("expected a unipotent upper-triangular matrix")
     _require(np.isfinite(x).all(), "matrix entries must be finite")
 
@@ -366,6 +379,10 @@ class _LevelField(FiberIntegrator):
 
     tol = LINK_STEP_TOL
 
+    def __post_init__(self):
+        super().__post_init__()
+        self._eye = np.eye(self.u.n)
+
     def rhs(self, z: np.ndarray) -> np.ndarray:
         d = kernels.psi_tangent(z, self._M, self._mask)
         s = str_of(d)
@@ -377,7 +394,7 @@ class _LevelField(FiberIntegrator):
         """Each row's displacement from the base, max|z - I|: near the base
         the entries of z are O(epsilon) or smaller, and an absolute scale
         would leave them only absolute accuracy."""
-        return np.abs(z5 - np.eye(z5.shape[-1])).max(axis=(-2, -1))
+        return np.abs(z5 - self._eye).max(axis=(-2, -1))
 
 
 def link_point(x: np.ndarray, u: Permutation, epsilon: float) -> np.ndarray:

@@ -74,6 +74,18 @@ class TestField:
         assert str_of(x) == Fraction(5)
         assert str_of(np.array(x.to_floats())) == pytest.approx(5.0)
 
+    def test_str_of_result_types(self):
+        """A RatMatrix gives a Fraction, one float matrix (also as nested
+        lists) a Python float, and a stack an array, one value per row."""
+        rows = [[1, 2, 0], [0, 1, 3], [0, 0, 1]]
+        exact = str_of(RatMatrix.from_rows(rows))
+        assert type(exact) is Fraction and exact == 5
+        for one in (rows, np.array(rows, dtype=np.float64)):
+            got = str_of(one)
+            assert type(got) is float and got == 5.0
+        stack = str_of(np.array([rows, np.eye(3)]))
+        assert isinstance(stack, np.ndarray) and stack.tolist() == [5.0, 0.0]
+
     def test_pi_n_strictly_upper(self):
         m = RatMatrix.from_rows([[1, 2], [3, 4]])
         p = pi_n(m)
@@ -1019,6 +1031,28 @@ def test_wrong_n_raises_rank_mismatch(entry):
 def test_link_point_rejects_x_outside_N():
     with pytest.raises(NotUnipotentUpper):
         link_point(np.array([[2.0, 1, 1], [0, 1, 1], [0, 0, 1]]), Permutation.identity(3), 1.0)
+
+
+# A nan strictly below the diagonal puts x outside N: the N test comes
+# before the finiteness test, for flow's one matrix and for one row of a stack.
+def _s3_point_nan_below(i, j):
+    x = _s3_point_with(1.0)
+    x[i, j] = np.nan
+    return x
+
+
+@pytest.mark.parametrize(
+    "entry, x",
+    [
+        ("flow", _s3_point_nan_below(2, 0)),
+        ("link_point", np.array([_s3_point_with(1.0), _s3_point_nan_below(1, 0)])),
+        ("retraction", np.array([_s3_point_with(1.0), _s3_point_nan_below(2, 1)])),
+    ],
+    ids=["flow-one-matrix", "link_point-stack-row", "retraction-stack-row"],
+)
+def test_nan_below_the_diagonal_is_outside_N(entry, x):
+    with pytest.raises(NotUnipotentUpper):
+        FLOAT_ENTRY_POINTS[entry](x)
 
 
 class TestNu:

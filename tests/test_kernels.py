@@ -2,6 +2,7 @@
 time and as a stack."""
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,57 @@ def test_psi_tangent_vanishes_at_the_base(n):
     for u in all_permutations(n):
         _, M, mask = float_field(u, pi_u(random_cell_point(u, rng), u))
         assert not kernels.psi_tangent(np.eye(n), M, mask).any()
+
+
+# psi_tangent solves with numpy's private gesv gufunc, not np.linalg.solve.
+# These tests pin the two to each other bit for bit, so a numpy release that
+# changes the private gufunc fails here and not as drift in a flow.
+
+
+def unipotent_stack(rng, n, count, scale=1e6):
+    """count random unit upper-triangular n x n matrices, entries up to scale."""
+    return np.triu(rng.uniform(-scale, scale, (count, n, n)), 1) + np.eye(n)
+
+
+def psi_tangent_by_linalg_solve(z, M, mask):
+    """psi_tangent's formula with the solve through np.linalg.solve."""
+    return mask * (z @ (np.linalg.solve(z, M @ z) * kernels._upper_mask(z.shape[-1], 1)))
+
+
+@pytest.mark.parametrize("count", [1, 3, 23])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_psi_tangent_solve_is_linalg_solve_bit_for_bit(n, count):
+    rng = np.random.default_rng(10 * n + count)
+    z = unipotent_stack(rng, n, count)
+    M = np.tril(rng.uniform(-n, n, (n, n)))
+    mask = np.triu(rng.random((n, n)) < 0.7, 1).astype(np.float64)
+    for x in (z, z[0]):
+        assert np.array_equal(kernels.psi_tangent(x, M, mask), psi_tangent_by_linalg_solve(x, M, mask))
+    # a nan above the diagonal of one row: that row's nans, in place, and no warning
+    z[-1, 0, n - 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernels.psi_tangent(z, M, mask)
+    assert np.array_equal(got, psi_tangent_by_linalg_solve(z, M, mask), equal_nan=True)
+    assert np.isfinite(got[:-1]).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, -1e200])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_unipotent_solve_keeps_non_finite_rows(n, bad):
+    """The gufunc call psi_tangent makes, on rows with a non-finite or huge
+    entry in z or in the right-hand side: np.linalg.solve's output, the
+    same non-finite pattern, and no warning."""
+    rng = np.random.default_rng(n)
+    z, rhs = unipotent_stack(rng, n, 3), rng.uniform(-1.0, 1.0, (3, n, n))
+    z[1, 0, n - 1] = bad
+    rhs[2, n - 1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.linalg._umath_linalg.solve(z, rhs, signature="dd->d")
+    want = np.linalg.solve(z, rhs)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.isfinite(got), np.isfinite(want)) and np.isfinite(got[0]).all()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
