@@ -168,11 +168,10 @@ def _next_step(h: float, err: float, what: str) -> float:
 
 @dataclass
 class FiberIntegrator:
-    """Adaptive RK45 for xdot = psi(x) on the fiber over a fixed base.
-    reproject moves a point back onto the fiber, cancelling drift; flow
-    applies it to the points it reports, not at every step.  The field
-    is evaluated in fiber coordinates, psi(x) = base z pi_n(z^-1 M z) at
-    z = base^-1 x, with M and N(u)'s mask computed once for the base.
+    """Adaptive RK45 for the fiber field over a fixed base in fiber
+    coordinates z = base^-1 x: rhs(z) = psi_tangent(z, M, mask), with M and
+    N(u)'s mask computed once for the base.  reproject moves a point x
+    back onto the fiber; flow applies it to the points it reports.
     A step (rk_step) is one Dormand-Prince 5(4) step that reuses the last
     stage of the step before as its first: callers carry the field at the
     current point, so a step costs 6 field evaluations, not 7."""
@@ -184,24 +183,23 @@ class FiberIntegrator:
     def __post_init__(self):
         self._u0, self._uinv0 = kernels.perm_arrays(self.u)
         self._M, self._mask = kernels.base_field(self.base, self._u0, self._uinv0)
-        self._base_inv = np.linalg.inv(self.base)
 
-    def rhs(self, x: np.ndarray) -> np.ndarray:
-        return self.base @ kernels.psi_tangent(self._base_inv @ x, self._M, self._mask)
+    def rhs(self, z: np.ndarray) -> np.ndarray:
+        return kernels.psi_tangent(z, self._M, self._mask)
 
     def reproject(self, x: np.ndarray) -> np.ndarray:
         return kernels.rho_move(x, self.base, self._u0, self._uinv0)
 
-    def error_scale(self, x5: np.ndarray) -> np.ndarray:
+    def error_scale(self, z5: np.ndarray) -> np.ndarray:
         """What each row's error estimate is measured against, times tol."""
-        return 1.0 + np.abs(x5).max(axis=(-2, -1))
+        return 1.0 + np.abs(z5).max(axis=(-2, -1))
 
-    def rk_step(self, x: np.ndarray, h, k1=None) -> tuple[np.ndarray, float, np.ndarray]:
-        """One embedded step of x (one matrix or a stack of shape (B, n, n))
-        by h (a scalar or one step per row), from the field k1 = rhs(x)
-        (evaluated here when None).  Returns the 5th-order point x5, the
+    def rk_step(self, z: np.ndarray, h, k1=None) -> tuple[np.ndarray, float, np.ndarray]:
+        """One embedded step of z (one matrix or a stack of shape (B, n, n))
+        by h (a scalar or one step per row), from the field k1 = rhs(z)
+        (evaluated here when None).  Returns the 5th-order point z5, the
         largest of the rows' own error estimates, each scaled by
-        tol * error_scale(x5_row), and the 7th stage k7 = rhs(x5), which is
+        tol * error_scale(z5_row), and the 7th stage k7 = rhs(z5), which is
         the next step's k1 when this one is accepted: a step costs 6 field
         evaluations.  Each stage's point is one product of its tableau row
         with the stages so far, and the error one product of B5 - B4 with
@@ -210,16 +208,16 @@ class FiberIntegrator:
         h = np.asarray(h, dtype=np.float64)
         if h.ndim:
             h = h[:, None, None]
-        k = np.empty((7,) + x.shape)
-        k[0] = self.rhs(x) if k1 is None else k1
+        k = np.empty((7,) + z.shape)
+        k[0] = self.rhs(z) if k1 is None else k1
         flat = k.reshape(7, -1)
         for s in range(1, 7):
-            xs = x + h * (dp_a[s, :s] @ flat[:s]).reshape(x.shape)
-            k[s] = self.rhs(xs)
-        x5 = xs  # the last row of A is B5
-        delta = np.abs(h * (dp_e @ flat).reshape(x.shape)).max(axis=(-2, -1))
-        err = delta / (self.tol * self.error_scale(x5))
-        return x5, float(err.max()), k[6]
+            zs = z + h * (dp_a[s, :s] @ flat[:s]).reshape(z.shape)
+            k[s] = self.rhs(zs)
+        z5 = zs  # the last row of A is B5
+        delta = np.abs(h * (dp_e @ flat).reshape(z.shape)).max(axis=(-2, -1))
+        err = delta / (self.tol * self.error_scale(z5))
+        return z5, float(err.max()), k[6]
 
 
 def cell_of_float(x: np.ndarray, fallback=None):
@@ -301,17 +299,20 @@ def flow(
     """Integrate the fiber field from x0, in the fiber over the base that
     x0 projects to (the float x_u of x0).
 
-    Backward runs until the field (or the height above the base) is below
-    ``STATIONARY_TOL``; forward runs until ``target_str`` is reached.
+    It integrates z = x_u^-1 x0, entered by one solve, and leaves z only
+    at the points it reports after x0, each snapshot and the end, as x_u z
+    re-projected onto the fiber.  Backward runs until the field (or the
+    height str(z) above the base) is below ``STATIONARY_TOL``; forward runs
+    until ``target_str`` is reached; any other direction is InvalidArgument.
     x0 must be one matrix as _require_unipotent asks and lie in G_0 u:
     NotInG0u is raised, before any step, when the float x_u of x0 is not
-    finite or u is not below its label.  Only the points reported after
-    x0, each snapshot and the end, are re-projected onto the fiber.
+    finite or u is not below its label.
     The stratum label is frozen at the start and re-checked at snapshots
     away from the base, where float rank detection is meaningful; a
     snapshot whose label is undecidable is not checked, and an undecidable
     label at x0 raises UndecidableRank.
     """
+    _require(direction in ("backward", "forward"), "direction must be backward or forward")
     forward = direction == "forward"
     _require(not forward or target_str is not None, "forward flow needs target_str")
     _require(target_str is None or math.isfinite(target_str), "target_str must be finite")
@@ -326,30 +327,27 @@ def flow(
     if not (np.isfinite(x_u).all() and bruhat_leq(u, stratum)):
         raise NotInG0u(None)
     integ = FiberIntegrator(u, x_u)
-    base_str = str_of(integ.base)
+    base_str = str_of(x_u)
 
     traj: list[FlowState] = [
         FlowState(x0.copy(), 0.0, str_of(x0), stratum)
     ]
-    x, t = x0.copy(), 0.0
-    k = integ.rhs(x)  # the field at x, carried from step to step
+    z, t = np.linalg.solve(x_u, x0), 0.0
+    k = integ.rhs(z)  # the field at z, carried from step to step
     h = 0.01 if forward else -0.01
     accepted = 0
     for _ in range(max_steps):
         if forward:
-            if str_of(x) >= target_str:
+            if base_str + str_of(z) >= target_str:
                 break
-        elif (
-            str_of(x) - base_str < STATIONARY_TOL
-            or float(np.abs(k).max()) < STATIONARY_TOL
-        ):
+        elif str_of(z) < STATIONARY_TOL or float(np.abs(k).max()) < STATIONARY_TOL:
             break
-        xn, err, kn = integ.rk_step(x, h, k)
+        zn, err, kn = integ.rk_step(z, h, k)
         if err <= 1.0:
-            x, t, k = xn, t + h, kn
+            z, t, k = zn, t + h, kn
             accepted += 1
             if accepted % snapshot_every == 0:
-                x = integ.reproject(x)
+                x = integ.reproject(x_u @ z)
                 s = str_of(x)
                 if s - base_str > STRATUM_CHECK_FLOOR and cell_of_float(x, stratum) != stratum:
                     raise StratumEscape(
@@ -360,7 +358,7 @@ def flow(
     else:
         raise MaxStepsExceeded(f"flow did not terminate in {max_steps} steps")
     if traj[-1].time != t:
-        x = integ.reproject(x)
+        x = integ.reproject(x_u @ z)
         traj.append(FlowState(x, t, str_of(x), stratum))
     return traj
 
@@ -384,7 +382,7 @@ class _LevelField(FiberIntegrator):
         self._eye = np.eye(self.u.n)
 
     def rhs(self, z: np.ndarray) -> np.ndarray:
-        d = kernels.psi_tangent(z, self._M, self._mask)
+        d = super().rhs(z)
         s = str_of(d)
         # nan where the field does not raise str: an RK stage that overshoots
         # the totally nonnegative part fails its step's error test instead

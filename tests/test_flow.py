@@ -1,4 +1,5 @@
 import importlib
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -193,6 +194,14 @@ class TestFlow:
         with pytest.raises(InvalidArgument, match="max_steps"):
             flow(np.eye(3), u, "backward", max_steps=0)
 
+    # checked before any work: before the shape and before the field
+    @pytest.mark.parametrize("direction", ["sideways", "Backward", ""])
+    def test_unknown_direction_rejected(self, direction, monkeypatch):
+        monkeypatch.setattr(kernels, "pi_u", None)
+        for x in (np.eye(3), np.eye(4)):
+            with pytest.raises(InvalidArgument, match="direction"):
+                flow(x, Permutation.identity(3), direction)
+
 
 class TestCellOfFloat:
     def test_agrees_with_exact(self):
@@ -234,6 +243,21 @@ class TestCellOfFloat:
             cell_of_float(stack)
         with pytest.raises(UndecidableRank, match="decodes to no permutation"):
             cell_of_float(stack[[0, 2, 1]])
+
+    # The known float-label defect.  On the exact orbit of op 13 of the
+    # flows benchmark at seed 14, 1.0e-3 and 1.5e-3 above the base, the
+    # correctly rounded floats of a top-cell point read as 3,4,2,1,
+    # decidably: at t = -8.3743 sigma_3/sigma_1 of x[:3, 1:] is 6.9e-14,
+    # below RANK_ZERO_TOL, while the exact minor det x[1..3 | 2..4] is 4.9e-12.
+    @pytest.mark.parametrize("t", [-8.3743, -8.0])
+    def test_orbit_point_near_the_base_is_top_cell(self, t):
+        assert cell_of(seed_14_orbit_point(t)) == Permutation.longest(4)
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason="the correctly rounded floats read as 3,4,2,1")
+    @pytest.mark.parametrize("t", [-8.3743, -8.0])
+    def test_orbit_point_near_the_base_reads_top_cell(self, t):
+        y = np.array(seed_14_orbit_point(t).to_floats())
+        assert cell_of_float(y) == Permutation.longest(4)
 
     def test_empty_stack(self):
         assert cell_of_float(np.empty((0, 3, 3))) == []
@@ -326,6 +350,31 @@ NEAR_BASE_REPROS = [
 ]
 
 
+def flows_seed_14_op_13():
+    """u and x0 of op 13 of the flows benchmark at seed 14: a top-cell point
+    of S4 in its own fiber over u = 3,1,2,4."""
+    u, w = Permutation.parse("3,1,2,4"), Permutation.longest(4)
+    params = [Fraction(p) for p in ("7", "1", "8/5", "6/5", "9/4", "1/9")]
+    xt = lusztig_point(reduced_word(w), params).matrix
+    x0 = rho(xt, pi_u(xt, u), u)
+    assert x0.rows[0] == (1, Fraction(374, 45), Fraction(509, 20), Fraction(56, 5))
+    return u, x0
+
+
+def exact_orbit_point(u, x0, x_u, t) -> RatMatrix:
+    """rho(conj_d(e^t, x0), x_u, u): the point that flow(x0, u) reaches at
+    time t, with e^t the exact rational of its float."""
+    return rho(conj_d(Fraction(math.exp(t)), x0), x_u, u)
+
+
+def seed_14_orbit_point(t) -> RatMatrix:
+    """The exact orbit point at time t of op 13 of the flows benchmark at
+    seed 14, x0 read as the exact rationals of its floats."""
+    u, x0 = flows_seed_14_op_13()
+    x0 = RatMatrix.from_rows(x0.to_floats())
+    return exact_orbit_point(u, x0, pi_u(x0, u), t)
+
+
 class TestStratumCheck:
     @pytest.mark.parametrize("u_text, entries", NEAR_BASE_REPROS)
     def test_backward_flow_near_base_reaches_base(self, u_text, entries):
@@ -353,17 +402,12 @@ class TestStratumCheck:
                 snapshot_every=10,
             )
 
-    # The known float-label defect: op 13 of the flows benchmark at seed 14.
-    # Its backward flow reads a top-cell point 1.02e-3 above the base as
-    # 3,4,2,1, decidably, and raises; the flow keeps strata, so a fix of
-    # the label reader turns this into a pass.
-    @pytest.mark.xfail(raises=StratumEscape, strict=True, reason="a top-cell snapshot reads as 3,4,2,1")
+    # Op 13 of the flows benchmark at seed 14.  Its exact orbit passes a
+    # top-cell point 1.02e-3 above the base that cell_of_float misreads
+    # (TestCellOfFloat's strict xfail); the flow's snapshots miss that point,
+    # which leaves the label reader as it was.
     def test_flows_seed_14_op_13_reaches_base(self):
-        u, w = Permutation.parse("3,1,2,4"), Permutation.longest(4)
-        params = [Fraction(p) for p in ("7", "1", "8/5", "6/5", "9/4", "1/9")]
-        xt = lusztig_point(reduced_word(w), params).matrix
-        x0 = rho(xt, pi_u(xt, u), u)
-        assert x0.rows[0] == (1, Fraction(374, 45), Fraction(509, 20), Fraction(56, 5))
+        u, x0 = flows_seed_14_op_13()
         base = np.array(pi_u(x0, u).to_floats())
         traj = flow(np.array(x0.to_floats()), u, "backward")
         assert np.max(np.abs(traj[-1].point - base)) <= 1e-6
@@ -639,6 +683,88 @@ class TestTorusOrbit:
         assert orbit_error(torus_orbits[:19]) > 1e-11
 
 
+# The same identity for flow: the point flow(x0, u) reports at time t is
+# rho(conj_d(e^t, x0), x_u, u), x0 read as the exact rationals of its floats
+# and x_u its exact projection.  It pins the trajectory against exact
+# arithmetic, whatever digits the integrator gives.
+
+
+@pytest.fixture(scope="module")
+def flow_orbits():
+    """(u, x0, x_u, trajectory) for every pair u < w of S3 and S4 and both
+    directions, forward to str + 2: x0 a w-cell point, which lies in the
+    fiber over its own projection x_u."""
+    rng = random.Random(5)
+    cases = []
+    for n in (3, 4):
+        perms = all_permutations(n)
+        for u, w in ((u, w) for u in perms for w in perms if bruhat_less(u, w)):
+            x = np.array(random_cell_point(w, rng).to_floats())
+            x0 = RatMatrix.from_rows(x.tolist())
+            x_u = pi_u(x0, u)
+            for direction in ("backward", "forward"):
+                cases.append((u, x0, x_u, flow(x, u, direction, target_str=str_of(x) + 2.0)))
+    return cases
+
+
+def flow_orbit_error(cases, shift=0.0) -> float:
+    """The largest distance of a reported point from its exact orbit point
+    at time t + shift, relative to max(1, |y|)."""
+    worst = 0.0
+    for u, x0, x_u, traj in cases:
+        for state in traj:
+            y = np.array(exact_orbit_point(u, x0, x_u, state.time + shift).to_floats())
+            worst = max(worst, float(np.abs(state.point - y).max()) / max(1.0, float(np.abs(y).max())))
+    return worst
+
+
+class TestFlowOrbit:
+    # 10x the worst measured, 9.7e-9 (forward; backward 5.3e-10)
+    def test_reported_points_lie_on_the_exact_orbit(self, flow_orbits):
+        assert len(flow_orbits) == 404
+        assert flow_orbit_error(flow_orbits) <= 1e-7
+
+    # negative control: the orbit read 1e-3 later is missed
+    def test_shifted_time_misses_the_orbit(self, flow_orbits):
+        assert flow_orbit_error(flow_orbits, shift=1e-3) > 1e-7
+
+
+def flows_inputs(seed: int, count: int = 100):
+    """(u, x0) of each op of the flows benchmark at ``seed``, drawn as
+    perfbench/workloads.py draws them: a Lusztig point of w with
+    parameters in [1/9, 9], in its own fiber over u < w, on S3 and S4
+    alternately."""
+    rng = random.Random(seed)
+    for i in range(count):
+        w = rng.choice([p for p in all_permutations(3 if i % 2 == 0 else 4) if p.length > 0])
+        below = interval(Permutation.identity(w.n), w).elements
+        u = rng.choice(sorted((p for p in below if p != w), key=lambda p: p.image))
+        params = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(w.length)]
+        xt = lusztig_point(reduced_word(w), params).matrix
+        yield u, np.array(rho(xt, pi_u(xt, u), u).to_floats())
+
+
+class TestReproject:
+    # flow integrates in fiber coordinates, where the field is masked to
+    # N(u): every stage stays in the fiber, so re-projecting the points it
+    # reports moves them by rounding only.
+    def test_flow_reprojection_moves_by_rounding_only(self, monkeypatch):
+        moved = []
+        reproject = FiberIntegrator.reproject
+
+        def recorded(self, x):
+            y = reproject(self, x)
+            moved.append(float(np.abs(y - x).max()) / max(1.0, float(np.abs(x).max())))
+            return y
+
+        monkeypatch.setattr(FiberIntegrator, "reproject", recorded)
+        for u, x0 in flows_inputs(seed=1):
+            flow(x0, u, "backward")
+            flow(x0, u, "forward", target_str=str_of(x0) + 2.0)
+        assert len(moved) > 200
+        assert max(moved) <= 1e-13
+
+
 # The Dormand-Prince 5(4) pair, stage by stage, as the oracle of rk_step.
 DP_A = (
     (),
@@ -690,7 +816,7 @@ def one_matrix_field():
     while x == pi_u(x, u):
         x, u, _ = fiber_case(rng, n=4)
     integ = FiberIntegrator(u, np.array(pi_u(x, u).to_floats()))
-    return integ, np.array(x.to_floats()), 0.03
+    return integ, np.linalg.solve(integ.base, np.array(x.to_floats())), 0.03
 
 
 class TestRkStep:

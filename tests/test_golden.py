@@ -14,7 +14,10 @@ tests/golden/float_verbs.json holds the stdout of `flow` (backward, and
 forward to str + 1) and `link-sample --count 1 --seed 0` on a Lusztig point
 of w for every pair u < w of S3, and of `retract` on (e, w0) in S3 at tau in
 {0, 0.5, 1}.  Its float digits are those numpy 2.4 gave on x86-64; a change
-to the float integrator states what it moves against this file.
+to the float integrator states what it moves against this file.  Regenerate
+it with `PYTHONPATH=src python tests/test_golden.py`: it rewrites only the
+entries whose stdout changed and prints, for each, the largest |new - old|
+of its points and of its t.
 
 tests/golden/verify_checks.json pins, per suite at seed 0 and a small size,
 the number of checks and the sha256 of their ordered `case<TAB>ok` lines, so
@@ -23,6 +26,7 @@ points, fails under its own name."""
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -45,8 +49,8 @@ def test_census_stdout_is_pinned(case):
     assert res.stdout == case["stdout"]
 
 
-def replay(case, tmp_path):
-    """Run one pinned case; a "base" or "z" matrix goes in by file."""
+def run_case(case, tmp_path) -> str:
+    """The stdout of one pinned case; a "base" or "z" matrix goes in by file."""
     argv = list(case["argv"])
     for key in ("base", "z"):
         if key in case:
@@ -54,8 +58,12 @@ def replay(case, tmp_path):
             path.write_text(json.dumps(case[key]))
             argv += [f"--{key}", str(path)]
     res = CliRunner().invoke(main, argv, input=json.dumps(case["in"]) if "in" in case else None)
-    assert res.exit_code == 0
-    assert res.stdout == case["stdout"]
+    assert res.exit_code == 0, res.output
+    return res.stdout
+
+
+def replay(case, tmp_path):
+    assert run_case(case, tmp_path) == case["stdout"]
 
 
 @pytest.mark.parametrize("case", EXACT, ids=lambda c: " ".join(c["argv"]))
@@ -86,3 +94,66 @@ def test_suite_check_sequence_is_pinned(suite, monkeypatch):
     run_suite(suite, RunConfig(n=pin["n"], seed=0, samples=pin["samples"]))
     assert len(seen) == pin["count"]
     assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == pin["sha256"]
+
+
+def _numbers(obj, key):
+    """Every number under ``key`` anywhere in a parsed stdout, in order."""
+    if isinstance(obj, dict):
+        return [v for k, x in obj.items() for v in (_flat(x) if k == key else _numbers(x, key))]
+    if isinstance(obj, list):
+        return [v for x in obj for v in _numbers(x, key)]
+    return []
+
+
+def _flat(x):
+    if isinstance(x, list):
+        return [v for y in x for v in _flat(y)]
+    return [x] if isinstance(x, (int, float)) else []
+
+
+def _largest_change(old: str, new: str, key: str) -> float:
+    """The largest |new - old| over the numbers under ``key`` of two stdouts
+    (inf when they hold a different count of them)."""
+    a, b = _numbers(json.loads(old), key), _numbers(json.loads(new), key)
+    if len(a) != len(b):
+        return float("inf")
+    return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+
+
+def regenerate_float_verbs(path: Path = GOLDEN / "float_verbs.json") -> list[str]:
+    """Replay every case of the pinned float verbs at ``path`` and rewrite
+    the file with the stdout of those that changed, one case a line as it
+    is kept.  Returns one line per changed case: its argv and the largest
+    |new - old| of its points (matrix entries) and of its t."""
+    cases = json.loads(path.read_text())
+    changed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in cases:
+            stdout = run_case(case, Path(tmp))
+            if stdout != case["stdout"]:
+                points = _largest_change(case["stdout"], stdout, "entries")
+                t = _largest_change(case["stdout"], stdout, "t")
+                changed.append(f"{' '.join(case['argv'])}: points {points:.3g}, t {t:.3g}")
+                case["stdout"] = stdout
+    path.write_text("[\n" + ",\n".join(json.dumps(case) for case in cases) + "\n]\n")
+    return changed
+
+
+# A tampered copy regenerates to the committed bytes: every other entry is
+# written back unchanged, and only the tampered one is reported.
+def test_regenerating_float_verbs_rewrites_only_changed_entries(tmp_path):
+    pinned = (GOLDEN / "float_verbs.json").read_bytes()
+    copy = tmp_path / "float_verbs.json"
+    copy.write_bytes(pinned)
+    assert regenerate_float_verbs(copy) == []
+    assert copy.read_bytes() == pinned
+    cases = json.loads(pinned)
+    cases[0]["stdout"] = cases[0]["stdout"].replace('"t": -22.96', '"t": -20.96')
+    copy.write_text(json.dumps(cases))
+    assert regenerate_float_verbs(copy) == ["flow --u 1,2,3: points 0, t 2"]
+    assert copy.read_bytes() == pinned
+
+
+if __name__ == "__main__":
+    for line in regenerate_float_verbs():
+        print(line)
