@@ -87,18 +87,34 @@ def pi_u(x: RatMatrix, u: Permutation) -> RatMatrix:
     return factor_u(x, u).x_u
 
 
+def base_A(x_u: RatMatrix, u: Permutation) -> RatMatrix:
+    """``fiber_A`` of a base point x_u of the u-cell: checks x_u's size,
+    then its cell, then x_u as ``fiber_A`` does."""
+    if x_u.n != u.n:
+        raise InvalidArgument("rank mismatch")
+    if cell_of(x_u) != u:
+        raise CellMismatch(
+            f"recover_shift arguments must lie in the {u.serialize()}-cell"
+        )
+    return fiber_A(x_u, u)
+
+
 def recover_shift(x_w: RatMatrix, xt: RatMatrix, w: Permutation) -> RatMatrix:
     """The shift A(xt)^-1 A(x_w), A = ``fiber_A``; for xt in the w-cell it
     is the unique n_1 in N_-(w) with [xt n_1]_+ = x_w.  Checks xt as
-    ``fiber_A`` does, then x_w's size and cell, then x_w as ``fiber_A``."""
+    ``fiber_A`` does, then x_w as ``base_A`` does."""
     a = fiber_A(xt, w)
-    if x_w.n != w.n:
-        raise InvalidArgument("rank mismatch")
-    if cell_of(x_w) != w:
-        raise CellMismatch(
-            f"recover_shift arguments must lie in the {w.serialize()}-cell"
-        )
-    return a.inverse() @ fiber_A(x_w, w)
+    return a.inverse() @ base_A(x_w, w)
+
+
+def _shift(xt: RatMatrix, n_1: RatMatrix, u: Permutation) -> RatMatrix:
+    """[xt [n_1]_-]_+, the move of ``rho`` by the shift n_1."""
+    try:
+        return gauss_plus(xt @ gauss_minus(n_1))
+    except NotInG0 as exc:
+        raise InternalInvariantError(
+            f"rho hit an undecomposable intermediate for u={u.serialize()}"
+        ) from exc
 
 
 def rho(xt: RatMatrix, x_u: RatMatrix, u: Permutation) -> RatMatrix:
@@ -108,13 +124,13 @@ def rho(xt: RatMatrix, x_u: RatMatrix, u: Permutation) -> RatMatrix:
 
     the formula ``kernels.rho_move`` evaluates in floats.
     """
-    n_1 = recover_shift(x_u, xt, u)
-    try:
-        return gauss_plus(xt @ gauss_minus(n_1))
-    except NotInG0 as exc:
-        raise InternalInvariantError(
-            f"rho hit an undecomposable intermediate for u={u.serialize()}"
-        ) from exc
+    return _shift(xt, recover_shift(x_u, xt, u), u)
+
+
+def rho_over(xt: RatMatrix, a_u: RatMatrix, u: Permutation) -> RatMatrix:
+    """``rho(xt, x_u, u)`` from a_u = ``base_A(x_u, u)``, which many points
+    moved over one base compute once."""
+    return _shift(xt, fiber_A(xt, u).inverse() @ a_u, u)
 
 
 def conj_d(tau, x: RatMatrix) -> RatMatrix:

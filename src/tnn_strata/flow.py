@@ -26,7 +26,7 @@ from .errors import (
     UndecidableRank,
     ZNotInYgeqV,
 )
-from .fiber import fiber_A, rho
+from .fiber import base_A, fiber_A, rho_over
 from .perms import Permutation, bruhat_leq, bruhat_less, decode_rank_jumps, interval, reduced_word
 from .ratmat import RatMatrix, _map_rows, is_in_G0_u
 
@@ -120,29 +120,80 @@ def sign_lemma_check(A: RatMatrix, u: Permutation) -> SignReport:
 
 # --- numerical integration ---------------------------------------------
 
+# The Dormand-Prince 8(5) pair, "DOP853" (Hairer, Norsett & Wanner, Solving
+# Ordinary Differential Equations I, 2nd ed., sec. II.10; Prince & Dormand,
+# J. Comput. Appl. Math. 7, 1981), with the coefficients of Hairer's dop853
+# code, as "column: coefficient" terms, each row ended by ";": the rows of
+# stages 2..12, then the 8th-order weights B, which give the new point, then
+# the weights E5 of the 5th-order error estimate.  They are text, parsed on
+# first use, because compiling them as Python literals raised the peak
+# memory of a fresh import by about 0.1 MB.
+_DOP853 = """
+0: 5.26001519587677318785587544488e-2;
+0: 1.97250569845378994544595329183e-2,
+1: 5.91751709536136983633785987549e-2;
+0: 2.95875854768068491816892993775e-2,
+2: 8.87627564304205475450678981324e-2;
+0: 2.41365134159266685502369798665e-1,
+2: -8.84549479328286085344864962717e-1,
+3: 9.24834003261792003115737966543e-1;
+0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+4: 1.25467687566822425016691814123e-1;
+0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2;
+0: 3.70920001185047927108779319836e-2,
+3: 1.70383925712239993810214054705e-1,
+4: 1.07262030446373284651809199168e-1,
+5: -1.53194377486244017527936158236e-2,
+6: 8.27378916381402288758473766002e-3;
+0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+4: -8.68219346841726006818189891453e-1,
+5: 2.75920996994467083049415600797e1, 6: 2.01540675504778934086186788979e1,
+7: -4.34898841810699588477366255144e1;
+0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+4: -5.90290826836842996371446475743e-1,
+5: 2.12300514481811942347288949897e1, 6: 1.52792336328824235832596922938e1,
+7: -3.32882109689848629194453265587e1,
+8: -2.03312017085086261358222928593e-2;
+0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022;
+0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+10: 6.43392746015763530355970484046e-1;
+0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+8: 3.1116436695781989440891606237e-1,
+9: -1.52160949662516078556178806805e-1,
+10: 2.01365400804030348374776537501e-1,
+11: 4.47106157277725905176885569043e-2;
+0: 0.1312004499419488073250102996e-1, 5: -0.1225156446376204440720569753e+1,
+6: -0.4957589496572501915214079952, 7: 0.1664377182454986536961530415e+1,
+8: -0.3503288487499736816886487290, 9: 0.3341791187130174790297318841,
+10: 0.8192320648511571246570742613e-1,
+11: -0.2235530786388629525884427845e-1;
+"""
+
+
 @functools.cache
-def _dp_tableau():
-    """The Dormand-Prince 5(4) tableau (A, E), built on first use.  Row s
-    of A gives stage s + 1's point, and its last row is the 5th-order
-    weights B5, so the 7th stage is the field at x5 ("first same as last":
-    it is the next step's first stage).  E = B5 - B4 are the weights of the
-    error estimate x5 - x4; the 7th stage enters only there, with weight
-    -1/40."""
-    A = np.array(
-        [
-            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-            [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
-            [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-            [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-            [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-            [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
-            [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-        ]
-    )
-    B4 = np.array(
-        [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-    )
-    return A, np.append(A[6], 0.0) - B4
+def _tableau():
+    """The 8(5) tableau as arrays (A, E5), built on first use: A is 13 x 12,
+    row s giving stage s + 1's point (row 0 is zero) and row 12, B, the new
+    point; E5 weighs the first 12 stages.  The 13th stage, the field at the
+    new point, has weight 0 in E5."""
+
+    def dense(row: str) -> np.ndarray:
+        v = np.zeros(12)
+        for term in row.split(","):
+            j, a = term.split(":")
+            v[int(j)] = float(a)
+        return v
+
+    *rows, e5 = map(dense, _DOP853.split(";")[:-1])
+    return np.array([np.zeros(12), *rows]), e5
 
 
 @dataclass
@@ -154,11 +205,12 @@ class FlowState:
 
 
 def _next_step(h: float, err: float, what: str) -> float:
-    """The step controller of the embedded 5(4) pair: grow or shrink h by
-    the usual safety-factored power of the error ratio, capped at MAX_STEP.
-    A non-finite error (a stage that left the domain of the field) shrinks
-    h by the largest factor, 0.2."""
-    grow = 0.9 * (1.0 / max(err, 1e-16)) ** 0.2 if math.isfinite(err) else 0.2
+    """The step controller of the 8(5) pair: grow or shrink h by the usual
+    safety-factored power of the error ratio, whose exponent 1/6 is one
+    over the error estimate's order plus one, within [0.2, 5] and capped
+    at MAX_STEP.  A non-finite error (a stage that left the domain of the
+    field) shrinks h by the largest factor, 0.2."""
+    grow = 0.9 * (1.0 / max(err, 1e-16)) ** (1 / 6) if math.isfinite(err) else 0.2
     h *= min(5.0, max(0.2, grow))
     h = math.copysign(min(abs(h), MAX_STEP), h)
     if abs(h) < 1e-16:
@@ -168,13 +220,14 @@ def _next_step(h: float, err: float, what: str) -> float:
 
 @dataclass
 class FiberIntegrator:
-    """Adaptive RK45 for the fiber field over a fixed base in fiber
+    """Adaptive Runge-Kutta for the fiber field over a fixed base in fiber
     coordinates z = base^-1 x: rhs(z) = psi_tangent(z, M, mask), with M and
     N(u)'s mask computed once for the base.  reproject moves a point x
     back onto the fiber; flow applies it to the points it reports.
-    A step (rk_step) is one Dormand-Prince 5(4) step that reuses the last
-    stage of the step before as its first: callers carry the field at the
-    current point, so a step costs 6 field evaluations, not 7."""
+    A step (rk_step) is one step of the Dormand-Prince 8(5) pair that
+    reuses the last stage of the step before as its first: callers carry
+    the field at the current point, so a step costs 12 field evaluations,
+    not 13."""
 
     u: Permutation
     base: np.ndarray
@@ -190,34 +243,36 @@ class FiberIntegrator:
     def reproject(self, x: np.ndarray) -> np.ndarray:
         return kernels.rho_move(x, self.base, self._u0, self._uinv0)
 
-    def error_scale(self, z5: np.ndarray) -> np.ndarray:
+    def error_scale(self, z: np.ndarray) -> np.ndarray:
         """What each row's error estimate is measured against, times tol."""
-        return 1.0 + np.abs(z5).max(axis=(-2, -1))
+        return 1.0 + np.abs(z).max(axis=(-2, -1))
 
     def rk_step(self, z: np.ndarray, h, k1=None) -> tuple[np.ndarray, float, np.ndarray]:
-        """One embedded step of z (one matrix or a stack of shape (B, n, n))
-        by h (a scalar or one step per row), from the field k1 = rhs(z)
-        (evaluated here when None).  Returns the 5th-order point z5, the
-        largest of the rows' own error estimates, each scaled by
-        tol * error_scale(z5_row), and the 7th stage k7 = rhs(z5), which is
-        the next step's k1 when this one is accepted: a step costs 6 field
-        evaluations.  Each stage's point is one product of its tableau row
-        with the stages so far, and the error one product of B5 - B4 with
-        all seven, so a stage that is nan gives a nan error."""
-        dp_a, dp_e = _dp_tableau()
+        """One step of the 8(5) pair from z (one matrix or a stack of shape
+        (B, n, n)) by h (a scalar or one step per row), from the field
+        k1 = rhs(z) (evaluated here when None).  Returns the 8th-order point
+        z8, the largest of the rows' own 5th-order error estimates, each
+        scaled by tol * error_scale(z8_row), and the 13th stage
+        k13 = rhs(z8), which is the next step's k1 when this one is
+        accepted: a step costs 12 field evaluations.  Each stage's point is
+        one product of its tableau row with the stages so far, and the
+        error one product of E5 with the first twelve, so a stage that is
+        nan gives a nan error; so does a nan or infinite k13, explicitly,
+        since its weight in E5 is 0."""
+        a, e5 = _tableau()
         h = np.asarray(h, dtype=np.float64)
         if h.ndim:
             h = h[:, None, None]
-        k = np.empty((7,) + z.shape)
+        k = np.empty((13,) + z.shape)
         k[0] = self.rhs(z) if k1 is None else k1
-        flat = k.reshape(7, -1)
-        for s in range(1, 7):
-            zs = z + h * (dp_a[s, :s] @ flat[:s]).reshape(z.shape)
+        flat = k.reshape(13, -1)
+        for s in range(1, 13):
+            zs = z + h * (a[s, :s] @ flat[:s]).reshape(z.shape)
             k[s] = self.rhs(zs)
-        z5 = zs  # the last row of A is B5
-        delta = np.abs(h * (dp_e @ flat).reshape(z.shape)).max(axis=(-2, -1))
-        err = delta / (self.tol * self.error_scale(z5))
-        return z5, float(err.max()), k[6]
+        z8 = zs  # the last row of A is B
+        delta = np.abs(h * (e5 @ flat[:12]).reshape(z.shape)).max(axis=(-2, -1))
+        err = float((delta / (self.tol * self.error_scale(z8))).max())
+        return z8, err if np.isfinite(k[12]).all() else math.nan, k[12]
 
 
 def cell_of_float(x: np.ndarray, fallback=None):
@@ -303,7 +358,9 @@ def flow(
     at the points it reports after x0, each snapshot and the end, as x_u z
     re-projected onto the fiber.  Backward runs until the field (or the
     height str(z) above the base) is below ``STATIONARY_TOL``; forward runs
-    until ``target_str`` is reached; any other direction is InvalidArgument.
+    until ``target_str`` is reached, each step capped at 1.1 times the
+    time the current rate of str needs to reach it, so the last one lands
+    just past it; any other direction is InvalidArgument.
     x0 must be one matrix as _require_unipotent asks and lie in G_0 u:
     NotInG0u is raised, before any step, when the float x_u of x0 is not
     finite or u is not below its label.
@@ -334,14 +391,21 @@ def flow(
     ]
     z, t = np.linalg.solve(x_u, x0), 0.0
     k = integ.rhs(z)  # the field at z, carried from step to step
-    h = 0.01 if forward else -0.01
+    h, err = (0.01 if forward else -0.01), None
     accepted = 0
     for _ in range(max_steps):
         if forward:
-            if base_str + str_of(z) >= target_str:
+            height = base_str + str_of(z)
+            if height >= target_str:
                 break
         elif str_of(z) < STATIONARY_TOL or float(np.abs(k).max()) < STATIONARY_TOL:
             break
+        if err is not None:  # after the stop test: a last short step cannot underflow
+            h = _next_step(h, err, "flow")
+        # land past the target by about 10 % of the rest, not by a whole
+        # step: str(k) is d str / dt, positive off the base
+        if forward and (rate := str_of(k)) > 0.0:
+            h = min(h, 1.1 * (target_str - height) / rate)
         zn, err, kn = integ.rk_step(z, h, k)
         if err <= 1.0:
             z, t, k = zn, t + h, kn
@@ -354,7 +418,6 @@ def flow(
                         f"stratum label changed along trajectory at t={t}"
                     )
                 traj.append(FlowState(x, t, s, stratum))
-        h = _next_step(h, err, "flow")
     else:
         raise MaxStepsExceeded(f"flow did not terminate in {max_steps} steps")
     if traj[-1].time != t:
@@ -388,11 +451,11 @@ class _LevelField(FiberIntegrator):
         # the totally nonnegative part fails its step's error test instead
         return d / np.where(s > 0.0, s, np.nan)[..., None, None]
 
-    def error_scale(self, z5: np.ndarray) -> np.ndarray:
+    def error_scale(self, z: np.ndarray) -> np.ndarray:
         """Each row's displacement from the base, max|z - I|: near the base
         the entries of z are O(epsilon) or smaller, and an absolute scale
         would leave them only absolute accuracy."""
-        return np.abs(z5 - self._eye).max(axis=(-2, -1))
+        return np.abs(z - self._eye).max(axis=(-2, -1))
 
 
 def link_point(x: np.ndarray, u: Permutation, epsilon: float) -> np.ndarray:
@@ -405,8 +468,9 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float) -> np.ndarray:
     the totally nonnegative part, so height is a valid time, and a row
     where it is not raises PreconditionError.  A row's height to climb (or
     descend) d is fixed at the start; all rows advance in one shared
-    fraction of their own d, stepped by the RK45 controller and clamped to
-    the fraction left, so they land on the level together by construction.
+    fraction of their own d, stepped by the 8(5) pair's controller (see
+    FiberIntegrator) and clamped to the fraction left, so they land on the
+    level together by construction.
     The first step tries the whole climb; the controller shrinks it where
     the trajectory bends, so a straight climb takes one step.
     Each row's error is measured against its displacement max|z - I|.
@@ -513,6 +577,12 @@ def _link_field(u: Permutation) -> _LevelField:
     return _LevelField(u, np.array(default_base(u).to_floats()))
 
 
+@functools.cache
+def _link_base_A(u: Permutation) -> RatMatrix:
+    """default_base(u), checked and taken to its A as rho does, once per u."""
+    return base_A(default_base(u), u)
+
+
 def random_cell_point(w: Permutation, rng) -> RatMatrix:
     """Random rational point of the w-cell via its canonical reduced word."""
     word = reduced_word(w)
@@ -532,9 +602,9 @@ def fiber_points(u: Permutation, strata, count: int, rng) -> tuple[np.ndarray, l
         raise RankTooLarge(
             f"{count} points on each of {len(strata)} strata exceed the budget of {LINK_POINT_BUDGET}"
         )
-    base = default_base(u)
+    a_u = _link_base_A(u)
     labels = [w for w in strata for _ in range(count)]
-    stack = np.array([rho(random_cell_point(w, rng), base, u).to_floats() for w in labels])
+    stack = np.array([rho_over(random_cell_point(w, rng), a_u, u).to_floats() for w in labels])
     return stack, labels
 
 

@@ -7,6 +7,7 @@ Permutations are stored in 1-based one-line notation, so ``w(i)`` is
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -114,8 +115,8 @@ def bruhat_leq(u: Permutation, v: Permutation) -> bool:
     """Bruhat order via rank-table dominance: u <= v iff r_u >= r_v entrywise."""
     if u.n != v.n:
         raise InvalidArgument("rank mismatch")
-    ru, rv = u.rank_table, v.rank_table
-    return all(ru[i][j] >= rv[i][j] for i in range(u.n) for j in range(u.n + 1))
+    flat = itertools.chain.from_iterable
+    return all(map(operator.ge, flat(u.rank_table), flat(v.rank_table)))
 
 
 def bruhat_less(u: Permutation, v: Permutation) -> bool:

@@ -13,7 +13,7 @@ from tnn_strata.errors import (
     NotUnipotentUpper,
     Singular,
 )
-from tnn_strata.fiber import conj_d, factor_u, fiber_A, pi_u, recover_shift, rho
+from tnn_strata.fiber import base_A, conj_d, factor_u, fiber_A, pi_u, recover_shift, rho, rho_over
 from tnn_strata.flow import random_cell_point
 from tnn_strata.perms import Permutation, all_permutations, bruhat_leq
 from tnn_strata.ratmat import (
@@ -258,6 +258,22 @@ class TestRhoOracle:
         eliminations.clear()
         rho(xt, base, u)
         assert len(eliminations) == 8
+
+    # Points moved over one base check it and build its A once: rho_over
+    # leaves out the base's fiber_A and cell (3 eliminations).
+    def test_rho_over_a_checked_base_is_rho(self, eliminations):
+        rng = random.Random(89)
+        for n in (3, 4):
+            perms = all_permutations(n)
+            for u, w in ((u, w) for u in perms for w in perms if bruhat_leq(u, w)):
+                xt, base = cell_point(w, rng), cell_point(u, rng)
+                assert rho_over(xt, base_A(base, u), u) == rho(xt, base, u)
+        u = Permutation.parse("2,1,4,3,6,5")
+        xt, base = random_cell_point(Permutation.longest(6), rng), random_cell_point(u, rng)
+        a_u = base_A(base, u)
+        eliminations.clear()
+        rho_over(xt, a_u, u)
+        assert len(eliminations) == 5
 
 
 class TestConjD:
