@@ -27,7 +27,9 @@ from .errors import (
     ZNotInYgeqV,
 )
 from .fiber import base_A, fiber_A, rho_over
-from .perms import Permutation, bruhat_leq, bruhat_less, decode_rank_jumps, interval, reduced_word
+from .perms import (
+    INTERVAL_GUARD, Permutation, bruhat_leq, bruhat_less, decode_rank_jumps, interval, reduced_word,
+)
 from .ratmat import RatMatrix, _map_rows, is_in_G0_u
 
 # The fixed tolerances of the float path.  flow re-checks the stratum label
@@ -122,78 +124,44 @@ def sign_lemma_check(A: RatMatrix, u: Permutation) -> SignReport:
 
 # The Dormand-Prince 8(5) pair, "DOP853" (Hairer, Norsett & Wanner, Solving
 # Ordinary Differential Equations I, 2nd ed., sec. II.10; Prince & Dormand,
-# J. Comput. Appl. Math. 7, 1981), with the coefficients of Hairer's dop853
-# code, as "column: coefficient" terms, each row ended by ";": the rows of
-# stages 2..12, then the 8th-order weights B, which give the new point, then
-# the weights E5 of the 5th-order error estimate.  They are text, parsed on
-# first use, because compiling them as Python literals raised the peak
-# memory of a fresh import by about 0.1 MB.
+# J. Comput. Appl. Math. 7, 1981): the doubles of Hairer's dop853 code as
+# shortest reprs, a row a line (continuations indented): the lower triangle
+# of rows 1..12 of the tableau A (row 12 is the 8th-order weights B), then
+# the weights E5 of the 5th-order error estimate.  One string, not Python
+# literals: compiling literals raises the peak memory of a fresh import.
 _DOP853 = """
-0: 5.26001519587677318785587544488e-2;
-0: 1.97250569845378994544595329183e-2,
-1: 5.91751709536136983633785987549e-2;
-0: 2.95875854768068491816892993775e-2,
-2: 8.87627564304205475450678981324e-2;
-0: 2.41365134159266685502369798665e-1,
-2: -8.84549479328286085344864962717e-1,
-3: 9.24834003261792003115737966543e-1;
-0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
-4: 1.25467687566822425016691814123e-1;
-0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
-4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2;
-0: 3.70920001185047927108779319836e-2,
-3: 1.70383925712239993810214054705e-1,
-4: 1.07262030446373284651809199168e-1,
-5: -1.53194377486244017527936158236e-2,
-6: 8.27378916381402288758473766002e-3;
-0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
-4: -8.68219346841726006818189891453e-1,
-5: 2.75920996994467083049415600797e1, 6: 2.01540675504778934086186788979e1,
-7: -4.34898841810699588477366255144e1;
-0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
-4: -5.90290826836842996371446475743e-1,
-5: 2.12300514481811942347288949897e1, 6: 1.52792336328824235832596922938e1,
-7: -3.32882109689848629194453265587e1,
-8: -2.03312017085086261358222928593e-2;
-0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
-4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
-6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
-8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022;
-0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
-4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
-6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
-8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
-10: 6.43392746015763530355970484046e-1;
-0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
-6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
-8: 3.1116436695781989440891606237e-1,
-9: -1.52160949662516078556178806805e-1,
-10: 2.01365400804030348374776537501e-1,
-11: 4.47106157277725905176885569043e-2;
-0: 0.1312004499419488073250102996e-1, 5: -0.1225156446376204440720569753e+1,
-6: -0.4957589496572501915214079952, 7: 0.1664377182454986536961530415e+1,
-8: -0.3503288487499736816886487290, 9: 0.3341791187130174790297318841,
-10: 0.8192320648511571246570742613e-1,
-11: -0.2235530786388629525884427845e-1;
+0.05260015195876773
+0.0197250569845379 0.0591751709536137
+0.02958758547680685 0.0 0.08876275643042054
+0.2413651341592667 0.0 -0.8845494793282861 0.924834003261792
+0.037037037037037035 0.0 0.0 0.17082860872947386 0.12546768756682242
+0.037109375 0.0 0.0 0.17025221101954405 0.06021653898045596 -0.017578125
+0.03709200011850479 0.0 0.0 0.17038392571223998 0.10726203044637328 -0.015319437748624402
+    0.008273789163814023
+0.6241109587160757 0.0 0.0 -3.3608926294469414 -0.868219346841726 27.59209969944671
+    20.154067550477894 -43.48988418106996
+0.47766253643826434 0.0 0.0 -2.4881146199716677 -0.590290826836843 21.230051448181193
+    15.279233632882423 -33.28821096898486 -0.020331201708508627
+-0.9371424300859873 0.0 0.0 5.186372428844064 1.0914373489967295 -8.149787010746927
+    -18.52006565999696 22.739487099350505 2.4936055526796523 -3.0467644718982196
+2.273310147516538 0.0 0.0 -10.53449546673725 -2.0008720582248625 -17.9589318631188
+    27.94888452941996 -2.8589982771350235 -8.87285693353063 12.360567175794303 0.6433927460157636
+0.054293734116568765 0.0 0.0 0.0 0.0 4.450312892752409 1.8915178993145003 -5.801203960010585
+    0.3111643669578199 -0.1521609496625161 0.20136540080403034 0.04471061572777259
+0.01312004499419488 0.0 0.0 0.0 0.0 -1.2251564463762044 -0.4957589496572502 1.6643771824549864
+    -0.35032884874997366 0.3341791187130175 0.08192320648511571 -0.022355307863886294
 """
 
 
 @functools.cache
 def _tableau():
-    """The 8(5) tableau as arrays (A, E5), built on first use: A is 13 x 12,
-    row s giving stage s + 1's point (row 0 is zero) and row 12, B, the new
-    point; E5 weighs the first 12 stages.  The 13th stage, the field at the
-    new point, has weight 0 in E5."""
-
-    def dense(row: str) -> np.ndarray:
-        v = np.zeros(12)
-        for term in row.split(","):
-            j, a = term.split(":")
-            v[int(j)] = float(a)
-        return v
-
-    *rows, e5 = map(dense, _DOP853.split(";")[:-1])
-    return np.array([np.zeros(12), *rows]), e5
+    """The 8(5) tableau as arrays (A, E5), built on first use from
+    ``_DOP853``: A is 13 x 12, row s giving stage s + 1's point (row 0 is
+    zero) and row 12, B, the new point; E5 weighs the first 12 stages.
+    The 13th stage, the field at the new point, has weight 0 in E5."""
+    v = map(float, _DOP853.split())
+    a = np.array([[next(v) if j < i else 0.0 for j in range(12)] for i in range(13)])
+    return a, np.array(list(v))
 
 
 @dataclass
@@ -234,37 +202,33 @@ class FiberIntegrator:
     tol = FLOW_STEP_TOL
 
     def __post_init__(self):
-        self._u0, self._uinv0 = kernels.perm_arrays(self.u)
-        self._M, self._mask = kernels.base_field(self.base, self._u0, self._uinv0)
+        self._M, self._mask = kernels.base_field(self.base, self.u)
 
     def rhs(self, z: np.ndarray) -> np.ndarray:
         return kernels.psi_tangent(z, self._M, self._mask)
 
     def reproject(self, x: np.ndarray) -> np.ndarray:
-        return kernels.rho_move(x, self.base, self._u0, self._uinv0)
+        return kernels.rho_move(x, self.base, self.u)
 
     def error_scale(self, z: np.ndarray) -> np.ndarray:
         """What each row's error estimate is measured against, times tol."""
         return 1.0 + np.abs(z).max(axis=(-2, -1))
 
-    def rk_step(self, z: np.ndarray, h, k1=None) -> tuple[np.ndarray, float, np.ndarray]:
+    def rk_step(self, z: np.ndarray, h, k1: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         """One step of the 8(5) pair from z (one matrix or a stack of shape
-        (B, n, n)) by h (a scalar or one step per row), from the field
-        k1 = rhs(z) (evaluated here when None).  Returns the 8th-order point
-        z8, the largest of the rows' own 5th-order error estimates, each
-        scaled by tol * error_scale(z8_row), and the 13th stage
-        k13 = rhs(z8), which is the next step's k1 when this one is
-        accepted: a step costs 12 field evaluations.  Each stage's point is
-        one product of its tableau row with the stages so far, and the
-        error one product of E5 with the first twelve, so a stage that is
-        nan gives a nan error; so does a nan or infinite k13, explicitly,
-        since its weight in E5 is 0."""
+        (B, n, n)) by h (a scalar, or an array that broadcasts against z,
+        such as one step per row, (B, 1, 1)), from the field k1 = rhs(z).
+        Returns the 8th-order point z8, the largest of the rows' own
+        5th-order error estimates, each scaled by tol * error_scale(z8_row),
+        and the 13th stage k13 = rhs(z8), the next step's k1 when this one
+        is accepted.  Each stage's point is one product of its tableau row
+        with the stages so far, and the error one product of E5 with the
+        first twelve, so a stage that is nan gives a nan error; so does a
+        nan or infinite k13, explicitly, since its weight in E5 is 0."""
         a, e5 = _tableau()
-        h = np.asarray(h, dtype=np.float64)
-        if h.ndim:
-            h = h[:, None, None]
+        h = np.asarray(h)  # numpy scales by a 0-d array faster than by a float
         k = np.empty((13,) + z.shape)
-        k[0] = self.rhs(z) if k1 is None else k1
+        k[0] = k1
         flat = k.reshape(13, -1)
         for s in range(1, 13):
             zs = z + h * (a[s, :s] @ flat[:s]).reshape(z.shape)
@@ -284,11 +248,14 @@ def cell_of_float(x: np.ndarray, fallback=None):
     value lies between ``RANK_ZERO_TOL`` and ``RANK_TOL`` (relative) so a rank
     is undecidable, is labelled ``fallback`` (one per row for a stack), or
     with no fallback raises UndecidableRank.  Input that is not square or
-    not finite raises InvalidArgument."""
+    not finite raises InvalidArgument; matrices larger than
+    ``INTERVAL_GUARD`` raise RankTooLarge before any SVD, as cell_of does."""
     square = x.ndim >= 2 and x.shape[-2] == x.shape[-1]
     _require(square and np.isfinite(x).all(), "expected square matrices with finite entries")
-    stack = x.reshape((-1,) + x.shape[-2:])
     n = x.shape[-1]
+    if n > INTERVAL_GUARD:
+        raise RankTooLarge(f"cell_of_float guarded at n <= {INTERVAL_GUARD}")
+    stack = x.reshape((-1,) + x.shape[-2:])
     # sv[b, i, j]: row b's x[:i, j-1:] singular values, zero-padded, 0 at the borders
     sv = np.zeros((len(stack), n + 1, n + 2, n))
     for i in range(1, n + 1):
@@ -378,9 +345,8 @@ def flow(
     x0 = np.asarray(x0, dtype=np.float64)
     _require_unipotent(x0, u.n, stack=False)
     stratum = cell_of_float(x0)
-    u0, uinv0 = kernels.perm_arrays(u)
     with np.errstate(all="ignore"):  # a zero pivot shows as inf or nan
-        x_u = kernels.pi_u(x0, u0, uinv0)
+        x_u = kernels.pi_u(x0, u)
     if not (np.isfinite(x_u).all() and bruhat_leq(u, stratum)):
         raise NotInG0u(None)
     integ = FiberIntegrator(u, x_u)
@@ -484,7 +450,7 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float) -> np.ndarray:
     out = x.reshape((-1,) + x.shape[-2:]).copy()
     d = str_of(base) + epsilon - str_of(out)
     rows = np.flatnonzero(~(np.abs(d) <= LEVEL_TOL))
-    z, d = np.linalg.solve(base, out[rows]), d[rows]
+    z, d = np.linalg.solve(base, out[rows]), d[rows, None, None]
     k = integ.rhs(z)
     if np.isnan(k).any():
         raise PreconditionError(
@@ -660,11 +626,10 @@ def retraction(
     labels = cell_of_float(rows, [v] * len(rows)) if np.isfinite(y).all() else []
     if not all(bruhat_leq(v, w) for w in labels):
         raise ZNotInYgeqV("the scaled point's stratum is not above v")
-    v0, vinv0 = kernels.perm_arrays(v)
     # A zero pivot shows as inf or nan, in the v-projection or, for x in a
     # stratum below v, in the move into the fiber over the u-cell's base.
     with np.errstate(all="ignore"):
-        y_v = kernels.pi_u(y, v0, vinv0)
+        y_v = kernels.pi_u(y, v)
         moved = _link_field(u).reproject(y_v) if np.isfinite(y_v).all() else y_v
     if not np.isfinite(moved).all():
         raise ZNotInYgeqV(

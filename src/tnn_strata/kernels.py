@@ -14,14 +14,14 @@ solve never meets a zero pivot and the wrapper's singular-matrix error
 cannot arise; every solve whose matrix can be singular keeps
 ``np.linalg.solve``.
 
-Permutations enter as 0-based index arrays: ``u0[j] = u(j+1)-1`` and
-``uinv0`` for the inverse.  Column permutation ``x[..., :, uinv0]`` is
-x*P_u^-1; row permutation ``y[..., uinv0, :]`` is P_u*y.
+Kernels take the ``Permutation`` u, as the exact maps do; ``_index`` gives
+its 0-based images ``u0[j] = u(j+1)-1`` and ``uinv0`` of u^-1.  Column
+permutation ``x[..., :, uinv0]`` is x*P_u^-1; ``y[..., uinv0, :]`` is P_u*y.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from ._np import np
 
@@ -29,7 +29,16 @@ from ._np import np
 USING_NUMBA = False
 
 
-@lru_cache(maxsize=None)
+@cache
+def _index(u) -> tuple[np.ndarray, np.ndarray]:
+    """0-based image arrays (u0, uinv0) of u and its inverse, read-only."""
+    arrays = np.array(u.image) - 1, np.array(u.inverse().image) - 1
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@cache
 def _upper_mask(n: int, k: int) -> np.ndarray:
     """Float mask of the entries on and above the k-th diagonal."""
     mask = np.triu(np.ones((n, n)), k)
@@ -53,25 +62,27 @@ def _lower(M):
     return np.swapaxes(_eliminate(np.swapaxes(M, -1, -2)), -1, -2)
 
 
-def fiber_A(x, u0, uinv0):
+def fiber_A(x, u):
     """A = u^-1 [x u^-1]_+ u, the float mirror of ``fiber.fiber_A``."""
+    u0, uinv0 = _index(u)
     return _eliminate(x[..., :, uinv0])[..., u0[:, None], u0]
 
 
-def pi_u(x, u0, uinv0):
+def pi_u(x, u):
     """x_u = [u [A]_-]_+ with A = ``fiber_A``, the float mirror of
     ``fiber.pi_u``."""
-    return _eliminate(_lower(fiber_A(x, u0, uinv0))[..., uinv0, :])
+    return _eliminate(_lower(fiber_A(x, u))[..., _index(u)[1], :])
 
 
-def base_field(base, u0, uinv0):
+def base_field(base, u):
     """(M, mask) of the fiber over ``base``.  M = A^-1 nu A at the base,
-    where x^u = I and so A = y; M = y^-1 nu y is lower triangular, so its
-    strict upper part, rounding only, is dropped and the field vanishes at
-    the base exactly.  mask is N(u)'s pattern: (i, j) with i < j and
-    u(i) < u(j)."""
-    A = fiber_A(base, u0, uinv0)
-    M = np.tril(np.linalg.solve(A, nu_vector(len(u0))[:, None] * A))
+    nu = diag(n, ..., 1), where x^u = I and so A = y; M = y^-1 nu y is lower
+    triangular, so its strict upper part, rounding only, is dropped and the
+    field vanishes at the base exactly.  mask is N(u)'s pattern: (i, j)
+    with i < j and u(i) < u(j)."""
+    A = fiber_A(base, u)
+    M = np.tril(np.linalg.solve(A, np.arange(u.n, 0, -1.0)[:, None] * A))
+    u0 = _index(u)[0]
     mask = np.triu(u0[:, None] < u0[None, :], 1).astype(np.float64)
     return M, mask
 
@@ -84,20 +95,8 @@ def psi_tangent(z, M, mask):
     return mask * (z @ (zinv_Mz * _upper_mask(z.shape[-1], 1)))
 
 
-def rho_move(xt, x_u, u0, uinv0):
+def rho_move(xt, x_u, u):
     """Float rho: move xt into the fiber over x_u (same cell), by the shift
     n_- = [A(xt)^-1 A(x_u)]_- (A = y x^u with y fixed by the base)."""
-    n_minus = _lower(np.linalg.solve(fiber_A(xt, u0, uinv0), fiber_A(x_u, u0, uinv0)))
+    n_minus = _lower(np.linalg.solve(fiber_A(xt, u), fiber_A(x_u, u)))
     return _eliminate(xt @ n_minus)
-
-
-def perm_arrays(u) -> tuple[np.ndarray, np.ndarray]:
-    """0-based image arrays for a Permutation and its inverse."""
-    u0 = np.array([v - 1 for v in u.image], dtype=np.int64)
-    uinv0 = np.array([v - 1 for v in u.inverse().image], dtype=np.int64)
-    return u0, uinv0
-
-
-def nu_vector(n: int) -> np.ndarray:
-    """Diagonal of the fixed torus direction: (n, n-1, ..., 1)."""
-    return np.arange(n, 0, -1).astype(np.float64)

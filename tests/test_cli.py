@@ -63,6 +63,17 @@ class TestQueries:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "RankTooLarge"
 
+    def test_flow_guarded_exit_3(self, runner):
+        # flow labels its start with cell_of_float, which stops above
+        # perms.INTERVAL_GUARD before its first SVD, so before any step
+        x = [["1" if j in (i, i + 1) else "0" for j in range(8)] for i in range(8)]
+        argv = ["flow", "--u", "1,2,3,4,5,6,7,8"]
+        res = runner.invoke(main, argv, input=json.dumps({"n": 8, "entries": x}))
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "RankTooLarge"
+
     def test_tnn_true(self, runner):
         res = runner.invoke(main, ["tnn"], input=UPPER3)
         assert json.loads(res.output) == {"tnn": True}

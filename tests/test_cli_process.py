@@ -126,3 +126,26 @@ def test_process_matches_clirunner(files, verb):
     assert proc.stderr == b""
     assert proc.stdout == res.stdout_bytes
     assert len(proc.stdout.splitlines()) == 1
+
+
+# Runs in a fresh interpreter: flow and link_sample, then the scipy modules
+# loaded, as JSON.  The float path carries the 8(5) tableau as its own
+# doubles; scipy's copy is only a test oracle.
+SCIPY_FENCE = """
+import json, sys
+import numpy as np
+from tnn_strata import Permutation, RatMatrix, flow, link_sample
+x0 = RatMatrix.from_json_obj(json.load(open(sys.argv[1])))
+u, w = Permutation.parse("1,3,2"), Permutation.parse("3,2,1")
+flow(np.array(x0.to_floats()), u)
+link_sample(u, w, 1.0, 1, seed=3)
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+"""
+
+
+def test_float_path_never_imports_scipy(files):
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FENCE, files["x0"]], env=ENV, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -46,6 +46,7 @@ from tnn_strata.flow import (
     str_of,
 )
 from tnn_strata.perms import (
+    INTERVAL_GUARD,
     Permutation,
     all_permutations,
     bruhat_leq,
@@ -229,6 +230,14 @@ class TestCellOfFloat:
         x = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1e-10], [0.0, 0.0, 1.0]])
         with pytest.raises(UndecidableRank):
             cell_of_float(x)
+
+    # As cell_of: above INTERVAL_GUARD it stops before its first SVD.
+    def test_guarded_above_interval_guard(self, monkeypatch):
+        assert cell_of_float(np.eye(INTERVAL_GUARD)) == Permutation.identity(INTERVAL_GUARD)
+        monkeypatch.setattr(np.linalg, "svd", None)
+        for x in (np.eye(INTERVAL_GUARD + 1), np.eye(INTERVAL_GUARD + 1)[None]):
+            with pytest.raises(RankTooLarge):
+                cell_of_float(x)
 
     def test_minor_below_both_thresholds_reads_zero(self):
         x = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1e-14], [0.0, 0.0, 1.0]])
@@ -480,10 +489,9 @@ class TestLink:
         base = np.array(sample.base.to_floats())
         on_one = np.array([pt for pt, _ in link_sample(u, v, 1.0, 1, seed=2).points])
         again = link_point(on_one, u, eps)
-        u0, uinv0 = kernels.perm_arrays(u)
         for (pt, _), pt2 in zip(sample.points, again):
             assert abs(str_of(pt) - (str_of(base) + eps)) <= 1e-12
-            assert np.max(np.abs(kernels.pi_u(pt, u0, uinv0) - base)) <= 1e-9
+            assert np.max(np.abs(kernels.pi_u(pt, u) - base)) <= 1e-9
             assert np.max(np.abs(pt2 - pt)) <= 1e-9
 
     # near the base the entries of a point are O(eps) or smaller; the error
@@ -814,9 +822,6 @@ def dp_oracle(integ, x, h):
     is a sum whose terms nearly cancel, so it is exact only to rounding of
     its terms' magnitudes: the bound is that magnitude, scaled like the
     error."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim:
-        h = h[:, None, None]
     k = [integ.rhs(x)]
     for s in range(1, 13):
         k.append(integ.rhs(x + h * sum(a * ki for a, ki in zip(DP_A[s, :s], k))))
@@ -830,13 +835,13 @@ def dp_oracle(integ, x, h):
 
 def level_field_stack():
     """A _LevelField over the S3 u = 1,3,2 base and a stack of drawn
-    points in fiber coordinates, with one step per row."""
+    points in fiber coordinates, with one step per row, (B, 1, 1)."""
     u, v = Permutation.parse("1,3,2"), Permutation.parse("3,2,1")
     sample = link_sample(u, v, 1.0, 2, seed=2)
     base = np.array(sample.base.to_floats())
     z = np.linalg.solve(base, np.array([pt for pt, _ in sample.points]))
     integ = flow_module._LevelField(u, base)
-    return integ, z, np.linspace(0.05, 0.2, len(z))
+    return integ, z, np.linspace(0.05, 0.2, len(z))[:, None, None]
 
 
 def one_matrix_field():
@@ -852,18 +857,19 @@ class TestRkStep:
     @pytest.mark.parametrize("case", [one_matrix_field, level_field_stack])
     def test_last_stage_is_the_field_at_x8(self, case):
         integ, x, h = case()
-        x8, _, k13 = integ.rk_step(x, h)
+        x8, _, k13 = integ.rk_step(x, h, integ.rhs(x))
         assert k13.shape == x.shape
         assert np.array_equal(k13, integ.rhs(x8))
         # the carried stage starts the next step as the field would
         assert all(
-            np.array_equal(a, b) for a, b in zip(integ.rk_step(x8, h, k13), integ.rk_step(x8, h))
+            np.array_equal(a, b)
+            for a, b in zip(integ.rk_step(x8, h, k13), integ.rk_step(x8, h, integ.rhs(x8)))
         )
 
     @pytest.mark.parametrize("case", [one_matrix_field, level_field_stack])
     def test_fused_step_matches_stage_sums(self, case):
         integ, x, h = case()
-        x8, err, k13 = integ.rk_step(x, h)
+        x8, err, k13 = integ.rk_step(x, h, integ.rhs(x))
         want_x8, want_err, k, bound = dp_oracle(integ, x, h)
         assert np.abs(x8 - want_x8).max() <= 1e-14 * np.abs(want_x8).max()
         assert abs(err - want_err.max()) <= 1e-14 * bound.max()
@@ -884,7 +890,7 @@ class TestRkStep:
             return d
 
         monkeypatch.setattr(integ, "rhs", last_stage_nan)
-        x8, err, k13 = integ.rk_step(z, h)
+        x8, err, k13 = integ.rk_step(z, h, integ.rhs(z))  # k1 is the first of the 13
         assert np.isfinite(x8).all() and np.isnan(k13[1]).all()
         assert np.isnan(err) and not err <= 1.0
         seen.clear()
@@ -915,6 +921,14 @@ class TestTableau:
     def test_error_weights_sum_to_zero(self):
         assert abs(math.fsum(DP_E5)) <= 1e-15
 
+    # scipy types the same doubles in independently; its A adds the rows
+    # of the dense-output stages, and its E5 the 13th stage's weight.
+    def test_equals_scipys_copy(self):
+        dop = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        assert np.array_equal(DP_A[:12], dop.A[:12, :12])
+        assert np.array_equal(DP_B, dop.B)
+        assert np.array_equal(DP_E5, dop.E5[:12]) and dop.E5[12] == 0
+
 
 # H(x, tau) = retraction(x, tau, u, v, z, 1) at these tau, on the two
 # top-stratum link points of every S3 and S4 interval
@@ -942,8 +956,7 @@ def level_error(u, stages) -> float:
 
 
 def base_error(u, stages) -> float:
-    u0, uinv0 = kernels.perm_arrays(u)
-    return float(np.abs(kernels.pi_u(stages, u0, uinv0) - np.array(default_base(u).to_floats())).max())
+    return float(np.abs(kernels.pi_u(stages, u) - np.array(default_base(u).to_floats())).max())
 
 
 @pytest.fixture(scope="module")
@@ -1117,14 +1130,13 @@ def stack_case():
     each float map with its input: the points, or for psi_tangent their
     fiber coordinates over the base."""
     rows = np.array([pt for pt, _ in link_sample(STACK_U, STACK_V, 1.0, 3, seed=0).points])
-    u0, uinv0 = kernels.perm_arrays(STACK_U)
     base = np.array(default_base(STACK_U).to_floats())
     other_base = np.array(random_cell_point(STACK_U, random.Random(1)).to_floats())
-    M, mask = kernels.base_field(base, u0, uinv0)
+    M, mask = kernels.base_field(base, STACK_U)
     maps = {
-        "fiber_A": (rows, lambda x: kernels.fiber_A(x, u0, uinv0)),
-        "pi_u": (rows, lambda x: kernels.pi_u(x, u0, uinv0)),
-        "rho_move": (rows, lambda x: kernels.rho_move(x, other_base, u0, uinv0)),
+        "fiber_A": (rows, lambda x: kernels.fiber_A(x, STACK_U)),
+        "pi_u": (rows, lambda x: kernels.pi_u(x, STACK_U)),
+        "rho_move": (rows, lambda x: kernels.rho_move(x, other_base, STACK_U)),
         "psi_tangent": (np.linalg.solve(base, rows), lambda z: kernels.psi_tangent(z, M, mask)),
         "str_of": (rows, str_of),
         "conj_d_float": (rows, lambda x: conj_d_float(0.3, x)),

@@ -44,8 +44,7 @@ def floats(m):
 
 def float_field(u, base):
     """(base, M, mask) in floats for the fiber over an exact base."""
-    u0, uinv0 = kernels.perm_arrays(u)
-    return (floats(base), *kernels.base_field(floats(base), u0, uinv0))
+    return (floats(base), *kernels.base_field(floats(base), u))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -133,8 +132,7 @@ def test_unipotent_solve_keeps_non_finite_rows(n, bad):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_fiber_A_matches_fiber_A(n):
     for u, xt, _, _ in fiber_cases(n, 12, seed=30 + n):
-        u0, uinv0 = kernels.perm_arrays(u)
-        assert rel_err(kernels.fiber_A(floats(xt), u0, uinv0), floats(fiber_A(xt, u))) <= REL
+        assert rel_err(kernels.fiber_A(floats(xt), u), floats(fiber_A(xt, u))) <= REL
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -145,26 +143,23 @@ def test_pi_u_matches_pi_u_on_every_pair(n):
     perms = all_permutations(n)
     for u in perms:
         xts = [random_cell_point(w, rng) for w in perms if bruhat_leq(u, w)]
-        u0, uinv0 = kernels.perm_arrays(u)
-        got = kernels.pi_u(np.stack([floats(xt) for xt in xts]), u0, uinv0)
+        got = kernels.pi_u(np.stack([floats(xt) for xt in xts]), u)
         assert got.shape == (len(xts), n, n)
         for row, xt in zip(got, xts):
             assert rel_err(row, floats(pi_u(xt, u))) <= REL
-        assert np.array_equal(kernels.pi_u(floats(xts[0]), u0, uinv0), got[0])
+        assert np.array_equal(kernels.pi_u(floats(xts[0]), u), got[0])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_rho_move_matches_rho(n):
     for u, xt, base, x in fiber_cases(n, 12, seed=40 + n):
-        u0, uinv0 = kernels.perm_arrays(u)
-        got = kernels.rho_move(floats(xt), floats(base), u0, uinv0)
+        got = kernels.rho_move(floats(xt), floats(base), u)
         assert rel_err(got, floats(x)) <= REL
     # a stack (B, n, n) of points moved into one fiber
     u = Permutation.parse(",".join(map(str, [2, 1] + list(range(3, n + 1)))))
     base = pi_u(random_cell_point(u, random.Random(80 + n)), u)
     xts = [xt for _, xt, _, _ in fiber_cases(n, 8, seed=80 + n, u=u)]
-    u0, uinv0 = kernels.perm_arrays(u)
-    got = kernels.rho_move(np.stack([floats(xt) for xt in xts]), floats(base), u0, uinv0)
+    got = kernels.rho_move(np.stack([floats(xt) for xt in xts]), floats(base), u)
     assert got.shape == (len(xts), n, n)
     for row, xt in zip(got, xts):
         assert rel_err(row, floats(rho(xt, base, u))) <= REL
