@@ -26,7 +26,7 @@ from .errors import (
     UndecidableRank,
     ZNotInYgeqV,
 )
-from .fiber import base_A, fiber_A, rho_over
+from .fiber import base_A, conj_d, fiber_A, rho_over
 from .perms import (
     INTERVAL_GUARD, Permutation, bruhat_leq, bruhat_less, decode_rank_jumps, interval, reduced_word,
 )
@@ -558,11 +558,24 @@ def random_cell_point(w: Permutation, rng) -> RatMatrix:
     return lusztig_point(word, params).matrix
 
 
-def fiber_points(u: Permutation, strata, count: int, rng) -> tuple[np.ndarray, list[Permutation]]:
-    """``count`` random cell points of each w in ``strata``, in order, moved
-    by rho into the fiber over default_base(u): the float stack (B, n, n) and
-    each row's drawn label.  Raises before drawing when count < 1 or the
-    stack would exceed ``LINK_POINT_BUDGET``."""
+def fiber_points(
+    u: Permutation, strata, count: int, rng, epsilon: float
+) -> tuple[np.ndarray, list[Permutation]]:
+    """``count`` random cell points x of each w in ``strata``, in order, moved
+    into the fiber over default_base(u) near the epsilon level: the float
+    stack (B, n, n) and each row's drawn label.
+
+    Each row is rho(conj_d(tau, x)), a point of x's own trajectory (the
+    torus orbit carried into the fiber), computed exactly.  A covering
+    stratum (l(w) = l(u) + 1), whose fiber is a line that link_point climbs
+    in one step, keeps tau = 1; for the others tau is ``_orbit_tau``'s float
+    estimate of where the orbit comes within a margin of the level, on the
+    row's side, rounded to a dyadic of 8 significant bits.  A jumped row
+    whose floats lie within ``LEVEL_TOL`` of the level, which link_point
+    would return unchanged, or below half the level, is moved at tau = 1
+    instead.  Raises before drawing when count < 1, the stack would
+    exceed ``LINK_POINT_BUDGET`` or epsilon is not a level link_point takes."""
+    _require_epsilon(epsilon)
     _require(count >= 1, "count must be at least 1")
     if count * len(strata) > LINK_POINT_BUDGET:
         raise RankTooLarge(
@@ -570,8 +583,62 @@ def fiber_points(u: Permutation, strata, count: int, rng) -> tuple[np.ndarray, l
         )
     a_u = _link_base_A(u)
     labels = [w for w in strata for _ in range(count)]
-    stack = np.array([rho_over(random_cell_point(w, rng), a_u, u).to_floats() for w in labels])
+    drawn = [random_cell_point(w, rng) for w in labels]
+    tau = [Fraction(1)] * len(drawn)
+    jump = [i for i, w in enumerate(labels) if w.length > u.length + 1]
+    if jump:
+        est = _orbit_tau(u, np.array([drawn[i].to_floats() for i in jump]), epsilon)
+        for i, t in zip(jump, est.tolist()):
+            m, e = math.frexp(t)
+            tau[i] = Fraction(math.ldexp(round(m * 256), e - 8))
+
+    def moved(i):
+        x = drawn[i] if tau[i] == 1 else conj_d(tau[i], drawn[i])
+        return rho_over(x, a_u, u).to_floats()
+
+    stack = np.array([moved(i) for i in range(len(drawn))])
+    # Within LEVEL_TOL of the level link_point would return the row as it
+    # is, up to LEVEL_TOL off; below half the level the row's floats hold
+    # its offsets from the base less accurately than the link point's own.
+    gap = str_of(_link_field(u).base) + epsilon - str_of(stack)
+    for i in jump:
+        if tau[i] != 1 and (abs(gap[i]) <= LEVEL_TOL or gap[i] > epsilon / 2):
+            tau[i] = Fraction(1)
+            stack[i] = moved(i)
     return stack, labels
+
+
+def _orbit_tau(u: Permutation, x: np.ndarray, epsilon: float) -> np.ndarray:
+    """For each row of the float stack x of cell points, a tau > 0 whose
+    float orbit point rho_move(conj_d_float(tau, x)) lies about
+    max(epsilon / 64, 4 LEVEL_TOL) short of the epsilon level, on the side
+    of the level where the row's point at tau = 1 lies.  The height above
+    the base is about a power of tau, so a secant in (log tau, log height)
+    from tau = 1 (first slope 1, exact for u = e) takes three stacked
+    evaluations.  Each row takes the secant's next iterate, which is not
+    evaluated; where that is not finite, the closest evaluated one (tau = 1
+    if no other is finite and closer)."""
+    base = _link_field(u).base
+    margin = max(epsilon / 64, 4 * LEVEL_TOL)
+
+    def log_height(s):
+        try:
+            return np.log(str_of(kernels.rho_move(conj_d_float(np.exp(s), x), base, u)) - str_of(base))
+        except np.linalg.LinAlgError:  # a float pivot of exactly zero
+            return np.full(len(x), np.nan)
+
+    with np.errstate(all="ignore"):
+        s0, g0 = np.zeros(len(x)), log_height(np.zeros(len(x)))
+        goal = np.log(epsilon + np.where(g0 > math.log(epsilon), margin, -margin))
+        best, miss, slope = s0, np.abs(g0 - goal), 1.0
+        for _ in range(2):  # |log tau| <= 50: tau ** (n - 1) is finite up to n = 13
+            s1 = np.clip(np.nan_to_num(s0 + (goal - g0) / slope), -50.0, 50.0)
+            g1 = log_height(s1)
+            better = np.abs(g1 - goal) < miss
+            best, miss = np.where(better, s1, best), np.where(better, np.abs(g1 - goal), miss)
+            slope, s0, g0 = (g1 - g0) / (s1 - s0), s1, g1
+        last = s0 + (goal - g0) / slope
+        return np.exp(np.where(np.isfinite(last), np.clip(last, -50.0, 50.0), best))
 
 
 def link_sample(
@@ -582,21 +649,24 @@ def link_sample(
     seed: int,
 ) -> LinkSample:
     """Sample the link of the u-cell inside Y_[u,v]: ``count`` points of each
-    stratum w in (u,v] from fiber_points, flowed as one stack to the epsilon
-    level set."""
+    stratum w in (u,v] from fiber_points, which starts each row on its own
+    trajectory near the epsilon level, flowed as one stack by link_point
+    the rest of the way to that level set."""
     _require_epsilon(epsilon)
     dims = link_census(u, v).dimensions
-    stack, labels = fiber_points(u, dims, count, random.Random(seed))
+    stack, labels = fiber_points(u, dims, count, random.Random(seed), epsilon)
     pts = link_point(stack, u, epsilon)
     return LinkSample(u, v, epsilon, default_base(u), tuple(zip(pts, labels)), dims)
 
 
-def conj_d_float(tau: float, x: np.ndarray) -> np.ndarray:
-    """Float torus conjugation of one matrix or each row of a stack, extended
-    continuously to tau = 0, where it collapses any unipotent
-    upper-triangular x to the identity (0.0 ** 0 = 1 keeps its diagonal)."""
+def conj_d_float(tau, x: np.ndarray) -> np.ndarray:
+    """Float torus conjugation of one matrix or each row of a stack, by one
+    tau or one per row (B,), extended continuously to tau = 0, where it
+    collapses any unipotent upper-triangular x to the identity
+    (0.0 ** 0 = 1 keeps its diagonal)."""
     j = np.arange(x.shape[-1])
-    return x * (float(tau) ** np.maximum(j[None, :] - j[:, None], 0))
+    tau = np.asarray(tau, dtype=np.float64)[..., None, None]
+    return x * tau ** np.maximum(j[None, :] - j[:, None], 0)
 
 
 def retraction(

@@ -531,7 +531,7 @@ def suite_link_census(run, rng, count):
         above = [w for w in perms if bruhat_less(u, w)]
         if not above:
             continue
-        x, labels = fiber_points(u, above, count, rng)
+        x, labels = fiber_points(u, above, count, rng, radii[0])
         for eps in radii:
             try:
                 x = link_point(x, u, eps)
@@ -577,7 +577,7 @@ def suite_retraction(run, rng, samples):
     v = Permutation.longest(3)
     z = default_base(v)
     eps = 1.0
-    drawn, _ = fiber_points(u, [v], samples, rng)
+    drawn, _ = fiber_points(u, [v], samples, rng, eps)
     pts = link_point(drawn, u, eps)
     for i, (x, r0) in enumerate(zip(pts, retraction(pts, 0.0, u, v, z, eps))):
         d0 = float(np.abs(r0 - x).max())

@@ -340,7 +340,7 @@ def s4_census_rows():
         above = [w for w in perms if bruhat_less(u, w)]
         if not above:
             continue
-        x, labels = fiber_points(u, above, 1, rng)
+        x, labels = fiber_points(u, above, 1, rng, 0.5)
         for eps in (0.5, 1.0, 2.0):
             x = link_point(x, u, eps)
             stacks.append(x)
@@ -524,6 +524,8 @@ class TestLink:
             link_point(np.eye(3), u, eps)
         with pytest.raises(InvalidArgument):
             link_sample(u, v, eps, 1, 0)
+        with pytest.raises(InvalidArgument):
+            fiber_points(u, [v], 1, random.Random(0), eps)
 
     def test_huge_epsilon_guarded_before_drawing(self, monkeypatch):
         def no_draws(w, rng):
@@ -537,14 +539,70 @@ class TestLink:
             with pytest.raises(RankTooLarge):
                 link_point(np.eye(2), u, eps)
 
+    # count points per stratum, strata in the order given, one shared rng;
+    # a covering stratum's rows are rho of the drawn points, bit for bit,
+    # and every other row starts elsewhere on the same trajectory, so it
+    # flows to the same link point
     def test_fiber_points_draw_order(self):
-        # count points per stratum, strata in the order given, one shared rng
         u = Permutation.parse("1,3,2")
         w1, w2 = Permutation.parse("3,2,1"), Permutation.parse("2,3,1")
-        stack, labels = fiber_points(u, [w1, w2], 2, random.Random(11))
         rng = random.Random(11)
-        expect = [rho(random_cell_point(w, rng), default_base(u), u).to_floats() for w in (w1, w1, w2, w2)]
-        assert labels == [w1, w1, w2, w2]
+        expect = np.array(
+            [rho(random_cell_point(w, rng), default_base(u), u).to_floats() for w in (w1, w1, w2, w2)]
+        )
+        for eps in (0.5, 1e-6):
+            stack, labels = fiber_points(u, [w1, w2], 2, random.Random(11), eps)
+            assert labels == [w1, w1, w2, w2]
+            assert np.array_equal(stack[2:], expect[2:])
+            assert not np.array_equal(stack[:2], expect[:2])
+            gap = np.abs(link_point(stack[:2], u, eps) - link_point(expect[:2], u, eps)).max()
+            assert gap <= 1e-12
+
+    # A jump aims max(eps / 64, 4 LEVEL_TOL) short of the level, and a
+    # jumped row that still lands within LEVEL_TOL of it, which link_point
+    # would return unchanged, is moved at tau = 1.  With LEVEL_TOL seen as 0
+    # inside fiber_points, both are off, and rows stop up to LEVEL_TOL off
+    # their level.
+    def test_margin_and_band_guard_keep_small_eps_on_level(self, monkeypatch):
+        real = flow_module.fiber_points
+
+        def unguarded(*args):
+            monkeypatch.setattr(flow_module, "LEVEL_TOL", 0.0)
+            try:
+                return real(*args)
+            finally:
+                monkeypatch.setattr(flow_module, "LEVEL_TOL", LEVEL_TOL)
+
+        monkeypatch.setattr(flow_module, "fiber_points", unguarded)
+        u, v, eps = Permutation.parse("2,1,3,4"), Permutation.longest(4), 1e-9
+        sample = link_sample(u, v, eps, 1, seed=2)
+        level = str_of(np.array(sample.base.to_floats())) + eps
+        worst = max(abs(str_of(pt) - level) for pt, _ in sample.points)
+        assert 1e-12 < worst <= LEVEL_TOL
+
+    # A secant step that overshoots toward the base is not taken: at eps =
+    # 1e-9 the row drawn in 4,1,3,2 over u = 1,3,4,2 would start at float
+    # height 0, its offsets from the base lost to rounding, and land 4.3e-10
+    # from its link point.
+    def test_jump_below_half_the_level_is_not_taken(self):
+        u, eps = Permutation.parse("1,3,4,2"), 1e-9
+        strata = list(link_census(u, Permutation.longest(4)).dimensions)
+        stack, _ = fiber_points(u, strata, 1, random.Random(0), eps)
+        rng = random.Random(0)
+        at_one = np.array([rho(random_cell_point(w, rng), default_base(u), u).to_floats() for w in strata])
+        assert np.abs(link_point(stack, u, eps) - link_point(at_one, u, eps)).max() <= 1e-12
+
+    # An estimate that fails on every row (a float pivot of exactly zero)
+    # leaves each row at tau = 1: rho of its drawn point.
+    def test_failed_estimate_keeps_tau_one(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(kernels, "rho_move", singular)
+        u, w = Permutation.parse("1,3,2"), Permutation.parse("3,2,1")
+        stack, _ = fiber_points(u, [w], 2, random.Random(11), 0.5)
+        rng = random.Random(11)
+        expect = [rho(random_cell_point(w, rng), default_base(u), u).to_floats() for _ in range(2)]
         assert np.array_equal(stack, np.array(expect))
 
     def test_fiber_points_checks_its_base_once_per_u(self, monkeypatch):
@@ -554,7 +612,7 @@ class TestLink:
         flow_module._link_base_A.cache_clear()
         u, strata = Permutation.parse("1,3,2,4"), [Permutation.longest(4), Permutation.parse("2,3,1,4")]
         for seed in (0, 1):
-            fiber_points(u, strata, 3, random.Random(seed))
+            fiber_points(u, strata, 3, random.Random(seed), 1.0)
         assert seen == [default_base(u)]
 
     def test_point_budget_checked_before_drawing(self):
@@ -644,6 +702,14 @@ class TestCallGraph:
             calls.clear()
             link_sample(u, v, 0.5, 1, seed=0)
             assert (calls["rk_step"], calls["psi_tangent"]) == (1, 13), (u, v)
+
+    # A drawn point that is not on a covering stratum starts near its level
+    # on its own trajectory, so the 23 rows of the S4 link of e need not
+    # descend from heights up to about 20 in a hundred steps.
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
+    def test_tall_stack_finishes_in_a_few_steps(self, calls, eps):
+        link_sample(Permutation.identity(4), Permutation.longest(4), eps, 1, 0)
+        assert 0 < calls["rk_step"] <= 3
 
     def test_link_sample_reads_its_interval_once(self, monkeypatch):
         seen = []
@@ -1119,6 +1185,12 @@ class TestConjDFloat:
 
         exact = np.array(conj_d(Fraction(1, 3), x).to_floats())
         assert np.allclose(conj_d_float(1 / 3, np.array(x.to_floats())), exact)
+
+    def test_one_tau_per_row(self):
+        x = np.array([[[1.0, 2.0, 3.0], [0.0, 1.0, 5.0], [0.0, 0.0, 1.0]]] * 3)
+        taus = [0.5, 1.0, 3.0]
+        rows = [conj_d_float(t, row) for t, row in zip(taus, x)]
+        assert np.array_equal(conj_d_float(np.array(taus), x), np.array(rows))
 
 
 STACK_U, STACK_V = Permutation.parse("2,1,3,4"), Permutation.longest(4)
