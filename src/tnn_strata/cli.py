@@ -190,21 +190,12 @@ def cmd_psi(path, u_text):
 @_u_opt
 @click.option("--direction", type=click.Choice(["backward", "forward"]), default="backward", show_default=True)
 @click.option("--target-str", type=float, default=None, help="forward stopping level")
-@click.option("--max-steps", type=int, default=200_000, show_default=True)
-@click.option("--snapshot-every", type=int, default=50, show_default=True)
 @click.option("--dump-trajectory", "dump", is_flag=True, help="emit JSON-lines {t, str, entries}")
-def cmd_flow(path, u_text, direction, target_str, max_steps, snapshot_every, dump):
+def cmd_flow(path, u_text, direction, target_str, dump):
     """Integrate the gradient-like fiber flow from a point."""
     x = _read_matrix(path)
     u = _parse_perm(u_text)
-    traj = run_flow(
-        np.array(x.to_floats()),
-        u,
-        direction,
-        max_steps=max_steps,
-        snapshot_every=snapshot_every,
-        target_str=target_str,
-    )
+    traj = run_flow(np.array(x.to_floats()), u, direction, target_str=target_str)
     if dump:
         for st in traj:
             click.echo(

@@ -19,6 +19,7 @@ from .perms import Permutation
 from .ratmat import (
     NotInG0,
     RatMatrix,
+    _of_ints,
     conj_by_perm,
     gauss_decompose,
     gauss_minus,
@@ -134,13 +135,14 @@ def rho_over(xt: RatMatrix, a_u: RatMatrix, u: Permutation) -> RatMatrix:
 
 
 def conj_d(tau, x: RatMatrix) -> RatMatrix:
-    """Torus conjugation d(tau) x d(tau)^-1: entry (i,j) scales by tau^(j-i)."""
+    """Torus conjugation d(tau) x d(tau)^-1: entry (i,j) scales by tau^(j-i),
+    for tau = p/q as numerators times p^j q^(n-1-j) over d p^i q^(n-1-i)."""
     t = tau if isinstance(tau, Fraction) else Fraction(tau)
     if t <= 0:
         raise NonPositiveTau("tau must be > 0")
-    return RatMatrix.from_rows(
-        [
-            [x.rows[i][j] * t ** (j - i) for j in range(x.n)]
-            for i in range(x.n)
-        ]
+    p, q, n = t.numerator, t.denominator, x.n
+    scale = [p**j * q ** (n - 1 - j) for j in range(n)]
+    return _of_ints(
+        [[v * s for v, s in zip(r, scale)] for r in x._num],
+        [d * s for d, s in zip(x._den, scale)],
     )

@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -48,13 +49,14 @@ LEVEL_TOL = 1e-9
 LINK_STEP_TOL = 1e-12
 LINK_EPSILON_GUARD = 1e3
 MAX_STEP = 1.0
+MAX_STEPS = 100_000  # the step budget of flow and of link_point
 LINK_POINT_BUDGET = 10_000  # most points one fiber_points call may draw
 
 
 def str_of(x) -> float | Fraction | np.ndarray:
     """Sum of the entries just above the diagonal (per row of a float stack); additive on N."""
     if isinstance(x, RatMatrix):
-        return sum(x.rows[i][i + 1] for i in range(x.n - 1))
+        return sum(Fraction(r[i + 1], d) for i, (r, d) in enumerate(zip(x._num[:-1], x._den)))
     s = np.asarray(x).trace(1, -2, -1)
     return float(s) if s.ndim == 0 else s
 
@@ -190,12 +192,10 @@ def _next_step(h: float, err: float, what: str) -> float:
 class FiberIntegrator:
     """Adaptive Runge-Kutta for the fiber field over a fixed base in fiber
     coordinates z = base^-1 x: rhs(z) = psi_tangent(z, M, mask), with M and
-    N(u)'s mask computed once for the base.  reproject moves a point x
-    back onto the fiber; flow applies it to the points it reports.
-    A step (rk_step) is one step of the Dormand-Prince 8(5) pair that
-    reuses the last stage of the step before as its first: callers carry
-    the field at the current point, so a step costs 12 field evaluations,
-    not 13."""
+    N(u)'s mask computed once for the base.  A step (rk_step) is one step
+    of the Dormand-Prince 8(5) pair that reuses the last stage of the step
+    before as its first: callers carry the field at the current point, so
+    a step costs 12 field evaluations, not 13."""
 
     u: Permutation
     base: np.ndarray
@@ -206,9 +206,6 @@ class FiberIntegrator:
 
     def rhs(self, z: np.ndarray) -> np.ndarray:
         return kernels.psi_tangent(z, self._M, self._mask)
-
-    def reproject(self, x: np.ndarray) -> np.ndarray:
-        return kernels.rho_move(x, self.base, self.u)
 
     def error_scale(self, z: np.ndarray) -> np.ndarray:
         """What each row's error estimate is measured against, times tol."""
@@ -314,20 +311,22 @@ def flow(
     u: Permutation,
     direction: str = "backward",
     *,
-    max_steps: int = 200_000,
     snapshot_every: int = 50,
     target_str: float | None = None,
 ) -> list[FlowState]:
     """Integrate the fiber field from x0, in the fiber over the base that
     x0 projects to (the float x_u of x0).
 
-    It integrates z = x_u^-1 x0, entered by one solve, and leaves z only
-    at the points it reports after x0, each snapshot and the end, as x_u z
-    re-projected onto the fiber.  Backward runs until the field (or the
+    It integrates z = x_u^-1 x0, entered by one solve, and leaves z only at
+    the points it reports after x0, every snapshot_every-th accepted step
+    and the end, as rho_move(x_u z).  Backward runs until the field (or the
     height str(z) above the base) is below ``STATIONARY_TOL``; forward runs
-    until ``target_str`` is reached, each step capped at 1.1 times the
-    time the current rate of str needs to reach it, so the last one lands
-    just past it; any other direction is InvalidArgument.
+    until ``target_str`` is reached, each step capped at 1.1 times the time
+    the current rate of str needs to reach it, so the last one lands just
+    past it; any other direction is InvalidArgument.  Past ``MAX_STEPS``
+    steps it raises MaxStepsExceeded.  Entries grow like T^(n-1) on the way
+    to height T, and the field multiplies two of them, so T^(n-1) above the
+    square root of the float range raises RankTooLarge before any step.
     x0 must be one matrix as _require_unipotent asks and lie in G_0 u:
     NotInG0u is raised, before any step, when the float x_u of x0 is not
     finite or u is not below its label.
@@ -341,7 +340,8 @@ def flow(
     _require(not forward or target_str is not None, "forward flow needs target_str")
     _require(target_str is None or math.isfinite(target_str), "target_str must be finite")
     _require(snapshot_every >= 1, "snapshot_every must be at least 1")
-    _require(max_steps >= 1, "max_steps must be at least 1")
+    if forward and u.n > 1 and target_str > (bound := sys.float_info.max ** (0.5 / (u.n - 1))):
+        raise RankTooLarge(f"target_str {target_str} exceeds the guard of {bound:.3g} at n = {u.n}")
     x0 = np.asarray(x0, dtype=np.float64)
     _require_unipotent(x0, u.n, stack=False)
     stratum = cell_of_float(x0)
@@ -352,20 +352,26 @@ def flow(
     integ = FiberIntegrator(u, x_u)
     base_str = str_of(x_u)
 
-    traj: list[FlowState] = [
-        FlowState(x0.copy(), 0.0, str_of(x0), stratum)
-    ]
+    traj = [FlowState(x0.copy(), 0.0, str_of(x0), stratum)]
     z, t = np.linalg.solve(x_u, x0), 0.0
     k = integ.rhs(z)  # the field at z, carried from step to step
     h, err = (0.01 if forward else -0.01), None
     accepted = 0
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if forward:
             height = base_str + str_of(z)
-            if height >= target_str:
-                break
-        elif str_of(z) < STATIONARY_TOL or float(np.abs(k).max()) < STATIONARY_TOL:
-            break
+            stop = height >= target_str
+        else:
+            stop = str_of(z) < STATIONARY_TOL or float(np.abs(k).max()) < STATIONARY_TOL
+        snapshot = accepted % snapshot_every == 0
+        if traj[-1].time != t and (snapshot or stop):  # a point not yet reported
+            x = kernels.rho_move(x_u @ z, x_u, u)
+            s = str_of(x)
+            if snapshot and s - base_str > STRATUM_CHECK_FLOOR and cell_of_float(x, stratum) != stratum:
+                raise StratumEscape(f"stratum label changed along trajectory at t={t}")
+            traj.append(FlowState(x, t, s, stratum))
+        if stop:
+            return traj
         if err is not None:  # after the stop test: a last short step cannot underflow
             h = _next_step(h, err, "flow")
         # land past the target by about 10 % of the rest, not by a whole
@@ -376,20 +382,7 @@ def flow(
         if err <= 1.0:
             z, t, k = zn, t + h, kn
             accepted += 1
-            if accepted % snapshot_every == 0:
-                x = integ.reproject(x_u @ z)
-                s = str_of(x)
-                if s - base_str > STRATUM_CHECK_FLOOR and cell_of_float(x, stratum) != stratum:
-                    raise StratumEscape(
-                        f"stratum label changed along trajectory at t={t}"
-                    )
-                traj.append(FlowState(x, t, s, stratum))
-    else:
-        raise MaxStepsExceeded(f"flow did not terminate in {max_steps} steps")
-    if traj[-1].time != t:
-        x = integ.reproject(x_u @ z)
-        traj.append(FlowState(x, t, str_of(x), stratum))
-    return traj
+    raise MaxStepsExceeded(f"flow did not terminate in {MAX_STEPS} steps")
 
 
 def _require_epsilon(epsilon: float):
@@ -458,19 +451,17 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float) -> np.ndarray:
             "there, so the point is the base or not totally nonnegative"
         )
     left, h = 1.0, 1.0  # the fraction of each d still to go; the next step
-    for _ in range(100_000):
+    for _ in range(MAX_STEPS):
         if not rows.size or left == 0.0:
-            break
+            out[rows] = base @ z
+            return out.reshape(x.shape)
         step = min(h, left)
         zn, err, kn = integ.rk_step(z, step * d, k)
         if err <= 1.0:
             z, left, k = zn, left - step, kn
         if left:  # a last step clamped to a sliver of the fraction would underflow
             h = _next_step(step, err, "link_point")
-    else:
-        raise MaxStepsExceeded("link_point did not reach its level in 100000 steps")
-    out[rows] = base @ z
-    return out.reshape(x.shape)
+    raise MaxStepsExceeded(f"link_point did not reach its level in {MAX_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -700,7 +691,7 @@ def retraction(
     # stratum below v, in the move into the fiber over the u-cell's base.
     with np.errstate(all="ignore"):
         y_v = kernels.pi_u(y, v)
-        moved = _link_field(u).reproject(y_v) if np.isfinite(y_v).all() else y_v
+        moved = kernels.rho_move(y_v, _link_field(u).base, u) if np.isfinite(y_v).all() else y_v
     if not np.isfinite(moved).all():
         raise ZNotInYgeqV(
             "projection onto the v-cell blew up; the input point must lie in "

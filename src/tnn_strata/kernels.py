@@ -3,8 +3,8 @@
 Mirrors the exact-arithmetic maps (fiber_A, pi_u, the tangent field, rho)
 on float64 numpy arrays.  Every kernel takes one matrix of shape ``(n, n)``
 or a stack of shape ``(..., n, n)`` and works on the last two axes, so a
-whole batch of points costs one call.  As in ``ratmat``, an elimination
-gives the upper Gaussian factor alone and the lower one is [M^T]_+^T.
+whole batch of points costs one call.  An elimination gives the upper
+Gaussian factor alone and the lower one is [M^T]_+^T.
 The tangent field works in fiber coordinates: x = x_u z with the base x_u
 fixed and z in N(u).  Its one solve, with the unit upper-triangular z,
 calls LAPACK's gesv gufunc directly, the one ``np.linalg.solve`` calls:

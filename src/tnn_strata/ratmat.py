@@ -197,7 +197,7 @@ def _work_rows(x: RatMatrix) -> tuple[list[list[int]], list[int]]:
     return [list(r) for r in x._num], list(x._den)
 
 
-def _eliminate(work: list[list[int]], dens: list[int], cols) -> dict[int, int]:
+def _eliminate(work: list[list[int]], dens: list[int], cols, lower=None) -> dict[int, int]:
     """Fraction-free forward Gaussian elimination of the rational rows
     work[i] / dens[i], in place, with no row swaps; returns
     {pivot row: pivot column}.
@@ -208,7 +208,8 @@ def _eliminate(work: list[list[int]], dens: list[int], cols) -> dict[int, int]:
     nonzero entry in it: with p_c the pivot entry and f the row's,
     r <- p_c r - f p over the denominator d p_c, then the row and its
     denominator are divided by their gcd (nonzero, since d is).  A column
-    with no such row gets no pivot.
+    with no such row gets no pivot.  With ``lower`` (one dict per row), it
+    sets lower[i][p] = (f d_p, d p_c): row i's multiplier of pivot row p / d_p.
     """
     pivots: dict[int, int] = {}
     for c in cols:
@@ -221,6 +222,8 @@ def _eliminate(work: list[list[int]], dens: list[int], cols) -> dict[int, int]:
         for i in range(p + 1, len(work)):
             f = work[i][c]
             if f and i not in pivots:
+                if lower is not None:
+                    lower[i][p] = (f * dens[p], dens[i] * pc)
                 row = [pc * a - f * b for a, b in zip(work[i], prow)]
                 d = dens[i] * pc
                 g = math.gcd(d, *row)
@@ -284,7 +287,7 @@ class GaussFactors:
     upper: RatMatrix
 
 
-def _g0_eliminate(x: RatMatrix):
+def _g0_eliminate(x: RatMatrix, lower=None):
     """One elimination of x in column order: its rows as work[i] / dens[i].
 
     The first k whose pivot is not (k, k) certifies that the (k+1)x(k+1)
@@ -292,7 +295,7 @@ def _g0_eliminate(x: RatMatrix):
     is the NotInG0 witness.
     """
     work, dens = _work_rows(x)
-    pivots = _eliminate(work, dens, range(x.n))
+    pivots = _eliminate(work, dens, range(x.n), lower)
     k = next((k for k in range(x.n) if pivots.get(k) != k), None)
     if k is not None:
         raise NotInG0(k + 1)
@@ -302,9 +305,10 @@ def _g0_eliminate(x: RatMatrix):
 def gauss_decompose(x: RatMatrix) -> GaussFactors:
     """LDU factorization x = [x]_- [x]_0 [x]_+, defined iff x is in G_0."""
     n = x.n
-    work, dens = _g0_eliminate(x)
+    lower = [{} for _ in range(n)]
+    work, dens = _g0_eliminate(x, lower)
     diag = [[work[i][i] if i == j else 0 for j in range(n)] for i in range(n)]
-    return GaussFactors(gauss_minus(x), _of_ints(diag, dens), _over_pivots(work))
+    return GaussFactors(_unit_lower(lower), _of_ints(diag, dens), _over_pivots(work))
 
 
 def _over_pivots(work: list[list[int]]) -> RatMatrix:
@@ -312,10 +316,19 @@ def _over_pivots(work: list[list[int]]) -> RatMatrix:
     return _of_ints(work, [r[i] for i, r in enumerate(work)])
 
 
-def _transpose(x: RatMatrix) -> RatMatrix:
-    """x^T, each row over the lcd of x's row denominators."""
-    lcd = math.lcm(*x._den)
-    return _of_ints(zip(*[[v * (lcd // d) for v in r] for r, d in zip(x._num, x._den)]), [lcd] * x.n)
+def _unit_lower(lower: list[dict]) -> RatMatrix:
+    """[x]_- from the multipliers of one elimination of x in G_0: row i has
+    lower[i][k] at k < i and 1 on the diagonal, over their lcm."""
+    rows, dens = [], []
+    for i, m in enumerate(lower):
+        d = math.lcm(*[b for _, b in m.values()])
+        row = [0] * len(lower)
+        for k, (a, b) in m.items():
+            row[k] = a * (d // b)
+        row[i] = d
+        rows.append(row)
+        dens.append(d)
+    return _of_ints(rows, dens)
 
 
 def gauss_plus(x: RatMatrix) -> RatMatrix:
@@ -324,9 +337,11 @@ def gauss_plus(x: RatMatrix) -> RatMatrix:
 
 
 def gauss_minus(x: RatMatrix) -> RatMatrix:
-    """[x]_- alone, as [x^T]_+^T: x^T = [x]_+^T [x]_0 [x]_-^T, and x^T has
-    the leading principal minors of x, so the NotInG0 witness is x's."""
-    return _transpose(gauss_plus(_transpose(x)))
+    """[x]_- alone, from the multipliers of one elimination of x, with no
+    upper factor and no diagonal."""
+    lower = [{} for _ in range(x.n)]
+    _g0_eliminate(x, lower)
+    return _unit_lower(lower)
 
 
 # --- membership predicates ---------------------------------------------

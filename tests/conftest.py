@@ -13,9 +13,9 @@ def eliminations(monkeypatch):
     cells' binding of it too: the number of rows the call eliminated."""
     calls, original = [], ratmat._eliminate
 
-    def counted(work, dens, cols):
+    def counted(work, dens, cols, lower=None):
         calls.append(len(work))
-        return original(work, dens, cols)
+        return original(work, dens, cols, lower)
 
     monkeypatch.setattr(ratmat, "_eliminate", counted)
     monkeypatch.setattr(cells, "_eliminate", counted)

@@ -314,6 +314,23 @@ class TestFlowVerbs:
         )
         assert res.exit_code == 2
 
+    # A forward flow to height T meets entries of about T^(n-1): at n = 3 a
+    # target of 1e200 overflowed, wrote numpy warnings to stderr and exited 1
+    # (StepUnderflow).  It now exits 3 before any step; 1e15 still flows.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("target, code", [("1e200", 3), ("1e15", 0)])
+    def test_forward_target_float_guard(self, runner, target, code):
+        x = json.dumps({"n": 3, "entries": [["1", "2", "1"], ["0", "1", "1"], ["0", "0", "1"]]})
+        argv = ["flow", "--u", "1,2,3", "--direction", "forward", "--target-str", target]
+        res = runner.invoke(main, argv, input=x)
+        assert res.exit_code == code
+        if code:
+            assert res.stdout == ""
+            lines = res.stderr.splitlines()
+            assert len(lines) == 1 and json.loads(lines[0])["error"] == "RankTooLarge"
+        else:
+            assert res.stderr == "" and json.loads(res.stdout)["str"] >= float(target)
+
     def test_dump_trajectory_jsonl(self, runner):
         x = json.dumps(
             {"n": 3, "entries": [["1", "1", "0"], ["0", "1", "1"], ["0", "0", "1"]]}
@@ -454,7 +471,7 @@ class TestDeterminism:
         ["link-sample", "--u", "1,2,3", "--v", "3,2,1", "--epsilon", "-1"],
         ["link-sample", "--u", "1,2,3", "--v", "3,2,1", "--epsilon", "nan"],
         ["link-census", "--u", "1,2,3", "--v", "3,2,1", "--epsilon", "nan"],
-        ["flow", "--u", "1,2,3", "--snapshot-every", "0"],
+        ["flow", "--u", "1,2,3", "--snapshot-every", "50"],
         ["flow", "--u", "1,2,3", "--direction", "forward", "--target-str", "nan"],
         ["flow", "--u", "1,2,3", "--tol", "-1"],
         ["flow", "--u", "1,2,3", "--tol", "0"],
@@ -476,7 +493,7 @@ class TestDeterminism:
         ["project", "--u", "2,1"],
         ["psi", "--u", "2,1"],
         ["flow", "--u", "1,2,3,4"],
-        ["flow", "--u", "1,2,3", "--max-steps", "0"],
+        ["flow", "--u", "1,2,3", "--max-steps", "100"],
         ["verify", "bruhat", "--n", "1"],
     ],
 )

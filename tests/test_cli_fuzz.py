@@ -5,10 +5,12 @@ stderr.  `retract`, the link verbs and `verify` draw S2/S3 permutations,
 1-2 points per stratum and the cheap suites only, so the module stays
 fast."""
 
+import importlib
 import itertools
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
@@ -111,14 +113,19 @@ def test_matrix_and_permutation(verb, data, n):
     assert_contract(CliRunner().invoke(main, [verb, "--u", u], input=x))
 
 
+# forward targets from 1e-3 to 1e300, log-uniform; 100 steps keep each case short
+targets = st.floats(-3.0, 300.0).map(lambda e: repr(10.0**e))
+
+
 @FUZZ
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy warns on stderr
 @given(data=st.data(), n=sizes, forward=st.booleans())
 def test_flow(data, n, forward):
     x, u = data.draw(matrix_json(n)), data.draw(perm_text(n))
-    argv = ["flow", "--u", u, "--max-steps", "100"]
-    argv += ["--direction", "forward", "--target-str", "3"] if forward else []
-    assert_contract(CliRunner().invoke(main, argv, input=x))
+    argv = ["flow", "--u", u]
+    argv += ["--direction", "forward", "--target-str", data.draw(targets)] if forward else []
+    with mock.patch.object(importlib.import_module("tnn_strata.flow"), "MAX_STEPS", 100):
+        assert_contract(CliRunner().invoke(main, argv, input=x))
 
 
 @FUZZ

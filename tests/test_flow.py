@@ -2,6 +2,7 @@ import importlib
 import math
 import random
 import statistics
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 
 from tnn_strata.errors import (
     InvalidArgument,
+    MaxStepsExceeded,
     NotComparable,
     NotUnipotentUpper,
     PreconditionError,
@@ -204,11 +206,8 @@ class TestFlow:
             flow(np.array(x0, dtype=float), Permutation.identity(3), "backward")
 
     def test_bad_arguments_rejected(self):
-        u = Permutation.identity(3)
         with pytest.raises(InvalidArgument, match="rank mismatch"):
             flow(np.eye(3), Permutation.identity(4), "backward")
-        with pytest.raises(InvalidArgument, match="max_steps"):
-            flow(np.eye(3), u, "backward", max_steps=0)
 
     # checked before any work: before the shape and before the field
     @pytest.mark.parametrize("direction", ["sideways", "Backward", ""])
@@ -217,6 +216,34 @@ class TestFlow:
         for x in (np.eye(3), np.eye(4)):
             with pytest.raises(InvalidArgument, match="direction"):
                 flow(x, Permutation.identity(3), direction)
+
+    # A forward flow to height T meets entries of about T^(n-1): at n = 3 a
+    # target of 1e200 overflowed, with numpy warnings, into StepUnderflow.
+    # T^(n-1) above the square root of the float range is rejected before
+    # any step.
+    def test_forward_target_beyond_the_float_guard_rejected(self, monkeypatch):
+        x0 = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        u = Permutation.identity(3)
+        bound = sys.float_info.max ** 0.25
+        with np.errstate(all="raise"):
+            assert flow(x0, u, "forward", target_str=bound)[-1].str_value >= bound
+        monkeypatch.setattr(kernels, "pi_u", None)
+        for target in (np.nextafter(bound, math.inf), 1e200, 1e300):
+            with pytest.raises(RankTooLarge, match="target_str"):
+                flow(x0, u, "forward", target_str=target)
+
+
+class TestStepBudget:
+    # flow and link_point loop up to the one MAX_STEPS: with a budget of
+    # one step, a flow or a climb that needs a step raises past it
+    def test_flow_and_link_point_share_the_budget(self, monkeypatch):
+        x = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        u = Permutation.identity(3)
+        monkeypatch.setattr(flow_module, "MAX_STEPS", 1)
+        with pytest.raises(MaxStepsExceeded, match="flow did not terminate in 1 steps"):
+            flow(x, u, "backward")
+        with pytest.raises(MaxStepsExceeded, match="link_point did not reach its level in 1 steps"):
+            link_point(x, u, 0.5)
 
 
 class TestCellOfFloat:
@@ -415,12 +442,12 @@ class TestStratumCheck:
 
     def test_changed_label_raises(self, monkeypatch):
         # a reprojection that fills x23 moves the point out of the s1 cell
-        def leave_cell(self, x):
-            y = x.copy()
+        def leave_cell(xt, x_u, u):
+            y = xt.copy()
             y[1, 2] += 1.0
             return y
 
-        monkeypatch.setattr(FiberIntegrator, "reproject", leave_cell)
+        monkeypatch.setattr(kernels, "rho_move", leave_cell)
         x0 = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(StratumEscape):
             flow(
@@ -854,14 +881,14 @@ class TestReproject:
     # reports moves them by rounding only.
     def test_flow_reprojection_moves_by_rounding_only(self, monkeypatch):
         moved = []
-        reproject = FiberIntegrator.reproject
+        rho_move = kernels.rho_move
 
-        def recorded(self, x):
-            y = reproject(self, x)
-            moved.append(float(np.abs(y - x).max()) / max(1.0, float(np.abs(x).max())))
+        def recorded(xt, x_u, u):
+            y = rho_move(xt, x_u, u)
+            moved.append(float(np.abs(y - xt).max()) / max(1.0, float(np.abs(xt).max())))
             return y
 
-        monkeypatch.setattr(FiberIntegrator, "reproject", recorded)
+        monkeypatch.setattr(kernels, "rho_move", recorded)
         for u, x0 in flows_inputs(seed=1):
             flow(x0, u, "backward")
             flow(x0, u, "forward", target_str=str_of(x0) + 2.0)
@@ -1092,7 +1119,7 @@ class TestRetraction:
     def test_base_check_fails_without_reproject(self, monkeypatch):
         u, v = Permutation.parse("2,1,3"), Permutation.parse("2,3,1")
         x, z = top_points(u)[v], random_cell_point(v, random.Random(8))
-        monkeypatch.setattr(FiberIntegrator, "reproject", lambda self, x: x)
+        monkeypatch.setattr(kernels, "rho_move", lambda xt, x_u, u: xt)
         assert base_error(u, retraction_stages(u, v, z, x)) > 1e-9
 
     def test_endpoints(self):

@@ -274,7 +274,7 @@ class TestGauss:
                 assert exc.value.witness == witness
 
     def test_gauss_plus_and_gauss_minus_one_elimination_each(self, eliminations, monkeypatch):
-        """gauss_plus eliminates x once, and gauss_minus eliminates x^T once."""
+        """gauss_plus and gauss_minus each eliminate x once."""
         x, f = self.rand_g0(random.Random(4), 6)
         eliminations.clear()
         assert gauss_plus(x) == f.upper
