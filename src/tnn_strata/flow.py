@@ -15,6 +15,7 @@ from . import kernels
 from ._np import np
 from .cells import is_tnn, lusztig_point
 from .errors import (
+    FlowError,
     InvalidArgument,
     MaxStepsExceeded,
     NotComparable,
@@ -27,21 +28,21 @@ from .errors import (
     UndecidableRank,
     ZNotInYgeqV,
 )
-from .fiber import base_A, conj_d, fiber_A, rho_over
+from .fiber import base_A, conj_d, fiber_A, pi_u, rho_over
 from .perms import (
     INTERVAL_GUARD, Permutation, bruhat_leq, bruhat_less, decode_rank_jumps, interval, reduced_word,
 )
 from .ratmat import RatMatrix, _map_rows, is_in_G0_u
 
-# The fixed tolerances of the float path.  flow re-checks the stratum label
-# only above STRATUM_CHECK_FLOOR over the base, where float ranks mean
+# The fixed tolerances of the float path.  Forward flow re-checks the stratum
+# label only above STRATUM_CHECK_FLOOR over the base, where float ranks mean
 # something; cell_of_float counts singular values above RANK_TOL (relative)
 # and cannot tell those between RANK_ZERO_TOL and RANK_TOL from zero.
 STRATUM_CHECK_FLOOR = 1e-3
 RANK_TOL = 1e-8
 RANK_ZERO_TOL = 1e-12
-STATIONARY_TOL = 1e-10  # a backward flow's stop: height or field below this
-FLOW_STEP_TOL = 1e-9  # RK tolerance of flow
+STATIONARY_TOL = 1e-10  # a backward flow's end lies below this height above its base
+FLOW_STEP_TOL = 1e-9  # RK tolerance of forward flow
 # A link point lies within LEVEL_TOL of its level: link_point integrates the
 # field normalised by height at RK tolerance LINK_STEP_TOL, and lands on the
 # level by construction.  It takes epsilon up to LINK_EPSILON_GUARD.
@@ -314,26 +315,32 @@ def flow(
     snapshot_every: int = 50,
     target_str: float | None = None,
 ) -> list[FlowState]:
-    """Integrate the fiber field from x0, in the fiber over the base that
+    """The flow of the fiber field from x0, in the fiber over the base that
     x0 projects to (the float x_u of x0).
 
-    It integrates z = x_u^-1 x0, entered by one solve, and leaves z only at
+    A flow line is a torus orbit carried into the fiber: the point at time
+    t is rho(conj_d(e^t, x0), x_u, u).  Backward evaluates that orbit once,
+    exactly (see _orbit_end), and reports x0 and the end.  Forward
+    integrates z = x_u^-1 x0, entered by one solve, and leaves z only at
     the points it reports after x0, every snapshot_every-th accepted step
-    and the end, as rho_move(x_u z).  Backward runs until the field (or the
-    height str(z) above the base) is below ``STATIONARY_TOL``; forward runs
-    until ``target_str`` is reached, each step capped at 1.1 times the time
-    the current rate of str needs to reach it, so the last one lands just
-    past it; any other direction is InvalidArgument.  Past ``MAX_STEPS``
-    steps it raises MaxStepsExceeded.  Entries grow like T^(n-1) on the way
-    to height T, and the field multiplies two of them, so T^(n-1) above the
+    and the end, as rho_move(x_u z); it runs until ``target_str`` is
+    reached, each step capped at 1.1 times the time the current rate of
+    str needs to reach it, so the last one lands just past it.  Any other
+    direction is InvalidArgument.  A forward flow from a point where the
+    field is exactly zero raises PreconditionError before any step; an
+    accepted step that leaves z unchanged raises StepUnderflow, a reported
+    point that is not finite FlowError, and past ``MAX_STEPS`` steps it
+    raises MaxStepsExceeded.  Entries grow like T^(n-1) on the way to
+    height T, and the field multiplies two of them, so T^(n-1) above the
     square root of the float range raises RankTooLarge before any step.
     x0 must be one matrix as _require_unipotent asks and lie in G_0 u:
     NotInG0u is raised, before any step, when the float x_u of x0 is not
     finite or u is not below its label.
-    The stratum label is frozen at the start and re-checked at snapshots
-    away from the base, where float rank detection is meaningful; a
-    snapshot whose label is undecidable is not checked, and an undecidable
-    label at x0 raises UndecidableRank.
+    The stratum label is frozen at the start, and an undecidable label at
+    x0 raises UndecidableRank.  Forward re-checks it at snapshots away from
+    the base, where float rank detection is meaningful; a snapshot whose
+    label is undecidable is not checked.  An exact orbit point keeps its
+    cell, so backward needs no check.
     """
     _require(direction in ("backward", "forward"), "direction must be backward or forward")
     forward = direction == "forward"
@@ -349,23 +356,27 @@ def flow(
         x_u = kernels.pi_u(x0, u)
     if not (np.isfinite(x_u).all() and bruhat_leq(u, stratum)):
         raise NotInG0u(None)
+    traj = [FlowState(x0.copy(), 0.0, str_of(x0), stratum)]
+    if not forward:
+        return _orbit_end(traj[0], u)
+
     integ = FiberIntegrator(u, x_u)
     base_str = str_of(x_u)
-
-    traj = [FlowState(x0.copy(), 0.0, str_of(x0), stratum)]
     z, t = np.linalg.solve(x_u, x0), 0.0
     k = integ.rhs(z)  # the field at z, carried from step to step
-    h, err = (0.01 if forward else -0.01), None
+    if base_str + str_of(z) < target_str and not k.any():
+        raise PreconditionError("the field vanishes at x0, the base of its fiber: no flow rises from it")
+    h, err = 0.01, None
     accepted = 0
     for _ in range(MAX_STEPS):
-        if forward:
-            height = base_str + str_of(z)
-            stop = height >= target_str
-        else:
-            stop = str_of(z) < STATIONARY_TOL or float(np.abs(k).max()) < STATIONARY_TOL
+        height = base_str + str_of(z)
+        stop = height >= target_str
         snapshot = accepted % snapshot_every == 0
         if traj[-1].time != t and (snapshot or stop):  # a point not yet reported
-            x = kernels.rho_move(x_u @ z, x_u, u)
+            with np.errstate(all="ignore"):  # a pivot lost to cancellation shows as inf or nan
+                x = kernels.rho_move(x_u @ z, x_u, u)
+            if not np.isfinite(x).all():
+                raise FlowError(f"the point at t={t} is not finite: its re-projection lost all precision")
             s = str_of(x)
             if snapshot and s - base_str > STRATUM_CHECK_FLOOR and cell_of_float(x, stratum) != stratum:
                 raise StratumEscape(f"stratum label changed along trajectory at t={t}")
@@ -376,13 +387,39 @@ def flow(
             h = _next_step(h, err, "flow")
         # land past the target by about 10 % of the rest, not by a whole
         # step: str(k) is d str / dt, positive off the base
-        if forward and (rate := str_of(k)) > 0.0:
+        if (rate := str_of(k)) > 0.0:
             h = min(h, 1.1 * (target_str - height) / rate)
         zn, err, kn = integ.rk_step(z, h, k)
         if err <= 1.0:
+            if np.array_equal(zn, z):
+                raise StepUnderflow(f"flow step at t={t} leaves z unchanged: the target is beyond its float resolution")
             z, t, k = zn, t + h, kn
             accepted += 1
     raise MaxStepsExceeded(f"flow did not terminate in {MAX_STEPS} steps")
+
+
+def _orbit_end(start: FlowState, u: Permutation) -> list[FlowState]:
+    """Backward flow from ``start`` as its exact torus orbit, x0 read as the
+    exact rationals of its floats: [start] when its height h0 above its
+    base is below ``STATIONARY_TOL``, else [start, end], end the orbit point
+    at tau = STATIONARY_TOL / (2 h0) rounded down to a dyadic of 30 bits.
+    The orbit's height is at most tau h0; an end that is not below
+    ``STATIONARY_TOL`` raises FlowError.  tau can underflow as a float, so
+    its time log tau is taken from its numerator and denominator."""
+    x0 = RatMatrix.from_rows(start.point.tolist())
+    x_u = pi_u(x0, u)
+    h0 = str_of(x0) - str_of(x_u)
+    if h0 < STATIONARY_TOL:
+        return [start]
+    q = Fraction(STATIONARY_TOL) / (2 * h0)  # at most 1/2, so k > 29
+    k = 29 - q.numerator.bit_length() + q.denominator.bit_length()
+    tau = Fraction((q.numerator << k) // q.denominator, 1 << k)
+    t = math.log(tau.numerator) - math.log(tau.denominator)
+    end = rho_over(conj_d(tau, x0), fiber_A(x_u, u), u)
+    if not str_of(end) - str_of(x_u) < STATIONARY_TOL:
+        raise FlowError(f"the orbit point at t={t} is not below STATIONARY_TOL over the base")
+    point = np.array(end.to_floats())
+    return [start, FlowState(point, t, str_of(point), start.stratum)]
 
 
 def _require_epsilon(epsilon: float):

@@ -49,10 +49,13 @@ def _census(lib):
 
 
 def _flows(lib):
-    # flow re-projects each point it reports after x0, so any flow that
-    # takes a step reaches rho_move
+    # as the flows op: backward, which evaluates its orbit exactly, then
+    # forward to str + 2, which integrates and re-projects each point it
+    # reports after x0, so reaches rho_move
     x = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
-    lib("flow").flow(x, Permutation.identity(3), "backward")
+    F, u = lib("flow"), Permutation.identity(3)
+    F.flow(x, u, "backward")
+    F.flow(x, u, "forward", target_str=float(np.trace(x, offset=1)) + 2.0)
 
 
 def _exact(lib):

@@ -212,6 +212,30 @@ class TestFlowVerbs:
         obj = json.loads(res.output)
         assert abs(obj["str"]) < 1e-6
 
+    # The field vanishes at the identity over u = e: exit 3 before any step,
+    # where the flow once spun through its whole step budget
+    def test_forward_from_a_stationary_point_exit_3(self, runner):
+        argv = ["flow", "--u", "1,2,3", "--direction", "forward", "--target-str", "3"]
+        res = runner.invoke(main, argv, input=IDENTITY3)
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"] == "PreconditionError"
+
+    # Entries of about 3e32 at height 1e17 leave the float re-projection of
+    # the end point no pivot: it once printed NaN entries, which are not
+    # JSON, with exit 0 after a numpy RuntimeWarning on stderr
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_point_exit_1(self, runner):
+        rows = [["1", "4", "1/2", "0"], ["0", "1", "41/72", "2/9"], ["0", "0", "1", "1/2"], ["0", "0", "0", "1"]]
+        x = json.dumps({"n": 4, "entries": rows})
+        argv = ["flow", "--u", "1,3,4,2", "--direction", "forward", "--target-str", "1e18"]
+        res = runner.invoke(main, argv, input=x)
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        err = json.loads(res.stderr)
+        assert err["error"] == "FlowError" and "not finite" in err["message"]
+
     # x outside G_0 u: a zero float pivot (identity, u = 2,1,3), and a cell
     # point of w = 2,3,1 with u = 3,1,2 not below w, whose float pivots are not zero
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import math
 import random
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from tnn_strata.errors import (
+    FlowError,
     InvalidArgument,
     MaxStepsExceeded,
     NotComparable,
@@ -23,14 +25,16 @@ from tnn_strata.errors import (
 )
 from tnn_strata import kernels
 from tnn_strata.cells import cell_of, lusztig_point
-from tnn_strata.fiber import conj_d, factor_u, pi_u, rho
+from tnn_strata.fiber import base_A, conj_d, factor_u, pi_u, rho, rho_over
 from tnn_strata.flow import (
     LEVEL_TOL,
     LINK_EPSILON_GUARD,
     LINK_POINT_BUDGET,
     RANK_TOL,
     RANK_ZERO_TOL,
+    STATIONARY_TOL,
     FiberIntegrator,
+    FlowState,
     cell_of_float,
     conj_d_float,
     default_base,
@@ -233,15 +237,40 @@ class TestFlow:
                 flow(x0, u, "forward", target_str=target)
 
 
+    # The field vanishes exactly at the base, so no forward step can rise
+    # from it: the 3x3 identity over u = e once spent the whole step budget
+    # (12 s) before MaxStepsExceeded.
+    def test_forward_from_a_stationary_point_raises_before_any_step(self, monkeypatch):
+        monkeypatch.setattr(FiberIntegrator, "rk_step", None)
+        with pytest.raises(PreconditionError, match="field vanishes"):
+            flow(np.eye(3), Permutation.identity(3), "forward", target_str=3.0)
+        assert len(flow(np.eye(3), Permutation.identity(3), "forward", target_str=0.0)) == 1
+
+    # An accepted step that leaves z unchanged bit for bit would repeat
+    # until the step budget runs out.
+    def test_step_that_leaves_z_unchanged_raises(self, monkeypatch):
+        steps = []
+
+        def stalled(self, z, h, k):
+            steps.append(h)
+            return z.copy(), 0.0, k
+
+        monkeypatch.setattr(FiberIntegrator, "rk_step", stalled)
+        x = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(StepUnderflow, match="leaves z unchanged"):
+            flow(x, Permutation.identity(3), "forward", target_str=10.0)
+        assert len(steps) == 1
+
+
 class TestStepBudget:
-    # flow and link_point loop up to the one MAX_STEPS: with a budget of
-    # one step, a flow or a climb that needs a step raises past it
+    # forward flow and link_point loop up to the one MAX_STEPS: with a
+    # budget of one step, a flow or a climb that needs a step raises past it
     def test_flow_and_link_point_share_the_budget(self, monkeypatch):
         x = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
         u = Permutation.identity(3)
         monkeypatch.setattr(flow_module, "MAX_STEPS", 1)
         with pytest.raises(MaxStepsExceeded, match="flow did not terminate in 1 steps"):
-            flow(x, u, "backward")
+            flow(x, u, "forward", target_str=str_of(x) + 2.0)
         with pytest.raises(MaxStepsExceeded, match="link_point did not reach its level in 1 steps"):
             link_point(x, u, 0.5)
 
@@ -388,10 +417,10 @@ def svd_calls(monkeypatch):
     return calls
 
 
-# Backward flows that pass close to the base with snapshots above
-# STRATUM_CHECK_FLOOR, where the minors that tell the stratum from the u-cell
-# shrink like a power of the height and a rank test at tol 1e-8 misreads them
-# (a changed label, or a rank table that decodes to no permutation).
+# Points whose backward orbits pass close to the base, where the minors that
+# tell the stratum from the u-cell shrink like a power of the height and a
+# rank test at tol 1e-8 misreads them (a changed label, or a rank table that
+# decodes to no permutation): backward flow reads no label past x0.
 NEAR_BASE_REPROS = [
     (
         "3,2,1,4",
@@ -417,10 +446,14 @@ def flows_seed_14_op_13():
     return u, x0
 
 
+# rho(xt, x_u, u) is rho_over(xt, base_A(x_u, u), u): one base_A per base
+_base_A = functools.cache(base_A)
+
+
 def exact_orbit_point(u, x0, x_u, t) -> RatMatrix:
     """rho(conj_d(e^t, x0), x_u, u): the point that flow(x0, u) reaches at
     time t, with e^t the exact rational of its float."""
-    return rho(conj_d(Fraction(math.exp(t)), x0), x_u, u)
+    return rho_over(conj_d(Fraction(math.exp(t)), x0), _base_A(x_u, u), u)
 
 
 def seed_14_orbit_point(t) -> RatMatrix:
@@ -460,13 +493,58 @@ class TestStratumCheck:
 
     # Op 13 of the flows benchmark at seed 14.  Its exact orbit passes a
     # top-cell point 1.02e-3 above the base that cell_of_float misreads
-    # (TestCellOfFloat's strict xfail); the flow's snapshots miss that point,
-    # which leaves the label reader as it was.
+    # (TestCellOfFloat's strict xfail); backward flow reads no label past x0.
     def test_flows_seed_14_op_13_reaches_base(self):
         u, x0 = flows_seed_14_op_13()
         base = np.array(pi_u(x0, u).to_floats())
         traj = flow(np.array(x0.to_floats()), u, "backward")
         assert np.max(np.abs(traj[-1].point - base)) <= 1e-6
+
+
+class TestBackwardOrbit:
+    """Backward flow is one exact point of x0's torus orbit, at a dyadic
+    tau below STATIONARY_TOL / (2 h0), h0 the height of x0."""
+
+    @pytest.mark.parametrize("u_text, entries", NEAR_BASE_REPROS)
+    def test_end_is_the_exact_orbit_point_below_the_tolerance(self, u_text, entries):
+        x = np.array(RatMatrix.from_json_obj({"n": 4, "entries": entries}).to_floats())
+        u = Permutation.parse(u_text)
+        start, end = flow(x, u, "backward")
+        x0 = RatMatrix.from_rows(x.tolist())
+        x_u = pi_u(x0, u)
+        tau = Fraction(math.exp(end.time))
+        h0 = str_of(x0) - str_of(x_u)
+        assert STATIONARY_TOL / (2 * h0) * (1 - 2**-28) <= tau <= STATIONARY_TOL / (2 * h0) * (1 + 1e-14)
+        y = rho(conj_d(tau, x0), x_u, u)
+        assert np.abs(end.point - np.array(y.to_floats())).max() <= 1e-15
+        assert 0 < str_of(y) - str_of(x_u) < STATIONARY_TOL
+        assert start.point is not x and (start.point == x).all() and start.time == 0.0
+        assert start.stratum == end.stratum == cell_of_float(x)
+
+    def test_point_at_its_base_is_the_whole_flow(self):
+        x = np.array(default_base(Permutation.parse("2,3,1")).to_floats())
+        assert len(flow(x, Permutation.parse("2,3,1"), "backward")) == 1
+
+    # tau = 1e-10 / (2 h0) is about 5e-311 here, a subnormal float, and
+    # exact all the same: the time is the log of its numerator less that of
+    # its denominator.  (Float labels are undecidable this far from the
+    # base, so the orbit is evaluated from a given start.)
+    def test_huge_entries_do_not_overflow_the_orbit(self):
+        x = np.array([[1.0, 1e300, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        w = Permutation.parse("2,1,3")
+        start = FlowState(x, 0.0, str_of(x), w)
+        _, end = flow_module._orbit_end(start, Permutation.identity(3))
+        log_tau = math.log(STATIONARY_TOL / 2) - math.log(1e300)  # less 2^-28 at most, by the rounding
+        assert log_tau - 2**-28 - 1e-12 <= end.time <= log_tau + 1e-12
+        assert STATIONARY_TOL / 2 * (1 - 2**-28) <= end.point[0, 1] <= STATIONARY_TOL / 2
+        assert end.str_value == end.point[0, 1] and end.stratum == w
+
+    # negative control: an orbit that does not come down raises at once
+    def test_end_above_the_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(flow_module, "conj_d", lambda tau, x: x)
+        x = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(FlowError, match="not below STATIONARY_TOL"):
+            flow(x, Permutation.identity(3), "backward")
 
 
 class TestLink:
@@ -685,34 +763,39 @@ class TestCallGraph:
 
     def test_flow_reaches_the_kernels(self, calls):
         x = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
-        flow(x, Permutation.identity(3), "backward")
+        flow(x, Permutation.identity(3), "forward", target_str=str_of(x) + 2.0)
         assert min(calls["rk_step"], calls["psi_tangent"], calls["rho_move"]) > 0
 
+    # Backward flow evaluates its torus orbit in exact arithmetic: no step,
+    # no float field and no re-projection.
+    def test_backward_flow_integrates_nothing(self, calls):
+        x = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        assert len(flow(x, Permutation.identity(3), "backward")) == 2
+        assert calls == Counter()
+
     # A step evaluates the field 12 times: its first stage is the last stage
-    # of the step before.  link_point and flow evaluate it once more, at
-    # the start; flow re-projects each point it reports after x0, and only
-    # those.
+    # of the step before.  link_point and forward flow evaluate it once
+    # more, at the start; flow re-projects each point it reports after x0,
+    # and only those.
     def test_link_point_reuses_the_last_stage(self, calls):
         link_sample(Permutation.identity(3), Permutation.longest(3), 1.0, 2, seed=0)
         assert calls["rk_step"] > 0
         assert calls["psi_tangent"] == 12 * calls["rk_step"] + 1
 
-    @pytest.mark.parametrize("direction", ["backward", "forward"])
-    def test_flow_reuses_the_last_stage(self, calls, direction):
+    def test_flow_reuses_the_last_stage(self, calls):
         x = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
-        traj = flow(x, Permutation.identity(3), direction, target_str=str_of(x) + 2.0)
+        traj = flow(x, Permutation.identity(3), "forward", target_str=str_of(x) + 2.0)
         assert calls["psi_tangent"] == 12 * calls["rk_step"] + 1
         assert calls["rho_move"] == len(traj) - 1 > 0
 
     # Re-projecting only the reported points leaves the trajectory as it
     # was: the same steps, and endpoints within rounding.
-    @pytest.mark.parametrize("direction", ["backward", "forward"])
-    def test_snapshot_cadence_leaves_the_flow(self, calls, direction):
+    def test_snapshot_cadence_leaves_the_flow(self, calls):
         x = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
         steps, ends = [], []
         for every in (1, 50, 10**6):
             calls.clear()
-            traj = flow(x, Permutation.parse("2,1,3"), direction, snapshot_every=every, target_str=str_of(x) + 2.0)
+            traj = flow(x, Permutation.parse("2,1,3"), "forward", snapshot_every=every, target_str=str_of(x) + 2.0)
             steps.append(calls["rk_step"])
             ends.append(traj[-1].point)
         assert steps[0] == steps[1] == steps[2] > 0
@@ -816,15 +899,17 @@ class TestTorusOrbit:
 
 # The same identity for flow: the point flow(x0, u) reports at time t is
 # rho(conj_d(e^t, x0), x_u, u), x0 read as the exact rationals of its floats
-# and x_u its exact projection.  It pins the trajectory against exact
-# arithmetic, whatever digits the integrator gives.
+# and x_u its exact projection.  It pins forward trajectories against exact
+# arithmetic, whatever digits the integrator gives.  Backward flow evaluates
+# that formula, so TestBackwardOracle checks the formula itself against an
+# integration of the field.
 
 
 @pytest.fixture(scope="module")
 def flow_orbits():
-    """(u, x0, x_u, trajectory) for every pair u < w of S3 and S4 and both
-    directions, forward to str + 2: x0 a w-cell point, which lies in the
-    fiber over its own projection x_u."""
+    """(u, x0, x_u, [(t, x), ...]) for every pair u < w of S3 and S4 and
+    both directions, forward to str + 2: the points flow reports from x0, a
+    w-cell point, which lies in the fiber over its own projection x_u."""
     rng = random.Random(5)
     cases = []
     for n in (3, 4):
@@ -834,23 +919,24 @@ def flow_orbits():
             x0 = RatMatrix.from_rows(x.tolist())
             x_u = pi_u(x0, u)
             for direction in ("backward", "forward"):
-                cases.append((u, x0, x_u, flow(x, u, direction, target_str=str_of(x) + 2.0)))
+                traj = flow(x, u, direction, target_str=str_of(x) + 2.0)
+                cases.append((u, x0, x_u, [(s.time, s.point) for s in traj]))
     return cases
 
 
 def flow_orbit_error(cases, shift=0.0) -> float:
-    """The largest distance of a reported point from its exact orbit point
+    """The largest distance of a point (t, x) from its exact orbit point y
     at time t + shift, relative to max(1, |y|)."""
     worst = 0.0
-    for u, x0, x_u, traj in cases:
-        for state in traj:
-            y = np.array(exact_orbit_point(u, x0, x_u, state.time + shift).to_floats())
-            worst = max(worst, float(np.abs(state.point - y).max()) / max(1.0, float(np.abs(y).max())))
+    for u, x0, x_u, points in cases:
+        for t, x in points:
+            y = np.array(exact_orbit_point(u, x0, x_u, t + shift).to_floats())
+            worst = max(worst, float(np.abs(x - y).max()) / max(1.0, float(np.abs(y).max())))
     return worst
 
 
 class TestFlowOrbit:
-    # 10x the worst measured, 9.7e-9 (forward; backward 5.3e-10)
+    # 10x the worst measured, 9.7e-9 (forward; backward is the formula)
     def test_reported_points_lie_on_the_exact_orbit(self, flow_orbits):
         assert len(flow_orbits) == 404
         assert flow_orbit_error(flow_orbits) <= 1e-7
@@ -858,6 +944,44 @@ class TestFlowOrbit:
     # negative control: the orbit read 1e-3 later is missed
     def test_shifted_time_misses_the_orbit(self, flow_orbits):
         assert flow_orbit_error(flow_orbits, shift=1e-3) > 1e-7
+
+
+def integrate_backward(u, x0, x_u) -> list[tuple[float, np.ndarray]]:
+    """(t, x) at each accepted step of the fiber field integrated backward
+    from x0, with FiberIntegrator.rk_step in a loop of this test's own, over
+    the float x_u, until the height falls below STATIONARY_TOL."""
+    base = np.array(x_u.to_floats())
+    integ = FiberIntegrator(u, base)
+    z = np.linalg.solve(base, np.array(x0.to_floats()))
+    k, h, t, points = integ.rhs(z), -0.01, 0.0, []
+    while str_of(z) >= STATIONARY_TOL:
+        assert len(points) < 10_000
+        zn, err, kn = integ.rk_step(z, h, k)
+        if err <= 1.0:
+            z, t, k = zn, t + h, kn
+            points.append((t, base @ z))
+        h = flow_module._next_step(h, err, "oracle")
+    return points
+
+
+@pytest.fixture(scope="module")
+def backward_orbits(flow_orbits):
+    """(u, x0, x_u, [(t, x), ...]) for the pairs of flow_orbits: each
+    accepted point of an independent backward integration from x0."""
+    return [(u, x0, x_u, integrate_backward(u, x0, x_u)) for u, x0, x_u, _ in flow_orbits[::2]]
+
+
+class TestBackwardOracle:
+    # Every accepted point of the integration lies on the orbit that
+    # backward flow evaluates: 9,628 points, the worst 1.9e-12 off
+    def test_integrated_points_lie_on_the_exact_orbit(self, backward_orbits):
+        assert len(backward_orbits) == 202
+        assert sum(len(traj) for *_, traj in backward_orbits) > 2000
+        assert flow_orbit_error(backward_orbits) <= 1e-7
+
+    # negative control: the orbit read 1e-3 later is missed, on the S3 pairs
+    def test_shifted_time_misses_the_orbit(self, backward_orbits):
+        assert flow_orbit_error(backward_orbits[:19], shift=1e-3) > 1e-7
 
 
 def flows_inputs(seed: int, count: int = 100):
@@ -876,9 +1000,9 @@ def flows_inputs(seed: int, count: int = 100):
 
 
 class TestReproject:
-    # flow integrates in fiber coordinates, where the field is masked to
-    # N(u): every stage stays in the fiber, so re-projecting the points it
-    # reports moves them by rounding only.
+    # Forward flow integrates in fiber coordinates, where the field is
+    # masked to N(u): every stage stays in the fiber, so re-projecting the
+    # points it reports moves them by rounding only.
     def test_flow_reprojection_moves_by_rounding_only(self, monkeypatch):
         moved = []
         rho_move = kernels.rho_move
@@ -890,9 +1014,8 @@ class TestReproject:
 
         monkeypatch.setattr(kernels, "rho_move", recorded)
         for u, x0 in flows_inputs(seed=1):
-            flow(x0, u, "backward")
             flow(x0, u, "forward", target_str=str_of(x0) + 2.0)
-        assert len(moved) > 200
+        assert len(moved) >= 100  # at least the end of each of the 100 flows
         assert max(moved) <= 1e-13
 
 

@@ -148,7 +148,7 @@ def test_regenerating_float_verbs_rewrites_only_changed_entries(tmp_path):
     assert regenerate_float_verbs(copy) == []
     assert copy.read_bytes() == pinned
     cases = json.loads(pinned)
-    cases[0]["stdout"] = cases[0]["stdout"].replace('"t": -23.12', '"t": -21.12')
+    cases[0]["stdout"] = cases[0]["stdout"].replace('"t": -23.02', '"t": -21.02')
     copy.write_text(json.dumps(cases))
     assert regenerate_float_verbs(copy) == ["flow --u 1,2,3: points 0, t 2"]
     assert copy.read_bytes() == pinned
