@@ -10,6 +10,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import kernels
 from ._np import np
@@ -43,14 +44,16 @@ RANK_TOL = 1e-8
 RANK_ZERO_TOL = 1e-12
 STATIONARY_TOL = 1e-10  # a backward flow's end lies below this height above its base
 FLOW_STEP_TOL = 1e-9  # RK tolerance of forward flow
-# A link point lies within LEVEL_TOL of its level: link_point integrates the
-# field normalised by height at RK tolerance LINK_STEP_TOL, and lands on the
-# level by construction.  It takes epsilon up to LINK_EPSILON_GUARD.
+# link_point integrates the field normalised by height at RK tolerance
+# LINK_STEP_TOL, lands every row on its level by construction and takes
+# epsilon up to LINK_EPSILON_GUARD.  LEVEL_TOL bounds a link point's level
+# error in the checks.
 LEVEL_TOL = 1e-9
 LINK_STEP_TOL = 1e-12
 LINK_EPSILON_GUARD = 1e3
 MAX_STEP = 1.0
 MAX_STEPS = 100_000  # the step budget of flow and of link_point
+SNAPSHOT_EVERY = 50  # forward flow reports every SNAPSHOT_EVERY-th accepted step
 LINK_POINT_BUDGET = 10_000  # most points one fiber_points call may draw
 
 
@@ -233,7 +236,8 @@ class FiberIntegrator:
             k[s] = self.rhs(zs)
         z8 = zs  # the last row of A is B
         delta = np.abs(h * (e5 @ flat[:12]).reshape(z.shape)).max(axis=(-2, -1))
-        err = float((delta / (self.tol * self.error_scale(z8))).max())
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero scale rejects the step
+            err = float((delta / (self.tol * self.error_scale(z8))).max())
         return z8, err if np.isfinite(k[12]).all() else math.nan, k[12]
 
 
@@ -312,7 +316,6 @@ def flow(
     u: Permutation,
     direction: str = "backward",
     *,
-    snapshot_every: int = 50,
     target_str: float | None = None,
 ) -> list[FlowState]:
     """The flow of the fiber field from x0, in the fiber over the base that
@@ -322,7 +325,7 @@ def flow(
     t is rho(conj_d(e^t, x0), x_u, u).  Backward evaluates that orbit once,
     exactly (see _orbit_end), and reports x0 and the end.  Forward
     integrates z = x_u^-1 x0, entered by one solve, and leaves z only at
-    the points it reports after x0, every snapshot_every-th accepted step
+    the points it reports after x0, every ``SNAPSHOT_EVERY``-th accepted step
     and the end, as rho_move(x_u z); it runs until ``target_str`` is
     reached, each step capped at 1.1 times the time the current rate of
     str needs to reach it, so the last one lands just past it.  Any other
@@ -346,7 +349,6 @@ def flow(
     forward = direction == "forward"
     _require(not forward or target_str is not None, "forward flow needs target_str")
     _require(target_str is None or math.isfinite(target_str), "target_str must be finite")
-    _require(snapshot_every >= 1, "snapshot_every must be at least 1")
     if forward and u.n > 1 and target_str > (bound := sys.float_info.max ** (0.5 / (u.n - 1))):
         raise RankTooLarge(f"target_str {target_str} exceeds the guard of {bound:.3g} at n = {u.n}")
     x0 = np.asarray(x0, dtype=np.float64)
@@ -371,7 +373,7 @@ def flow(
     for _ in range(MAX_STEPS):
         height = base_str + str_of(z)
         stop = height >= target_str
-        snapshot = accepted % snapshot_every == 0
+        snapshot = accepted % SNAPSHOT_EVERY == 0
         if traj[-1].time != t and (snapshot or stop):  # a point not yet reported
             with np.errstate(all="ignore"):  # a pivot lost to cancellation shows as inf or nan
                 x = kernels.rho_move(x_u @ z, x_u, u)
@@ -458,15 +460,14 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float) -> np.ndarray:
     """The unique point with str = str(base) + epsilon, base = default_base(u),
     on the trajectory through x, for one matrix x or each row of a stack (B, n, n).
 
-    A row already within ``LEVEL_TOL`` of the level is returned unchanged.
-    The others are taken to fiber coordinates z = base^-1 x by one solve
-    and flow by height, along psi / str(psi): str(psi) > 0 off the base on
-    the totally nonnegative part, so height is a valid time, and a row
-    where it is not raises PreconditionError.  A row's height to climb (or
-    descend) d is fixed at the start; all rows advance in one shared
-    fraction of their own d, stepped by the 8(5) pair's controller (see
+    Every row is taken to fiber coordinates z = base^-1 x by one solve and
+    flows by height, along psi / str(psi): str(psi) > 0 off the base on the
+    totally nonnegative part, so height is a valid time, and a row where it
+    is not raises PreconditionError.  A row's height to climb (or descend)
+    d is fixed at the start; all rows advance in one shared fraction of
+    their own d, stepped by the 8(5) pair's controller (see
     FiberIntegrator) and clamped to the fraction left, so they land on the
-    level together by construction.
+    level together by construction, a row already on it included.
     The first step tries the whole climb; the controller shrinks it where
     the trajectory bends, so a straight climb takes one step.
     Each row's error is measured against its displacement max|z - I|.
@@ -475,12 +476,11 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float) -> np.ndarray:
     _require_epsilon(epsilon)
     x = np.asarray(x, dtype=np.float64)
     _require_unipotent(x, u.n)
-    integ = _link_field(u)
+    integ = _link_base(u).field
     base = integ.base
-    out = x.reshape((-1,) + x.shape[-2:]).copy()
-    d = str_of(base) + epsilon - str_of(out)
-    rows = np.flatnonzero(~(np.abs(d) <= LEVEL_TOL))
-    z, d = np.linalg.solve(base, out[rows]), d[rows, None, None]
+    rows = x.reshape((-1,) + x.shape[-2:])
+    d = (str_of(base) + epsilon - str_of(rows))[:, None, None]
+    z = np.linalg.solve(base, rows)
     k = integ.rhs(z)
     if np.isnan(k).any():
         raise PreconditionError(
@@ -489,9 +489,8 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float) -> np.ndarray:
         )
     left, h = 1.0, 1.0  # the fraction of each d still to go; the next step
     for _ in range(MAX_STEPS):
-        if not rows.size or left == 0.0:
-            out[rows] = base @ z
-            return out.reshape(x.shape)
+        if not len(z) or left == 0.0:
+            return (base @ z).reshape(x.shape)
         step = min(h, left)
         zn, err, kn = integ.rk_step(z, step * d, k)
         if err <= 1.0:
@@ -565,16 +564,16 @@ def default_base(u: Permutation) -> RatMatrix:
     return lusztig_point(word, [Fraction(1)] * len(word.letters)).matrix
 
 
-@functools.cache
-def _link_field(u: Permutation) -> _LevelField:
-    """The link's field over default_base(u), built once per u."""
-    return _LevelField(u, np.array(default_base(u).to_floats()))
+class _LinkBase(NamedTuple):
+    field: _LevelField  # the link's float field over default_base(u)
+    A: RatMatrix  # default_base(u), checked and taken to its A as rho does
 
 
 @functools.cache
-def _link_base_A(u: Permutation) -> RatMatrix:
-    """default_base(u), checked and taken to its A as rho does, once per u."""
-    return base_A(default_base(u), u)
+def _link_base(u: Permutation) -> _LinkBase:
+    """The link's per-u state over default_base(u), built once per u."""
+    base = default_base(u)
+    return _LinkBase(_LevelField(u, np.array(base.to_floats())), base_A(base, u))
 
 
 def random_cell_point(w: Permutation, rng) -> RatMatrix:
@@ -599,17 +598,16 @@ def fiber_points(
     in one step, keeps tau = 1; for the others tau is ``_orbit_tau``'s float
     estimate of where the orbit comes within a margin of the level, on the
     row's side, rounded to a dyadic of 8 significant bits.  A jumped row
-    whose floats lie within ``LEVEL_TOL`` of the level, which link_point
-    would return unchanged, or below half the level, is moved at tau = 1
-    instead.  Raises before drawing when count < 1, the stack would
-    exceed ``LINK_POINT_BUDGET`` or epsilon is not a level link_point takes."""
+    whose floats lie below half the level is moved at tau = 1 instead.
+    Raises before drawing when count < 1, the stack would exceed
+    ``LINK_POINT_BUDGET`` or epsilon is not a level link_point takes."""
     _require_epsilon(epsilon)
     _require(count >= 1, "count must be at least 1")
     if count * len(strata) > LINK_POINT_BUDGET:
         raise RankTooLarge(
             f"{count} points on each of {len(strata)} strata exceed the budget of {LINK_POINT_BUDGET}"
         )
-    a_u = _link_base_A(u)
+    link = _link_base(u)
     labels = [w for w in strata for _ in range(count)]
     drawn = [random_cell_point(w, rng) for w in labels]
     tau = [Fraction(1)] * len(drawn)
@@ -622,15 +620,14 @@ def fiber_points(
 
     def moved(i):
         x = drawn[i] if tau[i] == 1 else conj_d(tau[i], drawn[i])
-        return rho_over(x, a_u, u).to_floats()
+        return rho_over(x, link.A, u).to_floats()
 
     stack = np.array([moved(i) for i in range(len(drawn))])
-    # Within LEVEL_TOL of the level link_point would return the row as it
-    # is, up to LEVEL_TOL off; below half the level the row's floats hold
-    # its offsets from the base less accurately than the link point's own.
-    gap = str_of(_link_field(u).base) + epsilon - str_of(stack)
+    # Below half the level a row's floats hold its offsets from the base
+    # less accurately than the link point's own.
+    gap = str_of(link.field.base) + epsilon - str_of(stack)
     for i in jump:
-        if tau[i] != 1 and (abs(gap[i]) <= LEVEL_TOL or gap[i] > epsilon / 2):
+        if tau[i] != 1 and gap[i] > epsilon / 2:
             tau[i] = Fraction(1)
             stack[i] = moved(i)
     return stack, labels
@@ -638,16 +635,16 @@ def fiber_points(
 
 def _orbit_tau(u: Permutation, x: np.ndarray, epsilon: float) -> np.ndarray:
     """For each row of the float stack x of cell points, a tau > 0 whose
-    float orbit point rho_move(conj_d_float(tau, x)) lies about
-    max(epsilon / 64, 4 LEVEL_TOL) short of the epsilon level, on the side
-    of the level where the row's point at tau = 1 lies.  The height above
+    float orbit point rho_move(conj_d_float(tau, x)) lies about epsilon / 64
+    short of the epsilon level, on the side of the level where the row's
+    point at tau = 1 lies.  The height above
     the base is about a power of tau, so a secant in (log tau, log height)
     from tau = 1 (first slope 1, exact for u = e) takes three stacked
     evaluations.  Each row takes the secant's next iterate, which is not
     evaluated; where that is not finite, the closest evaluated one (tau = 1
     if no other is finite and closer)."""
-    base = _link_field(u).base
-    margin = max(epsilon / 64, 4 * LEVEL_TOL)
+    base = _link_base(u).field.base
+    margin = epsilon / 64
 
     def log_height(s):
         try:
@@ -728,7 +725,7 @@ def retraction(
     # stratum below v, in the move into the fiber over the u-cell's base.
     with np.errstate(all="ignore"):
         y_v = kernels.pi_u(y, v)
-        moved = kernels.rho_move(y_v, _link_field(u).base, u) if np.isfinite(y_v).all() else y_v
+        moved = kernels.rho_move(y_v, _link_base(u).field.base, u) if np.isfinite(y_v).all() else y_v
     if not np.isfinite(moved).all():
         raise ZNotInYgeqV(
             "projection onto the v-cell blew up; the input point must lie in "

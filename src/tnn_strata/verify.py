@@ -481,13 +481,7 @@ def suite_flow(run, rng, samples):
         if np.allclose(x_f, base_f):
             continue
         try:
-            fwd = flow(
-                x_f,
-                u,
-                "forward",
-                target_str=str_of(x_f) + 2.0,
-                snapshot_every=20,
-            )
+            fwd = flow(x_f, u, "forward", target_str=str_of(x_f) + 2.0)
         except TnnStrataError as exc:
             run.check(False, f"forward[{i}]", f"{type(exc).__name__}: {exc}")
             continue

@@ -412,6 +412,19 @@ class TestLinkVerbs:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "RankTooLarge"
 
+    # At epsilon = 1e-16 a climb's error scale max|z - I| can be zero in
+    # floats: rk_step divided by it and wrote a numpy RuntimeWarning to
+    # stderr before the one JSON error line
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("verb", ["link-sample", "link-census"])
+    def test_tiny_epsilon_exit_1(self, runner, verb):
+        argv = [verb, "--u", "1,2,3", "--v", "3,2,1", "--epsilon", "1e-16", "--count", "1"]
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "StepUnderflow"
+
     def test_census_incomparable_exit_3(self, runner):
         res = runner.invoke(
             main, ["link-census", "--u", "2,1,3", "--v", "1,3,2"]

@@ -481,15 +481,10 @@ class TestStratumCheck:
             return y
 
         monkeypatch.setattr(kernels, "rho_move", leave_cell)
+        monkeypatch.setattr(flow_module, "SNAPSHOT_EVERY", 2)
         x0 = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(StratumEscape):
-            flow(
-                x0,
-                Permutation.identity(3),
-                "forward",
-                target_str=10.0,
-                snapshot_every=2,
-            )
+            flow(x0, Permutation.identity(3), "forward", target_str=10.0)
 
     # Op 13 of the flows benchmark at seed 14.  Its exact orbit passes a
     # top-cell point 1.02e-3 above the base that cell_of_float misreads
@@ -663,27 +658,17 @@ class TestLink:
             gap = np.abs(link_point(stack[:2], u, eps) - link_point(expect[:2], u, eps)).max()
             assert gap <= 1e-12
 
-    # A jump aims max(eps / 64, 4 LEVEL_TOL) short of the level, and a
-    # jumped row that still lands within LEVEL_TOL of it, which link_point
-    # would return unchanged, is moved at tau = 1.  With LEVEL_TOL seen as 0
-    # inside fiber_points, both are off, and rows stop up to LEVEL_TOL off
-    # their level.
-    def test_margin_and_band_guard_keep_small_eps_on_level(self, monkeypatch):
-        real = flow_module.fiber_points
-
-        def unguarded(*args):
-            monkeypatch.setattr(flow_module, "LEVEL_TOL", 0.0)
-            try:
-                return real(*args)
-            finally:
-                monkeypatch.setattr(flow_module, "LEVEL_TOL", LEVEL_TOL)
-
-        monkeypatch.setattr(flow_module, "fiber_points", unguarded)
+    # Every row flows to its level, however close it starts: link points
+    # of eps = 1e-9 lie 5e-10 off the level 1.5e-9, well inside LEVEL_TOL,
+    # and land on it.
+    def test_row_near_its_level_lands_on_it(self):
         u, v, eps = Permutation.parse("2,1,3,4"), Permutation.longest(4), 1e-9
         sample = link_sample(u, v, eps, 1, seed=2)
-        level = str_of(np.array(sample.base.to_floats())) + eps
-        worst = max(abs(str_of(pt) - level) for pt, _ in sample.points)
-        assert 1e-12 < worst <= LEVEL_TOL
+        rows = np.array([pt for pt, _ in sample.points])
+        level = str_of(np.array(sample.base.to_floats())) + eps + 5e-10
+        gap = np.abs(str_of(rows) - level)
+        assert (gap > 4e-10).all() and (gap <= LEVEL_TOL).all()
+        assert np.abs(str_of(link_point(rows, u, eps + 5e-10)) - level).max() <= 1e-13
 
     # A secant step that overshoots toward the base is not taken: at eps =
     # 1e-9 the row drawn in 4,1,3,2 over u = 1,3,4,2 would start at float
@@ -714,7 +699,7 @@ class TestLink:
         fiber_module = importlib.import_module("tnn_strata.fiber")
         seen = []
         monkeypatch.setattr(fiber_module, "cell_of", lambda x: seen.append(x) or cell_of(x))
-        flow_module._link_base_A.cache_clear()
+        flow_module._link_base.cache_clear()
         u, strata = Permutation.parse("1,3,2,4"), [Permutation.longest(4), Permutation.parse("2,3,1,4")]
         for seed in (0, 1):
             fiber_points(u, strata, 3, random.Random(seed), 1.0)
@@ -790,12 +775,13 @@ class TestCallGraph:
 
     # Re-projecting only the reported points leaves the trajectory as it
     # was: the same steps, and endpoints within rounding.
-    def test_snapshot_cadence_leaves_the_flow(self, calls):
+    def test_snapshot_cadence_leaves_the_flow(self, calls, monkeypatch):
         x = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
         steps, ends = [], []
         for every in (1, 50, 10**6):
             calls.clear()
-            traj = flow(x, Permutation.parse("2,1,3"), "forward", snapshot_every=every, target_str=str_of(x) + 2.0)
+            monkeypatch.setattr(flow_module, "SNAPSHOT_EVERY", every)
+            traj = flow(x, Permutation.parse("2,1,3"), "forward", target_str=str_of(x) + 2.0)
             steps.append(calls["rk_step"])
             ends.append(traj[-1].point)
         assert steps[0] == steps[1] == steps[2] > 0
