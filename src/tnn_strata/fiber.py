@@ -22,11 +22,12 @@ from .ratmat import (
     _of_ints,
     conj_by_perm,
     gauss_decompose,
-    gauss_minus,
     gauss_plus,
     is_in_N,
     mul_perm_left,
     mul_perm_right,
+    unit_right_solve,
+    unit_solve,
 )
 
 
@@ -103,35 +104,49 @@ def base_A(x_u: RatMatrix, u: Permutation) -> RatMatrix:
 def recover_shift(x_w: RatMatrix, xt: RatMatrix, w: Permutation) -> RatMatrix:
     """The shift A(xt)^-1 A(x_w), A = ``fiber_A``; for xt in the w-cell it
     is the unique n_1 in N_-(w) with [xt n_1]_+ = x_w.  Checks xt as
-    ``fiber_A`` does, then x_w as ``base_A`` does."""
-    a = fiber_A(xt, w)
-    return a.inverse() @ base_A(x_w, w)
+    ``fiber_A`` does, then x_w as ``base_A`` does.  Found by one back
+    substitution, with no inverse; ``rho`` moves xt by it as
+    x_w [n_1]_+^-1, where ``kernels.rho_move`` keeps [xt [n_1]_-]_+."""
+    return _shift_of(fiber_A(xt, w), base_A(x_w, w), w)
 
 
-def _shift(xt: RatMatrix, n_1: RatMatrix, u: Permutation) -> RatMatrix:
-    """[xt [n_1]_-]_+, the move of ``rho`` by the shift n_1."""
-    try:
-        return gauss_plus(xt @ gauss_minus(n_1))
-    except NotInG0 as exc:
-        raise InternalInvariantError(
-            f"rho hit an undecomposable intermediate for u={u.serialize()}"
-        ) from exc
+def _shift_of(a: RatMatrix, a_u: RatMatrix, u: Permutation) -> RatMatrix:
+    """a^-1 a_u for a = u^-1 P u with P unit upper triangular: row i of a
+    has its other nonzero entries in columns k with u(k) > u(i), so one
+    back substitution takes its rows in decreasing u(i)."""
+    return unit_solve(a, a_u, sorted(range(u.n), key=u.image.__getitem__, reverse=True))
+
+
+def _move(n_1: RatMatrix, x_u: RatMatrix) -> RatMatrix:
+    """[xt [n_1]_-]_+ for n_1 = A(xt)^-1 A(x_u), as x_u [n_1]_+^-1.
+
+    The leading principal minors of n_1 = u^-1 (P^-1 P_u) u are principal
+    minors of the unit upper triangular P^-1 P_u, all 1, so [n_1]_0 = I and
+    [n_1]_- = n_1 [n_1]_+^-1.  xt A(xt)^-1 u^-1 and u A(x_u) x_u^-1 are
+    lower triangular, so xt [n_1]_- is (lower) x_u [n_1]_+^-1, whose upper
+    factor is x_u [n_1]_+^-1: one elimination of n_1 and one right
+    substitution per row of x_u.
+    """
+    return unit_right_solve(x_u, gauss_plus(n_1))
 
 
 def rho(xt: RatMatrix, x_u: RatMatrix, u: Permutation) -> RatMatrix:
     """Move xt into the fiber of pi_u over x_u, preserving its Bruhat cell:
 
-        n_- = [A(xt)^-1 A(x_u)]_-,   rho(xt) = [xt n_-]_+,
+        n_1 = A(xt)^-1 A(x_u),   rho(xt) = [xt [n_1]_-]_+,
 
-    the formula ``kernels.rho_move`` evaluates in floats.
+    the formula ``kernels.rho_move`` evaluates in floats.  Here it is
+    computed exactly as x_u [n_1]_+^-1 (see ``_move``), with n_1 from
+    ``recover_shift``.
     """
-    return _shift(xt, recover_shift(x_u, xt, u), u)
+    return _move(recover_shift(x_u, xt, u), x_u)
 
 
-def rho_over(xt: RatMatrix, a_u: RatMatrix, u: Permutation) -> RatMatrix:
-    """``rho(xt, x_u, u)`` from a_u = ``base_A(x_u, u)``, which many points
-    moved over one base compute once."""
-    return _shift(xt, fiber_A(xt, u).inverse() @ a_u, u)
+def rho_over(a: RatMatrix, x_u: RatMatrix, a_u: RatMatrix, u: Permutation) -> RatMatrix:
+    """``rho(xt, x_u, u)`` from a = ``fiber_A(xt, u)`` and
+    a_u = ``base_A(x_u, u)``, which many points moved over one base compute
+    once: rho depends on xt through its A alone."""
+    return _move(_shift_of(a, a_u, u), x_u)
 
 
 def conj_d(tau, x: RatMatrix) -> RatMatrix:

@@ -29,7 +29,7 @@ from .errors import (
     UndecidableRank,
     ZNotInYgeqV,
 )
-from .fiber import base_A, conj_d, fiber_A, pi_u, rho_over
+from .fiber import base_A, conj_d, factor_u, fiber_A, rho_over
 from .perms import (
     INTERVAL_GUARD, Permutation, bruhat_leq, bruhat_less, decode_rank_jumps, interval, reduced_word,
 )
@@ -409,7 +409,8 @@ def _orbit_end(start: FlowState, u: Permutation) -> list[FlowState]:
     ``STATIONARY_TOL`` raises FlowError.  tau can underflow as a float, so
     its time log tau is taken from its numerator and denominator."""
     x0 = RatMatrix.from_rows(start.point.tolist())
-    x_u = pi_u(x0, u)
+    fr = factor_u(x0, u)
+    x_u = fr.x_u
     h0 = str_of(x0) - str_of(x_u)
     if h0 < STATIONARY_TOL:
         return [start]
@@ -417,7 +418,8 @@ def _orbit_end(start: FlowState, u: Permutation) -> list[FlowState]:
     k = 29 - q.numerator.bit_length() + q.denominator.bit_length()
     tau = Fraction((q.numerator << k) // q.denominator, 1 << k)
     t = math.log(tau.numerator) - math.log(tau.denominator)
-    end = rho_over(conj_d(tau, x0), fiber_A(x_u, u), u)
+    # A(conj_d(tau, x0)) = conj_d(tau, A(x0)), and A(x_u) = y
+    end = rho_over(conj_d(tau, fr.A), x_u, fr.y, u)
     if not str_of(end) - str_of(x_u) < STATIONARY_TOL:
         raise FlowError(f"the orbit point at t={t} is not below STATIONARY_TOL over the base")
     point = np.array(end.to_floats())
@@ -566,14 +568,15 @@ def default_base(u: Permutation) -> RatMatrix:
 
 class _LinkBase(NamedTuple):
     field: _LevelField  # the link's float field over default_base(u)
-    A: RatMatrix  # default_base(u), checked and taken to its A as rho does
+    base: RatMatrix  # default_base(u)
+    A: RatMatrix  # the base, checked and taken to its A as rho does
 
 
 @functools.cache
 def _link_base(u: Permutation) -> _LinkBase:
     """The link's per-u state over default_base(u), built once per u."""
     base = default_base(u)
-    return _LinkBase(_LevelField(u, np.array(base.to_floats())), base_A(base, u))
+    return _LinkBase(_LevelField(u, np.array(base.to_floats())), base, base_A(base, u))
 
 
 def random_cell_point(w: Permutation, rng) -> RatMatrix:
@@ -619,8 +622,10 @@ def fiber_points(
             tau[i] = Fraction(math.ldexp(round(m * 256), e - 8))
 
     def moved(i):
-        x = drawn[i] if tau[i] == 1 else conj_d(tau[i], drawn[i])
-        return rho_over(x, link.A, u).to_floats()
+        a = fiber_A(drawn[i], u)
+        if tau[i] != 1:
+            a = conj_d(tau[i], a)  # the A of conj_d(tau, x)
+        return rho_over(a, link.base, link.A, u).to_floats()
 
     stack = np.array([moved(i) for i in range(len(drawn))])
     # Below half the level a row's floats hold its offsets from the base

@@ -197,6 +197,7 @@ def word_product(letters: tuple[int, ...], n: int) -> Permutation:
     return w
 
 
+@cache
 def reduced_word(w: Permutation) -> ReducedWord:
     """Canonical reduced word, peeling off the leftmost descent on the right."""
     letters: list[int] = []

@@ -344,6 +344,54 @@ def gauss_minus(x: RatMatrix) -> RatMatrix:
     return _unit_lower(lower)
 
 
+# --- triangular solves -------------------------------------------------
+
+
+def unit_solve(p: RatMatrix, b: RatMatrix, order) -> RatMatrix:
+    """p^-1 b for p with unit diagonal whose row i has its other nonzero
+    entries only in columns k before i in ``order`` (n-1, ..., 0 for p unit
+    upper triangular): back substitution, x_i = b_i - sum of p_ik x_k,
+    over d e l for b_i / d, p_i / e and l the lcm of those x_k's
+    denominators."""
+    num, den = [()] * p.n, [1] * p.n
+    for i in order:
+        pr, d = p._num[i], b._den[i]
+        ks = [k for k, v in enumerate(pr) if v and k != i]
+        l = math.lcm(*[den[k] for k in ks])
+        s = p._den[i] * l
+        row = [v * s for v in b._num[i]]
+        for k in ks:
+            f = d * pr[k] * (l // den[k])
+            row = [a - f * v for a, v in zip(row, num[k])]
+        d *= s
+        g = math.gcd(d, *row)
+        num[i], den[i] = tuple([a // g for a in row]), d // g
+    return _of_canonical(num, den)
+
+
+def unit_right_solve(x: RatMatrix, p: RatMatrix) -> RatMatrix:
+    """x p^-1 for x upper triangular and p unit upper triangular, by
+    forward substitution: row i solves r p = x_i, clearing its columns
+    left to right.  With s / d the columns j.. not yet cleared and p_j / g_j
+    row j of p, r_j = s[0] / d clears column j and leaves
+    (g_j s - s[0] p_j) / (d g_j); each r_j is then put over the last d."""
+    n = x.n
+    tails = [r[j + 1:] for j, r in enumerate(p._num)]
+    rows, dens = [], []
+    for i, (a, d) in enumerate(zip(x._num, x._den)):
+        s, r = a[i:], [(0, 1)] * n
+        for j in range(i, n):
+            f, s = s[0], s[1:]
+            if f:
+                r[j] = (f, d)
+                g = p._den[j]
+                s = [g * v - f * w for v, w in zip(s, tails[j])]
+                d *= g
+        rows.append([v * (d // e) for v, e in r])
+        dens.append(d)
+    return _of_ints(rows, dens)
+
+
 # --- membership predicates ---------------------------------------------
 # A canonical row has entry 1 at j exactly when its numerator there equals
 # the row denominator, and entry 0 exactly when the numerator is 0.
@@ -372,7 +420,7 @@ def perm_matrix(w: Permutation) -> RatMatrix:
 
 def mul_perm_right(x: RatMatrix, w: Permutation) -> RatMatrix:
     """x P_w: column j of the result is column w(j) of x."""
-    cols = [w(j + 1) - 1 for j in range(x.n)]
+    cols = [k - 1 for k in w.image]
     return _of_canonical([tuple([r[k] for k in cols]) for r in x._num], x._den)
 
 
@@ -385,7 +433,7 @@ def mul_perm_left(w: Permutation, x: RatMatrix) -> RatMatrix:
 
 def conj_by_perm(w: Permutation, x: RatMatrix) -> RatMatrix:
     """w^-1 x w, i.e. entry (i,j) of the result is x_{w(i),w(j)}."""
-    idx = [w(i + 1) - 1 for i in range(x.n)]
+    idx = [k - 1 for k in w.image]
     return _of_canonical(
         [tuple([x._num[i][j] for j in idx]) for i in idx], [x._den[i] for i in idx]
     )

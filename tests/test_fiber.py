@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tnn_strata import fiber, ratmat
 from tnn_strata.cells import cell_of, is_tnn
 from tnn_strata.errors import (
     CellMismatch,
@@ -18,6 +19,7 @@ from tnn_strata.flow import random_cell_point
 from tnn_strata.perms import Permutation, all_permutations, bruhat_leq
 from tnn_strata.ratmat import (
     RatMatrix,
+    gauss_decompose,
     in_N_of_w,
     in_Nminus_of_w,
     minor,
@@ -248,32 +250,98 @@ class TestRhoOracle:
         with pytest.raises(NotUnipotentUpper, match="^expected a unipotent upper-triangular matrix$"):
             rho(xt, doubled, u)
 
-    def test_eight_eliminations_at_n6(self, eliminations):
+    def test_five_eliminations_at_n6(self, eliminations):
         """fiber_A of xt and of the base, the base's cell (rank gate and
-        table pass), the inverse (forward and back), gauss_minus and
-        gauss_plus: 8."""
+        table pass), and the one elimination of the shift: 5."""
         rng = random.Random(83)
         u = Permutation.parse("2,1,4,3,6,5")
         xt, base = random_cell_point(Permutation.longest(6), rng), random_cell_point(u, rng)
         eliminations.clear()
         rho(xt, base, u)
-        assert len(eliminations) == 8
+        assert len(eliminations) == 5
 
     # Points moved over one base check it and build its A once: rho_over
-    # leaves out the base's fiber_A and cell (3 eliminations).
+    # leaves out the base's fiber_A and cell (3 eliminations), and takes
+    # xt's A, one elimination.
     def test_rho_over_a_checked_base_is_rho(self, eliminations):
         rng = random.Random(89)
         for n in (3, 4):
             perms = all_permutations(n)
             for u, w in ((u, w) for u in perms for w in perms if bruhat_leq(u, w)):
                 xt, base = cell_point(w, rng), cell_point(u, rng)
-                assert rho_over(xt, base_A(base, u), u) == rho(xt, base, u)
+                assert rho_over(fiber_A(xt, u), base, base_A(base, u), u) == rho(xt, base, u)
         u = Permutation.parse("2,1,4,3,6,5")
         xt, base = random_cell_point(Permutation.longest(6), rng), random_cell_point(u, rng)
         a_u = base_A(base, u)
         eliminations.clear()
-        rho_over(xt, a_u, u)
-        assert len(eliminations) == 5
+        rho_over(fiber_A(xt, u), base, a_u, u)
+        assert len(eliminations) == 2
+
+
+# rho's exact path is x_u [n_1]_+^-1, from one back substitution for the
+# shift n_1 and one elimination of it (fiber._move); the oracle is
+# rho_by_frame's [xt n_-]_+.
+ORACLE_TAUS = (Fraction(1), Fraction(3, 7), Fraction(2**29 + 1, 2**30))
+
+_shift_of = fiber._shift_of
+MUTANTS = {
+    # [n_1]_+^-1 x_u: the substitution on the wrong side
+    "unit_right_solve": lambda x, p: p.inverse() @ x,
+    # A(x_u)^-1 A(xt): the shift the other way round
+    "_shift_of": lambda a, a_u, u: _shift_of(a_u, a, u),
+}
+
+
+class TestRhoClosedForm:
+    def test_every_pair_matches_the_oracle_and_mutants_fail(self, monkeypatch):
+        """On every S3-S5 pair u <= w at each tau, rho(conj_d(tau, xt)) is
+        the frame derivation's point, and [n_1]_0 = I, so the move needs no
+        diagonal factor; each mutant of the move fails on some case."""
+        rng = random.Random(97)
+        cases = []
+        for n in (3, 4, 5):
+            perms = all_permutations(n)
+            for w in perms:
+                for u in perms:
+                    if bruhat_leq(u, w):
+                        x, base = cell_point(w, rng), cell_point(u, rng)
+                        cases.extend((conj_d(t, x), base, u) for t in ORACLE_TAUS)
+        assert len(cases) == 3 * 4013
+        expected = [rho_by_frame(*c) for c in cases]
+        assert [rho(*c) for c in cases] == expected
+        for xt, base, u in cases[::7]:
+            n_1 = recover_shift(base, xt, u)
+            assert gauss_decompose(n_1).diag == RatMatrix.identity(u.n)
+        for name, mutant in MUTANTS.items():
+            with monkeypatch.context() as m:
+                m.setattr(fiber, name, mutant)
+                assert any(rho(*c) != y for c, y in zip(cases, expected)), name
+
+    def test_no_inverse_and_no_gauss_minus(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("called on the exact rho path")
+
+        rng = random.Random(101)
+        cases = []
+        for u in all_permutations(4):
+            xt, base = random_cell_point(Permutation.longest(4), rng), cell_point(u, rng)
+            cases.append((xt, base, u, fiber_A(xt, u), base_A(base, u), rho_by_frame(xt, base, u)))
+        monkeypatch.setattr(RatMatrix, "inverse", refuse)
+        monkeypatch.setattr(ratmat, "gauss_minus", refuse)
+        for xt, base, u, a, a_u, expected in cases:
+            assert rho(xt, base, u) == rho_over(a, base, a_u, u) == expected
+
+    def test_backward_flow_frame_identities(self):
+        """What backward flow reads off factor_u(x0, u): the A of conj_d(tau,
+        x0) is conj_d(tau, A), and the A of the base x_u is y."""
+        rng = random.Random(103)
+        for n in (3, 4):
+            perms = all_permutations(n)
+            for u, w in ((u, w) for u in perms for w in perms if bruhat_leq(u, w)):
+                x, tau = cell_point(w, rng), ORACLE_TAUS[rng.randrange(3)]
+                fr = factor_u(x, u)
+                assert fiber_A(conj_d(tau, x), u) == conj_d(tau, fr.A)
+                assert base_A(fr.x_u, u) == fr.y
 
 
 class TestConjD:

@@ -25,7 +25,7 @@ from tnn_strata.errors import (
 )
 from tnn_strata import kernels
 from tnn_strata.cells import cell_of, lusztig_point
-from tnn_strata.fiber import base_A, conj_d, factor_u, pi_u, rho, rho_over
+from tnn_strata.fiber import base_A, conj_d, factor_u, fiber_A, pi_u, rho, rho_over
 from tnn_strata.flow import (
     LEVEL_TOL,
     LINK_EPSILON_GUARD,
@@ -446,14 +446,16 @@ def flows_seed_14_op_13():
     return u, x0
 
 
-# rho(xt, x_u, u) is rho_over(xt, base_A(x_u, u), u): one base_A per base
+# rho(xt, x_u, u) is rho_over(fiber_A(xt, u), x_u, base_A(x_u, u), u): one
+# base_A per base
 _base_A = functools.cache(base_A)
 
 
 def exact_orbit_point(u, x0, x_u, t) -> RatMatrix:
     """rho(conj_d(e^t, x0), x_u, u): the point that flow(x0, u) reaches at
     time t, with e^t the exact rational of its float."""
-    return rho_over(conj_d(Fraction(math.exp(t)), x0), _base_A(x_u, u), u)
+    xt = conj_d(Fraction(math.exp(t)), x0)
+    return rho_over(fiber_A(xt, u), x_u, _base_A(x_u, u), u)
 
 
 def seed_14_orbit_point(t) -> RatMatrix:

@@ -30,6 +30,8 @@ from tnn_strata.ratmat import (
     mul_perm_right,
     perm_matrix,
     rank,
+    unit_right_solve,
+    unit_solve,
 )
 
 rats = st.fractions(
@@ -494,6 +496,35 @@ def fraction_rows(rows):
 
 def bits(rows):
     return [[v.hex() for v in r] for r in rows]
+
+
+def _triangular(x, unit):
+    """x's entries on and above the diagonal, with 1 on it when unit."""
+    return RatMatrix([[Fraction(1) if unit and i == j else v if j >= i else Fraction(0)
+                       for j, v in enumerate(r)] for i, r in enumerate(x.rows)])
+
+
+class TestTriangularSolves:
+    """The two substitutions give what the inverse and a product give, on
+    canonical rows."""
+
+    @settings(REPRESENTATION, max_examples=50)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        oracle_matrices(n), oracle_matrices(n), st.permutations(range(1, n + 1)))))
+    def test_unit_solve_in_any_triangular_order(self, case):
+        x, b, images = case
+        w = Permutation(tuple(images))
+        p = conj_by_perm(w, _triangular(x, unit=True))  # its rows solve in decreasing w(i)
+        order = sorted(range(x.n), key=lambda i: -images[i])
+        got = unit_solve(p, b, order)
+        assert got == p.inverse() @ b and is_canonical(got)
+
+    @settings(REPRESENTATION, max_examples=50)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(oracle_matrices(n), oracle_matrices(n))))
+    def test_unit_right_solve(self, case):
+        x, p = _triangular(case[0], unit=False), _triangular(case[1], unit=True)
+        got = unit_right_solve(x, p)
+        assert got == x @ p.inverse() and is_canonical(got)
 
 
 class TestRepresentation:
