@@ -13,21 +13,41 @@ from pathlib import Path
 
 import click
 
-from ._np import np
 from .cells import cell_of, is_tnn, lusztig_point
 from .errors import InvalidArgument, PreconditionError, TnnStrataError
 from .fiber import factor_u, rho
-from .flow import (
-    flow as run_flow,
-    link_census,
-    link_sample,
-    psi,
-    retraction as run_retraction,
-    str_of,
-)
 from .perms import Permutation, ReducedWord
 from .ratmat import RatMatrix, _rat
-from .verify import RunConfig, SUITES, run_suite
+
+# The names the float verbs and ``verify`` use, each read from its module
+# when a verb runs, so the exact verbs never load flow, kernels, verify or
+# numpy.  They are module attributes too (``cli.run_flow``), looked up on
+# every read.
+_LAZY = {
+    "np": ("_np", "np"),
+    "link_census": ("flow", "link_census"),
+    "link_sample": ("flow", "link_sample"),
+    "psi": ("flow", "psi"),
+    "run_flow": ("flow", "flow"),
+    "run_retraction": ("flow", "retraction"),
+    "str_of": ("flow", "str_of"),
+    "RunConfig": ("verify", "RunConfig"),
+    "run_suite": ("verify", "run_suite"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _LAZY[name]
+    __import__(f"tnn_strata.{module}")  # not importlib's: -X importtime lists it
+    return getattr(sys.modules[f"tnn_strata.{module}"], attr)
+
+
+def _lazy(name):
+    """The verbs' binding of a name of _LAZY: one set on this module (a
+    test's patch), or else the one its module has now."""
+    return globals()[name] if name in globals() else __getattr__(name)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -61,11 +81,15 @@ def _emit(obj):
     click.echo(json.dumps(obj, sort_keys=True))
 
 
-def _float_rows(x: np.ndarray) -> list:
+def _float_array(m: RatMatrix):
+    return _lazy("np").array(m.to_floats())
+
+
+def _float_rows(x) -> list:
     return [[float(v) for v in row] for row in x]
 
 
-def _float_matrix_obj(x: np.ndarray) -> dict:
+def _float_matrix_obj(x) -> dict:
     return {"n": int(x.shape[0]), "entries": _float_rows(x)}
 
 
@@ -179,6 +203,7 @@ def cmd_psi(path, u_text):
     """Evaluate the fiber vector field at a point (exact rational)."""
     x = _read_matrix(path)
     u = _parse_perm(u_text)
+    psi, str_of = _lazy("psi"), _lazy("str_of")
     out = psi(x, u)
     obj = out.to_json_obj()
     obj["str"] = str(str_of(out))
@@ -195,7 +220,7 @@ def cmd_flow(path, u_text, direction, target_str, dump):
     """Integrate the gradient-like fiber flow from a point."""
     x = _read_matrix(path)
     u = _parse_perm(u_text)
-    traj = run_flow(np.array(x.to_floats()), u, direction, target_str=target_str)
+    traj = _lazy("run_flow")(_float_array(x), u, direction, target_str=target_str)
     if dump:
         for st in traj:
             click.echo(
@@ -230,8 +255,9 @@ def cmd_link_sample(u_text, v_text, epsilon, count, seed):
     """Sample points of the link of the u-cell inside Y_[u,v]."""
     u = _parse_perm(u_text, "u")
     v = _parse_perm(v_text, "v")
+    link_sample, str_of = _lazy("link_sample"), _lazy("str_of")
     sample = link_sample(u, v, epsilon, count, seed)
-    base_str = float(str_of(np.array(sample.base.to_floats())))
+    base_str = float(str_of(_float_array(sample.base)))
     _emit(
         {
             "u": u.serialize(),
@@ -263,6 +289,7 @@ def cmd_link_census(u_text, v_text, epsilon, count, seed):
     per-stratum point counts, and the combinatorial Euler characteristic."""
     u = _parse_perm(u_text, "u")
     v = _parse_perm(v_text, "v")
+    link_census, link_sample = _lazy("link_census"), _lazy("link_sample")
     census = link_census(u, v, link_sample(u, v, epsilon, count, seed).points)
     _emit(
         {
@@ -294,20 +321,30 @@ def cmd_retract(path, u_text, v_text, z_path, tau, epsilon):
     u = _parse_perm(u_text, "u")
     v = _parse_perm(v_text, "v")
     z = _read_matrix(z_path)
-    out = run_retraction(np.array(x.to_floats()), tau, u, v, z, epsilon)
+    run_retraction, str_of = _lazy("run_retraction"), _lazy("str_of")
+    out = run_retraction(_float_array(x), tau, u, v, z, epsilon)
     obj = _float_matrix_obj(out)
     obj["str"] = float(str_of(out))
     _emit(obj)
 
 
+# verify.SUITES and "all", written out so that no verb loads verify to parse
+# its arguments; tests/test_cli_process.py holds the two equal.
+_SUITES = (
+    "bruhat", "equivariance", "factorization", "flow", "gauss", "link-census",
+    "param-cell", "psi-positivity", "retraction", "rho", "signs", "verma", "all",
+)
+
+
 @main.command("verify")
-@click.argument("suite", type=click.Choice(sorted(SUITES) + ["all"]))
+@click.argument("suite", type=click.Choice(_SUITES))
 @click.option("--n", type=int, default=4, show_default=True)
 @_seed_opt
 @click.option("--samples", type=int, default=0, help="cases per suite, at least 0; 0 uses each suite's default size")
 @click.option("--timings", is_flag=True, help="include wall times (breaks byte-stability)")
 def cmd_verify(suite, n, seed, samples, timings):
     """Run a named invariant suite (or 'all'); exit 0 iff no failures."""
+    run_suite, RunConfig = _lazy("run_suite"), _lazy("RunConfig")
     reports = run_suite(suite, RunConfig(n=n, seed=seed, samples=samples))
     _emit([r.to_json_obj(timings=timings) for r in reports])
     if any(not r.ok for r in reports):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from tnn_strata import cells, ratmat
@@ -5,6 +10,15 @@ from tnn_strata.cells import cell_of
 from tnn_strata.errors import CellMismatch, InvalidArgument
 from tnn_strata.fiber import factor_u
 from tnn_strata.ratmat import conj_by_perm, gauss_minus, gauss_plus, mul_perm_right
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(code, *args):
+    """Run ``python -c code args...`` in a new interpreter that imports the
+    library from src/: the completed process, stdout and stderr as bytes."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, timeout=120)
 
 
 @pytest.fixture

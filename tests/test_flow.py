@@ -290,7 +290,7 @@ class TestCellOfFloat:
     # As cell_of: above INTERVAL_GUARD it stops before its first SVD.
     def test_guarded_above_interval_guard(self, monkeypatch):
         assert cell_of_float(np.eye(INTERVAL_GUARD)) == Permutation.identity(INTERVAL_GUARD)
-        monkeypatch.setattr(np.linalg, "svd", None)
+        monkeypatch.setattr(np.linalg._umath_linalg, "svd", None)
         for x in (np.eye(INTERVAL_GUARD + 1), np.eye(INTERVAL_GUARD + 1)[None]):
             with pytest.raises(RankTooLarge):
                 cell_of_float(x)
@@ -298,6 +298,32 @@ class TestCellOfFloat:
     def test_minor_below_both_thresholds_reads_zero(self):
         x = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1e-14], [0.0, 0.0, 1.0]])
         assert cell_of_float(x) == Permutation.parse("2,1,3")
+
+    # cell_of_float calls LAPACK's SVD gufunc itself: on every block shape
+    # it reads, 1 x k and k x 1 included, it gives np.linalg.svd's values to
+    # the bit, on full-rank cell points and on rank-deficient stacks.
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_direct_svd_is_numpys_bit_for_bit(self, n):
+        rng = random.Random(n)
+        cell_points = [random_cell_point(Permutation.longest(n), rng).to_floats() for _ in range(3)]
+        np_rng = np.random.default_rng(n)
+        low = np_rng.standard_normal((3, n, 1)) @ np_rng.standard_normal((3, 1, n))
+        stack = np.concatenate([np.array(cell_points, dtype=float), low, np.eye(n)[None], np.zeros((1, n, n))])
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                block = stack[:, :i, j - 1 :]
+                direct = np.linalg._umath_linalg.svd(block, signature="d->d")
+                assert direct.tobytes() == np.linalg.svd(block, compute_uv=False).tobytes()
+
+    # gesdd's failure shows as an invalid flag, as np.sqrt(-1) raises one:
+    # np.linalg.svd's error settings turn it into LinAlgError.
+    def test_non_converging_svd_raises(self, monkeypatch):
+        def fails(a, signature):
+            return np.sqrt(np.full(a.shape[:-2] + (min(a.shape[-2:]),), -1.0))
+
+        monkeypatch.setattr(np.linalg._umath_linalg, "svd", fails)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            cell_of_float(np.eye(3))
 
     # The census rows all read decidably; one constructed row, with a
     # minor between the cuts, reaches the fallback.
@@ -406,14 +432,15 @@ def s4_census_rows():
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """One entry per numpy.linalg.svd call made during the test."""
-    calls, real = [], np.linalg.svd
+    """One entry per call of LAPACK's SVD gufunc made during the test, the
+    one cell_of_float calls directly and numpy.linalg.svd calls."""
+    calls, real = [], np.linalg._umath_linalg.svd
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg._umath_linalg, "svd", counted)
     return calls
 
 
@@ -811,7 +838,8 @@ class TestCallGraph:
 
     def test_link_sample_reads_its_interval_once(self, monkeypatch):
         seen = []
-        monkeypatch.setattr(flow_module, "interval", lambda u, v: seen.append(1) or interval(u, v))
+        perms_module = importlib.import_module("tnn_strata.perms")
+        monkeypatch.setattr(perms_module, "interval", lambda u, v: seen.append(1) or interval(u, v))
         link_sample(Permutation.identity(4), Permutation.longest(4), 1.0, 1, seed=0)
         assert len(seen) == 1
 
