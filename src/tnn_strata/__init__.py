@@ -4,11 +4,12 @@ parametrization and identification, fiber projections, a gradient-like
 fiber flow, link sampling, and a link retraction — all at desk scale.
 
 Importing the package loads the exact core (``cells``, ``errors``,
-``fiber``, ``perms``, ``ratmat``), which every command runs.  ``flow``,
-and with it ``kernels`` and numpy, and ``verify`` load when one of their
-names is first read.  Every export is looked up in its submodule on each
-read and never bound here, so a name patched on its submodule (by a tracer
-or a test) is the one the package gives.
+``fiber``, ``perms``, ``ratmat``), which every exact command runs and
+which loads no numpy.  The float path, ``flow`` with ``kernels`` and
+numpy, and ``verify`` load when one of their names is first read.
+Every export is looked up in its submodule on each read and never bound
+here, so a name patched on its submodule (by a tracer or a test) is the
+one the package gives.
 """
 
 import sys
@@ -28,11 +29,10 @@ _EXPORTS = {
         "NotUnipotentUpper PreconditionError RankTooLarge Singular StepUnderflow "
         "StratumEscape TnnStrataError UndecidableRank ZNotInYgeqV"
     ),
-    "fiber": "FiberFrame conj_d factor_u pi_u recover_shift rho",
+    "fiber": "FiberFrame SignReport conj_d factor_u pi_n pi_u psi recover_shift rho sign_lemma_check str_of",
     "flow": (
-        "FiberIntegrator FlowState LinkCensus LinkSample SignReport cell_of_float conj_d_float "
-        "default_base flow link_census link_point link_sample pi_n psi random_cell_point "
-        "retraction sign_lemma_check str_of"
+        "FiberIntegrator FlowState LinkCensus LinkSample cell_of_float conj_d_float default_base flow "
+        "link_census link_point link_sample random_cell_point retraction"
     ),
     "perms": (
         "BruhatInterval Permutation ReducedWord all_permutations all_reduced_words bruhat_leq "

@@ -15,7 +15,7 @@ import click
 
 from .cells import cell_of, is_tnn, lusztig_point
 from .errors import InvalidArgument, PreconditionError, TnnStrataError
-from .fiber import factor_u, rho
+from .fiber import factor_u, psi, rho, str_of
 from .perms import Permutation, ReducedWord
 from .ratmat import RatMatrix, _rat
 
@@ -24,13 +24,10 @@ from .ratmat import RatMatrix, _rat
 # numpy.  They are module attributes too (``cli.run_flow``), looked up on
 # every read.
 _LAZY = {
-    "np": ("_np", "np"),
     "link_census": ("flow", "link_census"),
     "link_sample": ("flow", "link_sample"),
-    "psi": ("flow", "psi"),
     "run_flow": ("flow", "flow"),
     "run_retraction": ("flow", "retraction"),
-    "str_of": ("flow", "str_of"),
     "RunConfig": ("verify", "RunConfig"),
     "run_suite": ("verify", "run_suite"),
 }
@@ -79,10 +76,6 @@ def _parse_perm(text: str, name: str = "permutation") -> Permutation:
 
 def _emit(obj):
     click.echo(json.dumps(obj, sort_keys=True))
-
-
-def _float_array(m: RatMatrix):
-    return _lazy("np").array(m.to_floats())
 
 
 def _float_rows(x) -> list:
@@ -203,7 +196,6 @@ def cmd_psi(path, u_text):
     """Evaluate the fiber vector field at a point (exact rational)."""
     x = _read_matrix(path)
     u = _parse_perm(u_text)
-    psi, str_of = _lazy("psi"), _lazy("str_of")
     out = psi(x, u)
     obj = out.to_json_obj()
     obj["str"] = str(str_of(out))
@@ -220,7 +212,7 @@ def cmd_flow(path, u_text, direction, target_str, dump):
     """Integrate the gradient-like fiber flow from a point."""
     x = _read_matrix(path)
     u = _parse_perm(u_text)
-    traj = _lazy("run_flow")(_float_array(x), u, direction, target_str=target_str)
+    traj = _lazy("run_flow")(x.to_floats(), u, direction, target_str=target_str)
     if dump:
         for st in traj:
             click.echo(
@@ -255,9 +247,8 @@ def cmd_link_sample(u_text, v_text, epsilon, count, seed):
     """Sample points of the link of the u-cell inside Y_[u,v]."""
     u = _parse_perm(u_text, "u")
     v = _parse_perm(v_text, "v")
-    link_sample, str_of = _lazy("link_sample"), _lazy("str_of")
-    sample = link_sample(u, v, epsilon, count, seed)
-    base_str = float(str_of(_float_array(sample.base)))
+    sample = _lazy("link_sample")(u, v, epsilon, count, seed)
+    base_str = str_of(sample.base.to_floats())
     _emit(
         {
             "u": u.serialize(),
@@ -268,7 +259,7 @@ def cmd_link_sample(u_text, v_text, epsilon, count, seed):
                 {
                     "stratum": w.serialize(),
                     "dim": sample.dimensions[w],
-                    "str": float(str_of(pt)),
+                    "str": str_of(pt),
                     "entries": _float_rows(pt),
                 }
                 for pt, w in sample.points
@@ -321,10 +312,9 @@ def cmd_retract(path, u_text, v_text, z_path, tau, epsilon):
     u = _parse_perm(u_text, "u")
     v = _parse_perm(v_text, "v")
     z = _read_matrix(z_path)
-    run_retraction, str_of = _lazy("run_retraction"), _lazy("str_of")
-    out = run_retraction(_float_array(x), tau, u, v, z, epsilon)
+    out = _lazy("run_retraction")(x.to_floats(), tau, u, v, z, epsilon)
     obj = _float_matrix_obj(out)
-    obj["str"] = float(str_of(out))
+    obj["str"] = str_of(out)
     _emit(obj)
 
 

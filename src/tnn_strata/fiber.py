@@ -1,5 +1,7 @@
-"""Projection onto a cell, the x = x_u x^u factorization, and the
-fiber-to-fiber map rho, all in exact arithmetic."""
+"""Projection onto a cell, the x = x_u x^u factorization, the
+fiber-to-fiber map rho, and the vector field psi on fibers with its
+sign lemma, all in exact arithmetic.  ``str_of`` also sums float
+matrices, and only then loads numpy."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from .perms import Permutation
 from .ratmat import (
     NotInG0,
     RatMatrix,
+    _map_rows,
     _of_ints,
     conj_by_perm,
     gauss_decompose,
@@ -161,3 +164,76 @@ def conj_d(tau, x: RatMatrix) -> RatMatrix:
         [[v * s for v, s in zip(r, scale)] for r in x._num],
         [d * s for d, s in zip(x._den, scale)],
     )
+
+
+def str_of(x):
+    """Sum of the entries just above the diagonal; additive on N.  A
+    Fraction for a RatMatrix, a float for one float matrix (an array or
+    nested lists), an array with one value per row for a stack."""
+    if isinstance(x, RatMatrix):
+        return sum(Fraction(r[i + 1], d) for i, (r, d) in enumerate(zip(x._num[:-1], x._den)))
+    import numpy as np  # only a float argument loads numpy
+
+    s = np.asarray(x).trace(1, -2, -1)
+    return float(s) if s.ndim == 0 else s
+
+
+def pi_n(m: RatMatrix) -> RatMatrix:
+    """Projection onto strictly upper-triangular matrices (kernel: the
+    Borel algebra on and below the diagonal)."""
+    return _map_rows(m, lambda i, r: [v if j > i else 0 for j, v in enumerate(r)])
+
+
+def nu_matrix(n: int) -> RatMatrix:
+    return RatMatrix.from_rows(
+        [[n - i if i == j else 0 for j in range(n)] for i in range(n)]
+    )
+
+
+def psi(x: RatMatrix, u: Permutation) -> RatMatrix:
+    """Exact tangent vector x * pi_n(A^-1 nu A); zero exactly at the
+    fiber's base point."""
+    A = fiber_A(x, u)
+    n = x.n  # A^-1 nu scales column j of A^-1 (0-based) by n - j
+    Ainv_nu = _map_rows(A.inverse(), lambda i, r: [v * (n - j) for j, v in enumerate(r)])
+    return x @ pi_n(Ainv_nu @ A)
+
+
+@dataclass(frozen=True)
+class SignViolation:
+    i: int
+    j: int
+    value: Fraction
+    expected: str
+
+
+@dataclass(frozen=True)
+class SignReport:
+    violations: tuple[SignViolation, ...]
+    str_value: Fraction
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations and self.str_value >= 0
+
+
+def sign_lemma_check(A: RatMatrix, u: Permutation) -> SignReport:
+    """Check the three-case sign pattern of (A^-1)_{j,i} * A_{i,j+1} and
+    nonnegativity of str(A^-1 nu A) for A arising from a TNN point."""
+    n = A.n
+    Ainv = A.inverse()
+    bad: list[SignViolation] = []
+    for i in range(1, n + 1):
+        for j in range(1, n):
+            prod = Ainv[j, i] * A[i, j + 1]
+            chain = u(j) <= u(i) <= u(j + 1)
+            if chain and i <= j:
+                if prod < 0:
+                    bad.append(SignViolation(i, j, prod, ">=0"))
+            elif chain:
+                if prod > 0:
+                    bad.append(SignViolation(i, j, prod, "<=0"))
+            elif prod != 0:
+                bad.append(SignViolation(i, j, prod, "=0"))
+    s = str_of(Ainv @ nu_matrix(n) @ A)
+    return SignReport(tuple(bad), s)

@@ -1,5 +1,6 @@
-"""The superdiagonal-sum functional, the gradient-like field on fibers,
-its numerical integration, link sampling, and the retraction of a link."""
+"""The float path: numerical integration of the fiber field, float cell
+labels, flows, link sampling, and the retraction of a link.  The exact
+field it integrates, ``psi``, and ``str_of`` live in ``fiber``."""
 
 from __future__ import annotations
 
@@ -12,8 +13,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from . import cells, fiber, kernels, perms
-from ._np import np
 from .errors import (
     FlowError,
     InvalidArgument,
@@ -28,16 +30,17 @@ from .errors import (
     UndecidableRank,
     ZNotInYgeqV,
 )
-from .fiber import base_A, conj_d, fiber_A, rho_over
+from .fiber import base_A, conj_d, fiber_A, rho_over, str_of
 from .perms import INTERVAL_GUARD, Permutation, bruhat_leq, bruhat_less, decode_rank_jumps
-from .ratmat import RatMatrix, _map_rows, is_in_G0_u
+from .ratmat import RatMatrix, is_in_G0_u
 
 # The exact-core functions that perfbench's tracer wraps are read through
 # their modules at each call, never bound here: this module loads on first
 # use, perhaps while they are wrapped, and a binding taken then would keep
 # the wrapper after it is removed.  They stay readable as attributes here
-# (perfbench's tests read flow.is_tnn).
-_CORE = {"is_tnn": cells, "lusztig_point": cells, "factor_u": fiber, "interval": perms, "reduced_word": perms}
+# (perfbench's tests read flow.is_tnn, and it calls flow.psi).
+_CORE = {"is_tnn": cells, "lusztig_point": cells, "factor_u": fiber, "psi": fiber,
+         "interval": perms, "reduced_word": perms}
 
 
 def __getattr__(name):
@@ -65,75 +68,6 @@ MAX_STEP = 1.0
 MAX_STEPS = 100_000  # the step budget of flow and of link_point
 SNAPSHOT_EVERY = 50  # forward flow reports every SNAPSHOT_EVERY-th accepted step
 LINK_POINT_BUDGET = 10_000  # most points one fiber_points call may draw
-
-
-def str_of(x) -> float | Fraction | np.ndarray:
-    """Sum of the entries just above the diagonal (per row of a float stack); additive on N."""
-    if isinstance(x, RatMatrix):
-        return sum(Fraction(r[i + 1], d) for i, (r, d) in enumerate(zip(x._num[:-1], x._den)))
-    s = np.asarray(x).trace(1, -2, -1)
-    return float(s) if s.ndim == 0 else s
-
-
-def pi_n(m: RatMatrix) -> RatMatrix:
-    """Projection onto strictly upper-triangular matrices (kernel: the
-    Borel algebra on and below the diagonal)."""
-    return _map_rows(m, lambda i, r: [v if j > i else 0 for j, v in enumerate(r)])
-
-
-def nu_matrix(n: int) -> RatMatrix:
-    return RatMatrix.from_rows(
-        [[n - i if i == j else 0 for j in range(n)] for i in range(n)]
-    )
-
-
-def psi(x: RatMatrix, u: Permutation) -> RatMatrix:
-    """Exact tangent vector x * pi_n(A^-1 nu A); zero exactly at the
-    fiber's base point."""
-    A = fiber_A(x, u)
-    n = x.n  # A^-1 nu scales column j of A^-1 (0-based) by n - j
-    Ainv_nu = _map_rows(A.inverse(), lambda i, r: [v * (n - j) for j, v in enumerate(r)])
-    return x @ pi_n(Ainv_nu @ A)
-
-
-@dataclass(frozen=True)
-class SignViolation:
-    i: int
-    j: int
-    value: Fraction
-    expected: str
-
-
-@dataclass(frozen=True)
-class SignReport:
-    violations: tuple[SignViolation, ...]
-    str_value: Fraction
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and self.str_value >= 0
-
-
-def sign_lemma_check(A: RatMatrix, u: Permutation) -> SignReport:
-    """Check the three-case sign pattern of (A^-1)_{j,i} * A_{i,j+1} and
-    nonnegativity of str(A^-1 nu A) for A arising from a TNN point."""
-    n = A.n
-    Ainv = A.inverse()
-    bad: list[SignViolation] = []
-    for i in range(1, n + 1):
-        for j in range(1, n):
-            prod = Ainv[j, i] * A[i, j + 1]
-            chain = u(j) <= u(i) <= u(j + 1)
-            if chain and i <= j:
-                if prod < 0:
-                    bad.append(SignViolation(i, j, prod, ">=0"))
-            elif chain:
-                if prod > 0:
-                    bad.append(SignViolation(i, j, prod, "<=0"))
-            elif prod != 0:
-                bad.append(SignViolation(i, j, prod, "=0"))
-    s = str_of(Ainv @ nu_matrix(n) @ A)
-    return SignReport(tuple(bad), s)
 
 
 # --- numerical integration ---------------------------------------------
@@ -254,7 +188,8 @@ class FiberIntegrator:
 def cell_of_float(x: np.ndarray, fallback=None):
     """Float analogue of the exact cell identification, using SVD ranks: the
     label of one matrix (n, n), or the list of labels of a stack (B, n, n),
-    by one SVD call over the stack per top-right submatrix x[:i, j-1:].
+    each an array or nested lists, by one SVD call over the stack per
+    top-right submatrix x[:i, j-1:].
 
     A row whose rank table decodes to no permutation, or where some singular
     value lies between ``RANK_ZERO_TOL`` and ``RANK_TOL`` (relative) so a rank
@@ -262,6 +197,7 @@ def cell_of_float(x: np.ndarray, fallback=None):
     with no fallback raises UndecidableRank.  Input that is not square or
     not finite raises InvalidArgument; matrices larger than
     ``INTERVAL_GUARD`` raise RankTooLarge before any SVD, as cell_of does."""
+    x = np.asarray(x, dtype=np.float64)
     square = x.ndim >= 2 and x.shape[-2] == x.shape[-1]
     _require(square and np.isfinite(x).all(), "expected square matrices with finite entries")
     n = x.shape[-1]

@@ -1,10 +1,12 @@
 """Float kernels for the flow integrator.
 
 Mirrors the exact-arithmetic maps (fiber_A, pi_u, the tangent field, rho)
-on float64 numpy arrays.  Every kernel takes one matrix of shape ``(n, n)``
-or a stack of shape ``(..., n, n)`` and works on the last two axes, so a
-whole batch of points costs one call.  An elimination gives the upper
-Gaussian factor alone and the lower one is [M^T]_+^T.
+on float64 numpy arrays.  With ``flow`` and ``verify`` it is one of the
+three modules that import numpy; the exact core never loads it.  Every
+kernel takes one matrix of shape ``(n, n)`` or a stack of shape
+``(..., n, n)`` and works on the last two axes, so a whole batch of
+points costs one call.  An elimination gives the upper Gaussian factor
+alone and the lower one is [M^T]_+^T.
 The tangent field works in fiber coordinates: x = x_u z with the base x_u
 fixed and z in N(u).  Its one solve, with the unit upper-triangular z,
 calls LAPACK's gesv gufunc directly, the one ``np.linalg.solve`` calls:
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from ._np import np
+import numpy as np
 
 # The package has one backend, numpy; the flag stays for reports that stamp it.
 USING_NUMBA = False

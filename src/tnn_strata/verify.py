@@ -14,10 +14,11 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._np import np
+import numpy as np
+
 from .cells import TNN_GUARD, cell_of, is_tnn, lusztig_point
 from .errors import InvalidArgument, RankTooLarge, TnnStrataError
-from .fiber import conj_d, factor_u, fiber_A, pi_u, recover_shift, rho
+from .fiber import conj_d, factor_u, fiber_A, pi_u, psi, recover_shift, rho, sign_lemma_check, str_of
 from .flow import (
     LEVEL_TOL,
     cell_of_float,
@@ -26,11 +27,8 @@ from .flow import (
     flow,
     link_census,
     link_point,
-    psi,
     random_cell_point,
     retraction,
-    sign_lemma_check,
-    str_of,
 )
 from .perms import (
     Permutation,
@@ -60,6 +58,11 @@ SUITES: dict = {}
 # verma compares the rank tables of every pair of S_n at once: n = 6 takes
 # about 1 s and 50 MB, n = 7 would take about 1.8 GB.
 VERMA_GUARD = 6
+# The most cases one suite may draw, psi-positivity's default and the
+# largest.  At n = 4 and this size the slowest suite, param-cell, takes
+# about 30 s.  link-census and retraction also keep flow.LINK_POINT_BUDGET,
+# which at n = 4 holds link-census to 434 points per stratum, about 90 s.
+SAMPLES_GUARD = 10_000
 
 
 @dataclass(frozen=True)
@@ -577,9 +580,7 @@ def suite_retraction(run, rng, samples):
         d0 = float(np.abs(r0 - x).max())
         run.check(d0 < 1e-6, f"tau0[{i}]", f"dist={d0}")
     ends = retraction(pts, 1.0, u, v, z, eps)
-    spread = max(
-        float(np.abs(a - b).max()) for a in ends for b in ends
-    )
+    spread = float((ends.max(axis=0) - ends.min(axis=0)).max())  # the largest pairwise max|a - b|
     run.check(spread < 1e-6, "tau1-constant", f"spread={spread}")
     # continuity along a tau grid for one point
     x = pts[0]
@@ -598,6 +599,8 @@ def run_suite(name: str, config: RunConfig) -> list[VerificationReport]:
         raise InvalidArgument("n must be at least 2")
     if config.samples < 0:
         raise InvalidArgument("samples must be at least 0")
+    if config.samples > SAMPLES_GUARD:
+        raise RankTooLarge(f"samples {config.samples} exceed the guard of {SAMPLES_GUARD}")
     if name == "all":
         return [fn(config) for key, fn in SUITES.items()]
     if name not in SUITES:

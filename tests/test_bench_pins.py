@@ -5,18 +5,24 @@ run of a workload in which one of them, mapped to that workload in
 ``EXPECTED``, records no calls.  Here every wrapped name must resolve, and
 one small call sequence per in-library workload must reach every name
 pinned to it, so a change that takes a pinned function off its path fails
-here and not only in a traced benchmark run.
+here and not only in a traced benchmark run.  The ``cli`` workload's
+verbs run in-process here, one argv each.
 """
 
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from tnn_strata.perms import Permutation
+from tnn_strata.cells import lusztig_point
+from tnn_strata.cli import main
+from tnn_strata.fiber import rho
+from tnn_strata.perms import Permutation, reduced_word
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -75,3 +81,30 @@ def test_workload_reaches_its_pins(tracer, workload, run):
     with tracer.Tracer() as t:
         run(tracer.library_module)
     assert t.missing(workload) == []
+
+
+def test_cli_verbs_reach_their_pins(tracer, tmp_path):
+    """One argv per verb of the cli workload.  link-sample's interval has
+    strata two and three lengths above u, whose points _orbit_tau places,
+    so it reaches rho_move."""
+    w, u = Permutation.longest(3), Permutation.parse("2,1,3")
+    xt = lusztig_point(reduced_word(w), [1, 2, 3]).matrix
+    base = lusztig_point(reduced_word(u), [2]).matrix
+    files = {}
+    for name, m in (("xt", xt), ("base", base), ("y", rho(xt, base, u))):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(m.to_json_obj()))
+    argvs = [
+        ["param", "--word", "s1.s2.s1", "--n", "3", "--params", "1,2,3"],
+        ["cell-of", "--in", files["xt"]],
+        ["tnn", "--in", files["xt"]],
+        ["project", "--in", files["xt"], "--u", u.serialize()],
+        ["rho", "--in", files["xt"], "--u", u.serialize(), "--base", files["base"]],
+        ["psi", "--in", files["y"], "--u", u.serialize()],
+        ["flow", "--in", files["y"], "--u", u.serialize()],
+        ["link-sample", "--u", "1,2,3", "--v", "3,2,1", "--count", "1"],
+    ]
+    with tracer.Tracer() as t:
+        codes = [CliRunner().invoke(main, [str(a) for a in argv]).exit_code for argv in argvs]
+    assert codes == [0] * len(argvs)
+    assert t.missing("cli") == []

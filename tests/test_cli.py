@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from tnn_strata import Permutation, cli, default_base, link_sample
+from tnn_strata import Permutation, cli, default_base, link_sample, verify
 from tnn_strata.cli import main
 
 IDENTITY3 = json.dumps(
@@ -463,6 +463,19 @@ class TestVerify:
     def test_unknown_suite_exit_2(self, runner):
         res = runner.invoke(main, ["verify", "nope"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("suite", ["psi-positivity", "all"])
+    def test_samples_guarded_exit_3(self, runner, monkeypatch, suite):
+        # above verify.SAMPLES_GUARD no suite starts
+        def no_suite(config):
+            raise AssertionError("ran a suite")
+
+        monkeypatch.setattr(verify, "SUITES", dict.fromkeys(verify.SUITES, no_suite))
+        res = runner.invoke(main, ["verify", suite, "--samples", str(verify.SAMPLES_GUARD + 1)])
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "RankTooLarge"
 
     def test_byte_identical_given_seed(self, runner):
         args = ["verify", "gauss", "--n", "3", "--seed", "7", "--samples", "20"]

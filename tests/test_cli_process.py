@@ -44,8 +44,7 @@ def files(tmp_path_factory):
 
 
 def exact_argv(f):
-    """One argv for each verb that never touches a float; psi, last, loads
-    flow for its exact field."""
+    """One argv for each verb that never touches a float, psi last."""
     return [
         ["param", "--word", reduced_word(W).serialize(), "--n", "4", "--params", "1,2,3,1/2,2"],
         ["cell-of", "--in", f["xt"]],
@@ -128,13 +127,8 @@ def test_exact_verbs_never_import_numpy(files):
         "tnn_strata.perms",
         "tnn_strata.ratmat",
     ]
-    # psi loads flow, and so kernels, but numpy only as its unexecuted stub
-    assert set(report["after_psi"]) - set(report["after_exact"]) == {
-        "numpy",
-        "tnn_strata._np",
-        "tnn_strata.flow",
-        "tnn_strata.kernels",
-    }
+    # and so does psi, whose field is exact
+    assert report["after_psi"] == report["after_exact"]
     assert report["float_codes"] == [0] * 4
     assert "numpy.linalg" in report["after_float"]
     assert "tnn_strata.verify" not in report["after_float"] + report["after_help"]
@@ -142,6 +136,27 @@ def test_exact_verbs_never_import_numpy(files):
     assert report["help_code"] == 0
     usage = "".join(report["help"].split())  # click wraps the usage line
     assert usage.split("{")[1].split("}")[0].split("|") == report["suites"]
+
+
+# Runs in a fresh interpreter: the exact field and str on a RatMatrix, then
+# the modules loaded, as JSON.
+EXACT_FIELD = """
+import json, sys
+from tnn_strata.fiber import psi, str_of
+from tnn_strata.perms import Permutation
+from tnn_strata.ratmat import RatMatrix
+x = RatMatrix.from_rows([[1, 2, 1], [0, 1, 1], [0, 0, 1]])
+assert str_of(psi(x, Permutation.identity(3))) > 0
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] in ("tnn_strata", "numpy"))))
+"""
+
+
+def test_exact_field_never_imports_numpy():
+    proc = fresh_python(EXACT_FIELD)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "tnn_strata.fiber" in loaded
+    assert not {"numpy", "tnn_strata.flow", "tnn_strata.kernels"} & set(loaded)
 
 
 # How ``python -m`` runs a module: as ``__main__``, with argv[0] its file.
@@ -193,10 +208,9 @@ EXPORTS = {
     "NonPositiveParameter NonPositiveTau NotComparable NotInG0 NotInG0u NotUnipotentUpper "
     "PreconditionError RankTooLarge Singular StepUnderflow StratumEscape TnnStrataError "
     "UndecidableRank ZNotInYgeqV",
-    "fiber": "FiberFrame conj_d factor_u pi_u recover_shift rho",
-    "flow": "FiberIntegrator FlowState LinkCensus LinkSample SignReport cell_of_float conj_d_float "
-    "default_base flow link_census link_point link_sample pi_n psi random_cell_point retraction "
-    "sign_lemma_check str_of",
+    "fiber": "FiberFrame SignReport conj_d factor_u pi_n pi_u psi recover_shift rho sign_lemma_check str_of",
+    "flow": "FiberIntegrator FlowState LinkCensus LinkSample cell_of_float conj_d_float default_base flow "
+    "link_census link_point link_sample random_cell_point retraction",
     "perms": "BruhatInterval Permutation ReducedWord all_permutations all_reduced_words bruhat_leq "
     "bruhat_less interval mobius reduced_word word_product",
     "ratmat": "RatMatrix all_minors_nonnegative conj_by_perm det gauss_decompose gauss_minus "

@@ -13,8 +13,8 @@ import random
 
 import pytest
 
-from tnn_strata.fiber import factor_u, fiber_A, pi_u, recover_shift, rho
-from tnn_strata.flow import nu_matrix, pi_n, psi, random_cell_point, str_of
+from tnn_strata.fiber import factor_u, fiber_A, nu_matrix, pi_n, pi_u, psi, recover_shift, rho, str_of
+from tnn_strata.flow import random_cell_point
 from tnn_strata.perms import all_permutations, bruhat_leq
 from tnn_strata.ratmat import in_N_of_w
 

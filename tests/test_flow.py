@@ -25,7 +25,20 @@ from tnn_strata.errors import (
 )
 from tnn_strata import kernels
 from tnn_strata.cells import cell_of, lusztig_point
-from tnn_strata.fiber import base_A, conj_d, factor_u, fiber_A, pi_u, rho, rho_over
+from tnn_strata.fiber import (
+    base_A,
+    conj_d,
+    factor_u,
+    fiber_A,
+    nu_matrix,
+    pi_n,
+    pi_u,
+    psi,
+    rho,
+    rho_over,
+    sign_lemma_check,
+    str_of,
+)
 from tnn_strata.flow import (
     LEVEL_TOL,
     LINK_EPSILON_GUARD,
@@ -43,13 +56,8 @@ from tnn_strata.flow import (
     link_census,
     link_point,
     link_sample,
-    nu_matrix,
-    pi_n,
-    psi,
     random_cell_point,
     retraction,
-    sign_lemma_check,
-    str_of,
 )
 from tnn_strata.perms import (
     INTERVAL_GUARD,
@@ -281,6 +289,14 @@ class TestCellOfFloat:
         for w in all_permutations(3):
             x = random_cell_point(w, rng)
             assert cell_of_float(np.array(x.to_floats())) == w
+
+    # As str_of, flow and link_point: an array-like reads as its array.
+    def test_nested_lists_read_as_their_array(self):
+        one = [[1.0, 2.0], [0.0, 1.0]]
+        assert cell_of_float(one) == cell_of_float(np.array(one)) == Permutation.parse("2,1")
+        stack = [one, [[1.0, 0.0], [0.0, 1.0]]]
+        labels = [Permutation.parse("2,1"), Permutation.identity(2)]
+        assert cell_of_float(stack) == cell_of_float(np.array(stack)) == labels
 
     def test_minor_between_thresholds_is_undecidable(self):
         x = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1e-10], [0.0, 0.0, 1.0]])

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from tnn_strata import kernels
-from tnn_strata.fiber import fiber_A, pi_u, rho
-from tnn_strata.flow import psi, random_cell_point
+from tnn_strata.fiber import fiber_A, pi_u, psi, rho
+from tnn_strata.flow import random_cell_point
 from tnn_strata.perms import Permutation, all_permutations, bruhat_leq
 from tnn_strata.ratmat import RatMatrix, gauss_decompose
 

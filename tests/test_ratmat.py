@@ -611,12 +611,11 @@ class TestRepresentation:
             assert y == x and hash(y) == hash(x) and y.rows == x.rows
 
     def test_rho_and_psi_build_no_fractions(self):
-        """fiber.rho and flow.psi at n = 6 run on integer rows alone, lower
+        """fiber.rho and fiber.psi at n = 6 run on integer rows alone, lower
         Gaussian factors included: they build no Fraction.  Reading one
         matrix's Fraction view would build 36."""
         from tnn_strata.cells import lusztig_point
-        from tnn_strata.fiber import pi_u, rho
-        from tnn_strata.flow import psi
+        from tnn_strata.fiber import pi_u, psi, rho
         from tnn_strata.perms import reduced_word
 
         w, u = Permutation.longest(6), Permutation.parse("2,1,4,3,6,5")

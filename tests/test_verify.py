@@ -52,6 +52,19 @@ def test_suite_guarded_before_drawing(monkeypatch, suite):
         run_suite(suite, RunConfig(n=3, samples=10**8))
 
 
+# Above SAMPLES_GUARD no suite starts; at it, as at each suite's default
+# (psi-positivity's is the largest, 10,000), every suite does.
+@pytest.mark.parametrize("suite", [*verify.SUITES, "all"])
+def test_samples_guarded_before_any_suite(monkeypatch, suite):
+    ran = []
+    monkeypatch.setattr(verify, "SUITES", {name: ran.append for name in verify.SUITES})
+    with pytest.raises(RankTooLarge):
+        run_suite(suite, RunConfig(n=3, samples=verify.SAMPLES_GUARD + 1))
+    assert ran == []
+    run_suite(suite, RunConfig(n=3, samples=verify.SAMPLES_GUARD))
+    assert ran and all(config.samples == verify.SAMPLES_GUARD for config in ran)
+
+
 @pytest.mark.parametrize(
     "samples, repro",
     [
