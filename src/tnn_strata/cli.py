@@ -41,11 +41,6 @@ def __getattr__(name):
     return getattr(sys.modules[f"tnn_strata.{module}"], attr)
 
 
-def _lazy(name):
-    """The verbs' binding of a name of _LAZY: one set on this module (a
-    test's patch), or else the one its module has now."""
-    return globals()[name] if name in globals() else __getattr__(name)
-
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_USAGE = 2
@@ -78,12 +73,8 @@ def _emit(obj):
     click.echo(json.dumps(obj, sort_keys=True))
 
 
-def _float_rows(x) -> list:
-    return [[float(v) for v in row] for row in x]
-
-
 def _float_matrix_obj(x) -> dict:
-    return {"n": int(x.shape[0]), "entries": _float_rows(x)}
+    return {"n": int(x.shape[0]), "entries": x.tolist()}
 
 
 # The one error boundary: the first row whose class matches an error gives
@@ -212,7 +203,7 @@ def cmd_flow(path, u_text, direction, target_str, dump):
     """Integrate the gradient-like fiber flow from a point."""
     x = _read_matrix(path)
     u = _parse_perm(u_text)
-    traj = _lazy("run_flow")(x.to_floats(), u, direction, target_str=target_str)
+    traj = __getattr__("run_flow")(x.to_floats(), u, direction, target_str=target_str)
     if dump:
         for st in traj:
             click.echo(
@@ -220,7 +211,7 @@ def cmd_flow(path, u_text, direction, target_str, dump):
                     {
                         "t": st.time,
                         "str": st.str_value,
-                        "entries": _float_rows(st.point),
+                        "entries": st.point.tolist(),
                     }
                 )
             )
@@ -247,7 +238,7 @@ def cmd_link_sample(u_text, v_text, epsilon, count, seed):
     """Sample points of the link of the u-cell inside Y_[u,v]."""
     u = _parse_perm(u_text, "u")
     v = _parse_perm(v_text, "v")
-    sample = _lazy("link_sample")(u, v, epsilon, count, seed)
+    sample = __getattr__("link_sample")(u, v, epsilon, count, seed)
     base_str = str_of(sample.base.to_floats())
     _emit(
         {
@@ -260,7 +251,7 @@ def cmd_link_sample(u_text, v_text, epsilon, count, seed):
                     "stratum": w.serialize(),
                     "dim": sample.dimensions[w],
                     "str": str_of(pt),
-                    "entries": _float_rows(pt),
+                    "entries": pt.tolist(),
                 }
                 for pt, w in sample.points
             ],
@@ -280,7 +271,7 @@ def cmd_link_census(u_text, v_text, epsilon, count, seed):
     per-stratum point counts, and the combinatorial Euler characteristic."""
     u = _parse_perm(u_text, "u")
     v = _parse_perm(v_text, "v")
-    link_census, link_sample = _lazy("link_census"), _lazy("link_sample")
+    link_census, link_sample = __getattr__("link_census"), __getattr__("link_sample")
     census = link_census(u, v, link_sample(u, v, epsilon, count, seed).points)
     _emit(
         {
@@ -312,7 +303,7 @@ def cmd_retract(path, u_text, v_text, z_path, tau, epsilon):
     u = _parse_perm(u_text, "u")
     v = _parse_perm(v_text, "v")
     z = _read_matrix(z_path)
-    out = _lazy("run_retraction")(x.to_floats(), tau, u, v, z, epsilon)
+    out = __getattr__("run_retraction")(x.to_floats(), tau, u, v, z, epsilon)
     obj = _float_matrix_obj(out)
     obj["str"] = str_of(out)
     _emit(obj)
@@ -334,7 +325,7 @@ _SUITES = (
 @click.option("--timings", is_flag=True, help="include wall times (breaks byte-stability)")
 def cmd_verify(suite, n, seed, samples, timings):
     """Run a named invariant suite (or 'all'); exit 0 iff no failures."""
-    run_suite, RunConfig = _lazy("run_suite"), _lazy("RunConfig")
+    run_suite, RunConfig = __getattr__("run_suite"), __getattr__("RunConfig")
     reports = run_suite(suite, RunConfig(n=n, seed=seed, samples=samples))
     _emit([r.to_json_obj(timings=timings) for r in reports])
     if any(not r.ok for r in reports):

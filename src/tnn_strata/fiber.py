@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cells import cell_of
 from .errors import (
@@ -36,10 +37,9 @@ from .ratmat import (
 
 @dataclass(frozen=True)
 class FiberFrame:
-    """All intermediates of the factorization x = x_u x^u at one point."""
+    """The factors of x = x_u x^u at one point, and the intermediates A
+    and y = [A]_- that the moves in the fiber over x_u reuse."""
 
-    u: Permutation
-    x: RatMatrix
     x_u: RatMatrix
     x_upper_u: RatMatrix
     A: RatMatrix
@@ -84,7 +84,7 @@ def factor_u(x: RatMatrix, u: Permutation) -> FiberFrame:
         ) from exc
     if fac.diag != RatMatrix.identity(x.n):
         raise InternalInvariantError("A must have trivial diagonal factor")
-    return FiberFrame(u=u, x=x, x_u=x_u, x_upper_u=x_upper, A=A, y=y)
+    return FiberFrame(x_u=x_u, x_upper_u=x_upper, A=A, y=y)
 
 
 def pi_u(x: RatMatrix, u: Permutation) -> RatMatrix:
@@ -199,16 +199,15 @@ def psi(x: RatMatrix, u: Permutation) -> RatMatrix:
     return x @ pi_n(Ainv_nu @ A)
 
 
-@dataclass(frozen=True)
-class SignViolation:
+# NamedTuples, not dataclasses: as dataclasses these two cost every exact
+# verb about 1.5 ms at import, and only sign_lemma_check uses them.
+class SignViolation(NamedTuple):
     i: int
     j: int
     value: Fraction
-    expected: str
 
 
-@dataclass(frozen=True)
-class SignReport:
+class SignReport(NamedTuple):
     violations: tuple[SignViolation, ...]
     str_value: Fraction
 
@@ -226,14 +225,13 @@ def sign_lemma_check(A: RatMatrix, u: Permutation) -> SignReport:
     for i in range(1, n + 1):
         for j in range(1, n):
             prod = Ainv[j, i] * A[i, j + 1]
-            chain = u(j) <= u(i) <= u(j + 1)
-            if chain and i <= j:
-                if prod < 0:
-                    bad.append(SignViolation(i, j, prod, ">=0"))
-            elif chain:
-                if prod > 0:
-                    bad.append(SignViolation(i, j, prod, "<=0"))
-            elif prod != 0:
-                bad.append(SignViolation(i, j, prod, "=0"))
+            # on the chain u(j) <= u(i) <= u(j+1): >= 0 at i <= j, <= 0 at
+            # i > j; off it, 0
+            if u(j) <= u(i) <= u(j + 1):
+                violated = prod < 0 if i <= j else prod > 0
+            else:
+                violated = prod != 0
+            if violated:
+                bad.append(SignViolation(i, j, prod))
     s = str_of(Ainv @ nu_matrix(n) @ A)
     return SignReport(tuple(bad), s)

@@ -9,7 +9,7 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -37,10 +37,10 @@ from .ratmat import RatMatrix, is_in_G0_u
 # The exact-core functions that perfbench's tracer wraps are read through
 # their modules at each call, never bound here: this module loads on first
 # use, perhaps while they are wrapped, and a binding taken then would keep
-# the wrapper after it is removed.  They stay readable as attributes here
-# (perfbench's tests read flow.is_tnn, and it calls flow.psi).
-_CORE = {"is_tnn": cells, "lusztig_point": cells, "factor_u": fiber, "psi": fiber,
-         "interval": perms, "reduced_word": perms}
+# the wrapper after it is removed (tests/test_bench_pins.py holds this).
+# The two that perfbench reads through this module, flow.is_tnn in its
+# tests and flow.psi in its exact workload, stay readable here.
+_CORE = {"is_tnn": cells, "psi": fiber}
 
 
 def __getattr__(name):
@@ -459,12 +459,9 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinkSample:
-    u: Permutation
-    v: Permutation
-    epsilon: float
     base: RatMatrix
     points: tuple[tuple[np.ndarray, Permutation], ...]
-    dimensions: dict = field(hash=False)
+    dimensions: dict
 
 
 @dataclass(frozen=True)
@@ -641,7 +638,7 @@ def link_sample(
     dims = link_census(u, v).dimensions
     stack, labels = fiber_points(u, dims, count, random.Random(seed), epsilon)
     pts = link_point(stack, u, epsilon)
-    return LinkSample(u, v, epsilon, default_base(u), tuple(zip(pts, labels)), dims)
+    return LinkSample(default_base(u), tuple(zip(pts, labels)), dims)
 
 
 def conj_d_float(tau, x: np.ndarray) -> np.ndarray:

@@ -132,8 +132,6 @@ def all_permutations(n: int) -> tuple[Permutation, ...]:
 
 @dataclass(frozen=True)
 class BruhatInterval:
-    lower: Permutation
-    upper: Permutation
     elements: frozenset[Permutation]
 
 
@@ -148,7 +146,7 @@ def interval(u: Permutation, v: Permutation) -> BruhatInterval:
         for w in all_permutations(u.n)
         if u.length <= w.length <= v.length and bruhat_leq(u, w) and bruhat_leq(w, v)
     )
-    return BruhatInterval(u, v, elems)
+    return BruhatInterval(elems)
 
 
 def mobius(u: Permutation, v: Permutation) -> int:

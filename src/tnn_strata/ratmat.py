@@ -6,7 +6,7 @@ denominator, in lowest terms (gcd(d, *row) = 1).  Products, inverses,
 eliminations and permutations work on these integers and build each
 result row with one gcd, and ``==`` and ``hash`` compare the form
 directly.  The reduced ``Fraction`` entries, ``.rows``, are a view built
-on first read and then cached; the core never reads it.
+on each read; the core never reads it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import ge, mul
 
@@ -38,12 +38,11 @@ def _rat(v) -> Fraction:
 @dataclass(frozen=True, init=False, repr=False)
 class RatMatrix:
     """An immutable square matrix of rationals, built from rows of
-    ``Fraction``s or ints.  Row i is ``_num[i]`` over ``_den[i]``, and
-    ``_rows`` caches the Fraction view."""
+    ``Fraction``s or ints.  Row i is ``_num[i]`` over ``_den[i]``, its
+    one representation."""
 
     _num: tuple[tuple[int, ...], ...]
     _den: tuple[int, ...]
-    _rows: tuple | None = field(compare=False)
 
     def __init__(self, rows):
         num, den = [], []
@@ -60,12 +59,8 @@ class RatMatrix:
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as reduced Fractions, built on first read."""
-        if self._rows is None:
-            object.__setattr__(self, "_rows", tuple(
-                tuple(Fraction(v, d) for v in r) for r, d in zip(self._num, self._den)
-            ))
-        return self._rows
+        """The entries as reduced Fractions, built on each read."""
+        return tuple(tuple(Fraction(v, d) for v in r) for r, d in zip(self._num, self._den))
 
     @property
     def n(self) -> int:
@@ -85,7 +80,7 @@ class RatMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         """1-based entry access, matching the x_{ij} of the formulas."""
         i, j = ij
-        return self.rows[i - 1][j - 1]
+        return Fraction(self._num[i - 1][j - 1], self._den[i - 1])
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         """Integer dot products: with the rows of ``other`` over their least
@@ -159,7 +154,6 @@ class RatMatrix:
 def _fill(m: RatMatrix, num: tuple, den: tuple) -> RatMatrix:
     object.__setattr__(m, "_num", num)
     object.__setattr__(m, "_den", den)
-    object.__setattr__(m, "_rows", None)
     return m
 
 

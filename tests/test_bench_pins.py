@@ -9,6 +9,7 @@ here and not only in a traced benchmark run.  The ``cli`` workload's
 verbs run in-process here, one argv each.
 """
 
+import ast
 import importlib.util
 import json
 import random
@@ -24,7 +25,8 @@ from tnn_strata.cli import main
 from tnn_strata.fiber import rho
 from tnn_strata.perms import Permutation, reduced_word
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +39,25 @@ def tracer():
     finally:
         sys.dont_write_bytecode = writes
     return module
+
+
+# flow and kernels load on first use, perhaps while the tracer is installed.
+# A name they bound by ``from .<mod> import <name>`` then would keep the
+# wrapper after restore(), so they bind no function the tracer wraps.  The
+# tracer wraps a function in every tnn_strata module that bound it, so a
+# wrapped name counts whichever module it is imported from.
+@pytest.mark.parametrize("module", ["flow", "kernels"])
+def test_lazy_modules_bind_no_wrapped_function(tracer, module):
+    wrapped = {name.rsplit(".", 1)[1] for name in tracer.names() if name.count(".") == 1}
+    tree = ast.parse((ROOT / "src" / "tnn_strata" / f"{module}.py").read_text())
+    bound = [
+        f"from .{node.module} import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name in wrapped
+    ]
+    assert bound == []
 
 
 def test_every_wrapped_name_resolves(tracer):

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tnn_strata import ratmat
 from tnn_strata.errors import InvalidArgument, NotInG0, Singular
@@ -498,6 +498,14 @@ def bits(rows):
     return [[v.hex() for v in r] for r in rows]
 
 
+def signed_rows(n, seed):
+    """n x n rows of Fractions p/q, |p| <= 9 and 1 <= q <= 9, over a
+    third of them zero."""
+    rng = random.Random(seed)
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.randrange(3) else 0
+             for _ in range(n)] for _ in range(n)]
+
+
 def _triangular(x, unit):
     """x's entries on and above the diagonal, with 1 on it when unit."""
     return RatMatrix([[Fraction(1) if unit and i == j else v if j >= i else Fraction(0)
@@ -529,11 +537,20 @@ class TestTriangularSolves:
 
 class TestRepresentation:
     """A matrix is its integer rows over positive row denominators in
-    lowest terms; ``.rows`` is the reduced-Fraction view of that form."""
+    lowest terms; ``.rows`` is the reduced-Fraction view of that form, and
+    ``x[i, j]`` its 1-based entry, read from the integers alone."""
 
     @REPRESENTATION
     @given(oracle_matrices(), st.sampled_from([1, -1, 6, -35]))
+    @example(RatMatrix.from_rows([["-6/4"]]), 1)
+    @example(RatMatrix.from_rows([[0]]), -1)
+    @example(RatMatrix.from_rows(signed_rows(6, 0)), 6)
+    @example(RatMatrix.from_rows(signed_rows(6, 1)), -35)
     def test_integer_and_fraction_builds_agree(self, x, k):
+        for i, j in itertools.product(range(1, x.n + 1), repeat=2):
+            v = x[i, j]
+            assert type(v) is Fraction and v == x.rows[i - 1][j - 1]
+            assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
         rows = fraction_rows(x.rows)
         lcd = math.lcm(*[v.denominator for r in rows for v in r])
         scaled = [[v.numerator * (lcd // v.denominator) * k for v in r] for r in rows]
