@@ -19,27 +19,8 @@ from .fiber import factor_u, psi, rho, str_of
 from .perms import Permutation, ReducedWord
 from .ratmat import RatMatrix, _rat
 
-# The names the float verbs and ``verify`` use, each read from its module
-# when a verb runs, so the exact verbs never load flow, kernels, verify or
-# numpy.  They are module attributes too (``cli.run_flow``), looked up on
-# every read.
-_LAZY = {
-    "link_census": ("flow", "link_census"),
-    "link_sample": ("flow", "link_sample"),
-    "run_flow": ("flow", "flow"),
-    "run_retraction": ("flow", "retraction"),
-    "RunConfig": ("verify", "RunConfig"),
-    "run_suite": ("verify", "run_suite"),
-}
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module, attr = _LAZY[name]
-    __import__(f"tnn_strata.{module}")  # not importlib's: -X importtime lists it
-    return getattr(sys.modules[f"tnn_strata.{module}"], attr)
-
+# The float verbs and verify import flow or verify in their bodies, so the
+# exact verbs never load flow, kernels, verify or numpy.
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -203,7 +184,8 @@ def cmd_flow(path, u_text, direction, target_str, dump):
     """Integrate the gradient-like fiber flow from a point."""
     x = _read_matrix(path)
     u = _parse_perm(u_text)
-    traj = __getattr__("run_flow")(x.to_floats(), u, direction, target_str=target_str)
+    from .flow import flow
+    traj = flow(x.to_floats(), u, direction, target_str=target_str)
     if dump:
         for st in traj:
             click.echo(
@@ -238,7 +220,8 @@ def cmd_link_sample(u_text, v_text, epsilon, count, seed):
     """Sample points of the link of the u-cell inside Y_[u,v]."""
     u = _parse_perm(u_text, "u")
     v = _parse_perm(v_text, "v")
-    sample = __getattr__("link_sample")(u, v, epsilon, count, seed)
+    from .flow import link_sample
+    sample = link_sample(u, v, epsilon, count, seed)
     base_str = str_of(sample.base.to_floats())
     _emit(
         {
@@ -271,7 +254,7 @@ def cmd_link_census(u_text, v_text, epsilon, count, seed):
     per-stratum point counts, and the combinatorial Euler characteristic."""
     u = _parse_perm(u_text, "u")
     v = _parse_perm(v_text, "v")
-    link_census, link_sample = __getattr__("link_census"), __getattr__("link_sample")
+    from .flow import link_census, link_sample
     census = link_census(u, v, link_sample(u, v, epsilon, count, seed).points)
     _emit(
         {
@@ -303,7 +286,8 @@ def cmd_retract(path, u_text, v_text, z_path, tau, epsilon):
     u = _parse_perm(u_text, "u")
     v = _parse_perm(v_text, "v")
     z = _read_matrix(z_path)
-    out = __getattr__("run_retraction")(x.to_floats(), tau, u, v, z, epsilon)
+    from .flow import retraction
+    out = retraction(x.to_floats(), tau, u, v, z, epsilon)
     obj = _float_matrix_obj(out)
     obj["str"] = str_of(out)
     _emit(obj)
@@ -325,7 +309,7 @@ _SUITES = (
 @click.option("--timings", is_flag=True, help="include wall times (breaks byte-stability)")
 def cmd_verify(suite, n, seed, samples, timings):
     """Run a named invariant suite (or 'all'); exit 0 iff no failures."""
-    run_suite, RunConfig = __getattr__("run_suite"), __getattr__("RunConfig")
+    from .verify import RunConfig, run_suite
     reports = run_suite(suite, RunConfig(n=n, seed=seed, samples=samples))
     _emit([r.to_json_obj(timings=timings) for r in reports])
     if any(not r.ok for r in reports):

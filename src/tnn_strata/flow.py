@@ -55,7 +55,7 @@ def __getattr__(name):
 STRATUM_CHECK_FLOOR = 1e-3
 RANK_TOL = 1e-8
 RANK_ZERO_TOL = 1e-12
-STATIONARY_TOL = 1e-10  # a backward flow's end lies below this height above its base
+STATIONARY_TOL = 1e-10  # x0 below this exact height over its base is stationary; a backward end lies below it
 FLOW_STEP_TOL = 1e-9  # RK tolerance of forward flow
 # link_point integrates the field normalised by height at RK tolerance
 # LINK_STEP_TOL, lands every row on its level by construction and takes
@@ -273,27 +273,32 @@ def flow(
     *,
     target_str: float | None = None,
 ) -> list[FlowState]:
-    """The flow of the fiber field from x0, in the fiber over the base that
-    x0 projects to (the float x_u of x0).
+    """The flow of the fiber field from x0, in the fiber over x0's base.
+    x0 is read once, as the exact rationals of its floats, and factored
+    once, x0 = x_u x^u (``fiber.factor_u``); both directions use that frame.
 
     A flow line is a torus orbit carried into the fiber: the point at time
-    t is rho(conj_d(e^t, x0), x_u, u).  Backward evaluates that orbit once,
-    exactly (see _orbit_end), and reports x0 and the end.  Forward
-    integrates z = x_u^-1 x0, entered by one solve, and leaves z only at
-    the points it reports after x0, every ``SNAPSHOT_EVERY``-th accepted step
-    and the end, as rho_move(x_u z); it runs until ``target_str`` is
-    reached, each step capped at 1.1 times the time the current rate of
-    str needs to reach it, so the last one lands just past it.  Any other
-    direction is InvalidArgument.  A forward flow from a point where the
-    field is exactly zero raises PreconditionError before any step; an
-    accepted step that leaves z unchanged raises StepUnderflow, a reported
-    point that is not finite FlowError, and past ``MAX_STEPS`` steps it
-    raises MaxStepsExceeded.  Entries grow like T^(n-1) on the way to
-    height T, and the field multiplies two of them, so T^(n-1) above the
-    square root of the float range raises RankTooLarge before any step.
+    t is rho(conj_d(e^t, x0), x_u, u).  x0's height over its base is
+    h0 = str(x^u), exactly.  Below ``STATIONARY_TOL`` x0 is its own base:
+    backward reports x0 alone, and forward to a target above x0 raises
+    PreconditionError before any step.  Otherwise backward evaluates the
+    orbit once, exactly (see _orbit_end), and reports x0 and the end.
+    Forward integrates z from the floats of x^u over the floats of x_u, and
+    leaves z only at the points it reports after x0, every
+    ``SNAPSHOT_EVERY``-th accepted step and the end, as rho_move(x_u z); it
+    runs until ``target_str`` is reached, each step capped at 1.1 times the
+    time the current rate of str needs to reach it, so the last one lands
+    just past it.  Any other direction is InvalidArgument.  An accepted
+    step that leaves z unchanged raises StepUnderflow, a reported point
+    that is not finite FlowError, and past ``MAX_STEPS`` steps it raises
+    MaxStepsExceeded.  Entries grow like T^(n-1) on the way to height T,
+    and the field multiplies two of them, so T^(n-1) above the square root
+    of the float range raises RankTooLarge before any step.  An x_u or x^u
+    that forward reads, or a backward end, beyond the float range raises
+    InvalidArgument (``RatMatrix.to_floats``).
     x0 must be one matrix as _require_unipotent asks and lie in G_0 u:
-    NotInG0u is raised, before any step, when the float x_u of x0 is not
-    finite or u is not below its label.
+    ``factor_u`` raises NotInG0u with its witness, and NotInG0u(None) is
+    raised when u is not below x0's float label, both before any step.
     The stratum label is frozen at the start, and an undecidable label at
     x0 raises UndecidableRank.  Forward re-checks it at snapshots away from
     the base, where float rank detection is meaningful; a snapshot whose
@@ -308,21 +313,22 @@ def flow(
         raise RankTooLarge(f"target_str {target_str} exceeds the guard of {bound:.3g} at n = {u.n}")
     x0 = np.asarray(x0, dtype=np.float64)
     _require_unipotent(x0, u.n, stack=False)
-    stratum = cell_of_float(x0)
-    with np.errstate(all="ignore"):  # a zero pivot shows as inf or nan
-        x_u = kernels.pi_u(x0, u)
-    if not (np.isfinite(x_u).all() and bruhat_leq(u, stratum)):
+    stratum = cell_of_float(x0)  # first: it guards the size before the exact factorization
+    fr = fiber.factor_u(RatMatrix.from_rows(x0.tolist()), u)
+    if not bruhat_leq(u, stratum):
         raise NotInG0u(None)
     traj = [FlowState(x0.copy(), 0.0, str_of(x0), stratum)]
+    if str_of(fr.x_upper_u) < STATIONARY_TOL:
+        if forward and traj[0].str_value < target_str:
+            raise PreconditionError("the field vanishes at x0, the base of its fiber: no flow rises from it")
+        return traj
     if not forward:
-        return _orbit_end(traj[0], u)
+        return _orbit_end(traj[0], fr, u)
 
+    x_u, z, t = np.array(fr.x_u.to_floats()), np.array(fr.x_upper_u.to_floats()), 0.0
     integ = FiberIntegrator(u, x_u)
     base_str = str_of(x_u)
-    z, t = np.linalg.solve(x_u, x0), 0.0
     k = integ.rhs(z)  # the field at z, carried from step to step
-    if base_str + str_of(z) < target_str and not k.any():
-        raise PreconditionError("the field vanishes at x0, the base of its fiber: no flow rises from it")
     h, err = 0.01, None
     accepted = 0
     for _ in range(MAX_STEPS):
@@ -355,21 +361,17 @@ def flow(
     raise MaxStepsExceeded(f"flow did not terminate in {MAX_STEPS} steps")
 
 
-def _orbit_end(start: FlowState, u: Permutation) -> list[FlowState]:
-    """Backward flow from ``start`` as its exact torus orbit, x0 read as the
-    exact rationals of its floats: [start] when its height h0 above its
-    base is below ``STATIONARY_TOL``, else [start, end], end the orbit point
-    at tau = STATIONARY_TOL / (2 h0) rounded down to a dyadic of 30 bits.
+def _orbit_end(start: FlowState, fr: fiber.FiberFrame, u: Permutation) -> list[FlowState]:
+    """Backward flow from ``start`` as its exact torus orbit, over the frame
+    fr = factor_u(x0, u) of x0 read as the exact rationals of its floats:
+    [start, end], end the orbit point at tau = STATIONARY_TOL / (2 h0)
+    rounded down to a dyadic of 30 bits, h0 = str(x^u) the height of x0
+    over its base (str is additive on N), at least ``STATIONARY_TOL``.
     The orbit's height is at most tau h0; an end that is not below
     ``STATIONARY_TOL`` raises FlowError.  tau can underflow as a float, so
     its time log tau is taken from its numerator and denominator."""
-    x0 = RatMatrix.from_rows(start.point.tolist())
-    fr = fiber.factor_u(x0, u)
     x_u = fr.x_u
-    h0 = str_of(x0) - str_of(x_u)
-    if h0 < STATIONARY_TOL:
-        return [start]
-    q = Fraction(STATIONARY_TOL) / (2 * h0)  # at most 1/2, so k > 29
+    q = Fraction(STATIONARY_TOL) / (2 * str_of(fr.x_upper_u))  # at most 1/2, so k > 29
     k = 29 - q.numerator.bit_length() + q.denominator.bit_length()
     tau = Fraction((q.numerator << k) // q.denominator, 1 << k)
     t = math.log(tau.numerator) - math.log(tau.denominator)

@@ -39,6 +39,7 @@ from .perms import (
     bruhat_less,
     mobius,
     reduced_word,
+    word_product,
 )
 from .ratmat import (
     RatMatrix,
@@ -249,11 +250,8 @@ def suite_bruhat(run, rng, samples):
     # reduced words: canonical word valid, exhaustive set correct on w_o(S3)
     for w in perms:
         word = reduced_word(w)
-        prod = Permutation.identity(4)
-        for a in word.letters:
-            prod = prod * Permutation.transposition(a, 4)
         run.check(
-            prod == w and len(word.letters) == w.length,
+            word_product(word.letters, 4) == w and len(word.letters) == w.length,
             f"word[{w.serialize()}]",
         )
     w0 = Permutation.longest(3)

@@ -254,6 +254,39 @@ class TestFlowVerbs:
         assert res.stdout == ""
         assert json.loads(res.stderr)["error"] == "NotInG0u"
 
+    # flow decides G_0 u by the exact factorization, as project does: the
+    # same exit and the same JSON line, witness included, in both directions
+    # (the identity, and the 2,1,3-cell point with x12 = 1)
+    @pytest.mark.parametrize(
+        "rows, u, witness",
+        [
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "2,1,3", 1),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "1,3,2", 2),
+            ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], "3,1,2", 2),
+        ],
+    )
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    def test_outside_G0u_reads_as_project(self, runner, rows, u, witness, direction):
+        x = json.dumps({"n": 3, "entries": [[str(e) for e in r] for r in rows]})
+        want = runner.invoke(main, ["project", "--u", u], input=x)
+        res = runner.invoke(main, ["flow", "--u", u, "--direction", direction, "--target-str", "5"], input=x)
+        assert res.exit_code == want.exit_code == 3
+        assert res.stdout == "" and res.stderr == want.stderr
+        assert f"leading principal {witness}x{witness} minor vanishes" in res.stderr
+
+    # x0, with x23 = -10^-310, lies in G_0 u for u = 2,3,1, but its exact
+    # x_u and x^u have entries of about 1e310, beyond the float range: exit 2
+    # in both directions
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    def test_frame_beyond_the_float_range_exit_2(self, runner, direction):
+        tiny = "-1/1" + "0" * 310
+        x = json.dumps({"n": 3, "entries": [["1", "1", "1"], ["0", "1", tiny], ["0", "0", "1"]]})
+        argv = ["flow", "--u", "2,3,1", "--direction", direction, "--target-str", "5"]
+        res = runner.invoke(main, argv, input=x)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert json.loads(res.stderr) == {"error": "usage", "message": "matrix entry too large for a float"}
+
     # x outside N, by its diagonal and below it: flow and retract check it
     # before any label or z, as project does
     @pytest.mark.parametrize(
