@@ -9,7 +9,7 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -55,7 +55,7 @@ def __getattr__(name):
 STRATUM_CHECK_FLOOR = 1e-3
 RANK_TOL = 1e-8
 RANK_ZERO_TOL = 1e-12
-STATIONARY_TOL = 1e-10  # x0 below this exact height over its base is stationary; a backward end lies below it
+STATIONARY_TOL = 1e-10  # x0 within this exact height of its base is stationary, below its negative rejected; a backward end lies below it
 FLOW_STEP_TOL = 1e-9  # RK tolerance of forward flow
 # link_point integrates the field normalised by height at RK tolerance
 # LINK_STEP_TOL, lands every row on its level by construction and takes
@@ -279,9 +279,12 @@ def flow(
 
     A flow line is a torus orbit carried into the fiber: the point at time
     t is rho(conj_d(e^t, x0), x_u, u).  x0's height over its base is
-    h0 = str(x^u), exactly.  Below ``STATIONARY_TOL`` x0 is its own base:
-    backward reports x0 alone, and forward to a target above x0 raises
-    PreconditionError before any step.  Otherwise backward evaluates the
+    h0 = str(x^u), exactly; it grows strictly from 0 at the base along the
+    orbit on the totally nonnegative part, so h0 <= -``STATIONARY_TOL``
+    raises PreconditionError, in both directions, before any step.  With
+    |h0| below ``STATIONARY_TOL`` x0 is its own base: backward reports x0
+    alone, and forward to a target above x0 raises PreconditionError
+    before any step.  Otherwise backward evaluates the
     orbit once, exactly (see _orbit_end), and reports x0 and the end.
     Forward integrates z from the floats of x^u over the floats of x_u, and
     leaves z only at the points it reports after x0, every
@@ -318,7 +321,9 @@ def flow(
     if not bruhat_leq(u, stratum):
         raise NotInG0u(None)
     traj = [FlowState(x0.copy(), 0.0, str_of(x0), stratum)]
-    if str_of(fr.x_upper_u) < STATIONARY_TOL:
+    if (h0 := str_of(fr.x_upper_u)) <= -STATIONARY_TOL:
+        raise PreconditionError(f"x0 has height {float(h0):.6g} over its base, below 0: x0 is not totally nonnegative")
+    if h0 < STATIONARY_TOL:
         if forward and traj[0].str_value < target_str:
             raise PreconditionError("the field vanishes at x0, the base of its fiber: no flow rises from it")
         return traj
@@ -440,22 +445,25 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float) -> np.ndarray:
     rows = x.reshape((-1,) + x.shape[-2:])
     d = (str_of(base) + epsilon - str_of(rows))[:, None, None]
     z = np.linalg.solve(base, rows)
-    k = integ.rhs(z)
-    if np.isnan(k).any():
-        raise PreconditionError(
-            "the field does not raise str at a point away from its level: str(psi) <= 0 "
-            "there, so the point is the base or not totally nonnegative"
-        )
-    left, h = 1.0, 1.0  # the fraction of each d still to go; the next step
-    for _ in range(MAX_STEPS):
-        if not len(z) or left == 0.0:
-            return (base @ z).reshape(x.shape)
-        step = min(h, left)
-        zn, err, kn = integ.rk_step(z, step * d, k)
-        if err <= 1.0:
-            z, left, k = zn, left - step, kn
-        if left:  # a last step clamped to a sliver of the fraction would underflow
-            h = _next_step(step, err, "link_point")
+    # A stage that overflows, far from the base, is nan or inf: its step's
+    # error is nan and the step is rejected (see rk_step), with no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = integ.rhs(z)
+        if np.isnan(k).any():
+            raise PreconditionError(
+                "the field does not raise str at a point away from its level: str(psi) <= 0 "
+                "there, so the point is the base or not totally nonnegative"
+            )
+        left, h = 1.0, 1.0  # the fraction of each d still to go; the next step
+        for _ in range(MAX_STEPS):
+            if not len(z) or left == 0.0:
+                return (base @ z).reshape(x.shape)
+            step = min(h, left)
+            zn, err, kn = integ.rk_step(z, step * d, k)
+            if err <= 1.0:
+                z, left, k = zn, left - step, kn
+            if left:  # a last step clamped to a sliver of the fraction would underflow
+                h = _next_step(step, err, "link_point")
     raise MaxStepsExceeded(f"link_point did not reach its level in {MAX_STEPS} steps")
 
 
@@ -470,25 +478,14 @@ class LinkSample:
 class LinkCensus:
     """The strata of the link of the u-cell inside Y_[u,v]: one per label w
     in (u, v], in (length, image) order, of dimension l(w) - l(u) - 1, with
-    the number of counted points that land in it; ``euler`` is the sum of
-    (-1)^dim over the strata, which is 1 for the link; ``labels_ok`` says
-    every counted point landed in the stratum it was drawn in."""
+    the number of the census's points that land in it; ``euler`` is the
+    sum of (-1)^dim over the strata, which is 1 for the link; ``labels_ok``
+    says every point landed in the stratum it was drawn in."""
 
     dimensions: dict[Permutation, int]
     counts: dict[Permutation, int]
     euler: int
     labels_ok: bool
-
-    def counting(self, landed) -> LinkCensus:
-        """The same strata counting ``landed``: (landed label, drawn label)
-        pairs."""
-        landed = list(landed)
-        found = Counter(got for got, _ in landed)
-        return replace(
-            self,
-            counts={w: found[w] for w in self.dimensions},
-            labels_ok=all(got == w for got, w in landed),
-        )
 
 
 def _require_below(u: Permutation, v: Permutation):
@@ -500,17 +497,20 @@ def _require_below(u: Permutation, v: Permutation):
 def link_census(u: Permutation, v: Permutation, points=()) -> LinkCensus:
     """The census of the link of the u-cell inside Y_[u,v], counting where
     ``points``, a sequence of (point, drawn label) pairs such as LinkSample.points,
-    land: under the point's float label, or its drawn label where that is undecidable."""
+    land: each point is labelled by one cell_of_float call over the stack,
+    under its float label, or its drawn label where that is undecidable."""
     _require_below(u, v)
     labels = sorted(
         (w for w in perms.interval(u, v).elements if w != u),
         key=lambda w: (w.length, w.image),
     )
     dims = {w: w.length - u.length - 1 for w in labels}
-    census = LinkCensus(dims, {}, sum((-1) ** d for d in dims.values()), True)
     drawn = [w for _, w in points]
     landed = cell_of_float(np.array([p for p, _ in points]), drawn) if points else []
-    return census.counting(zip(landed, drawn))
+    found = Counter(landed)
+    return LinkCensus(
+        dims, {w: found[w] for w in dims}, sum((-1) ** d for d in dims.values()), landed == drawn
+    )
 
 
 @functools.cache
@@ -662,11 +662,15 @@ def retraction(
     epsilon: float,
 ) -> np.ndarray:
     """One stage of the deformation retraction of the link to a point, for
-    one matrix x (n, n) or each row of a stack (B, n, n): scale z up and x
-    down with the torus, project onto the v-cell, move into the fiber over
-    the canonical base of the u-cell with rho, and land on the level set.
-    Every row of x must be unipotent upper-triangular (NotUnipotentUpper
-    otherwise) with finite entries (InvalidArgument otherwise)."""
+    one matrix x (n, n) or each row of a stack (B, n, n): y = z_tau x_(1-tau)
+    scales z up and x down with the torus; each row of y, read as the exact
+    rationals of its floats, is projected onto the v-cell (``fiber.pi_u``)
+    and moved into the fiber over the u-cell's canonical base (``rho_over``),
+    and the stack lands on the level set.  Every row of x must be unipotent
+    upper-triangular (NotUnipotentUpper otherwise) with finite entries
+    (InvalidArgument otherwise).  A y or a moved point beyond the float
+    range raises InvalidArgument; a y whose float label is not above v, or
+    that lies outside G_0 v, raises ZNotInYgeqV."""
     _require(0.0 <= tau <= 1.0, "tau must lie in [0, 1]")
     x = np.asarray(x, dtype=np.float64)
     _require(u.n == v.n == z.n, "rank mismatch")
@@ -674,20 +678,18 @@ def retraction(
     _require_below(u, v)
     if not (cells.is_tnn(z) and is_in_G0_u(z, v)):
         raise ZNotInYgeqV("z must be totally nonnegative with cell >= v")
-    y = conj_d_float(tau, np.array(z.to_floats())) @ conj_d_float(1.0 - tau, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = conj_d_float(tau, np.array(z.to_floats())) @ conj_d_float(1.0 - tau, x)
+    _require(np.isfinite(y).all(), "matrix entry too large for a float")
     rows = y.reshape((-1,) + y.shape[-2:])
-    # y outside G_0 v can keep float pivots that are residues, not zeros
-    labels = cell_of_float(rows, [v] * len(rows)) if np.isfinite(y).all() else []
-    if not all(bruhat_leq(v, w) for w in labels):
+    if not all(bruhat_leq(v, w) for w in cell_of_float(rows, [v] * len(rows))):
         raise ZNotInYgeqV("the scaled point's stratum is not above v")
-    # A zero pivot shows as inf or nan, in the v-projection or, for x in a
-    # stratum below v, in the move into the fiber over the u-cell's base.
-    with np.errstate(all="ignore"):
-        y_v = kernels.pi_u(y, v)
-        moved = kernels.rho_move(y_v, _link_base(u).field.base, u) if np.isfinite(y_v).all() else y_v
-    if not np.isfinite(moved).all():
-        raise ZNotInYgeqV(
-            "projection onto the v-cell blew up; the input point must lie in "
-            "the open v-stratum at the tau endpoints"
-        )
-    return link_point(moved, u, epsilon)
+    link = _link_base(u)
+    try:
+        moved = [
+            rho_over(fiber_A(fiber.pi_u(RatMatrix.from_rows(r), v), u), link.base, link.A, u).to_floats()
+            for r in rows.tolist()
+        ]
+    except NotInG0u as exc:
+        raise ZNotInYgeqV(f"the scaled point is outside G_0 v: {exc}") from None
+    return link_point(np.array(moved).reshape(y.shape), u, epsilon)

@@ -1,6 +1,6 @@
 """Float kernels for the flow integrator.
 
-Mirrors the exact-arithmetic maps (fiber_A, pi_u, the tangent field, rho)
+Mirrors the exact-arithmetic maps (fiber_A, the tangent field, rho)
 on float64 numpy arrays.  With ``flow`` and ``verify`` it is one of the
 three modules that import numpy; the exact core never loads it.  Every
 kernel takes one matrix of shape ``(n, n)`` or a stack of shape
@@ -68,12 +68,6 @@ def fiber_A(x, u):
     """A = u^-1 [x u^-1]_+ u, the float mirror of ``fiber.fiber_A``."""
     u0, uinv0 = _index(u)
     return _eliminate(x[..., :, uinv0])[..., u0[:, None], u0]
-
-
-def pi_u(x, u):
-    """x_u = [u [A]_-]_+ with A = ``fiber_A``, the float mirror of
-    ``fiber.pi_u``."""
-    return _eliminate(_lower(fiber_A(x, u))[..., _index(u)[1], :])
 
 
 def base_field(base, u):

@@ -21,7 +21,6 @@ from .errors import InvalidArgument, RankTooLarge, TnnStrataError
 from .fiber import conj_d, factor_u, fiber_A, pi_u, psi, recover_shift, rho, sign_lemma_check, str_of
 from .flow import (
     LEVEL_TOL,
-    cell_of_float,
     default_base,
     fiber_points,
     flow,
@@ -479,7 +478,7 @@ def suite_flow(run, rng, samples):
             continue
         dist = float(np.abs(traj[-1].point - base_f).max())
         run.check(dist < 1e-6, f"backward[{i}]", f"dist={dist}")
-        if np.allclose(x_f, base_f):
+        if w == u:  # x is its own base: no forward flow rises from it
             continue
         try:
             fwd = flow(x_f, u, "forward", target_str=str_of(x_f) + 2.0)
@@ -500,9 +499,8 @@ def suite_link_census(run, rng, count):
     perms = all_permutations(n)
     pairs = [(u, v) for u in perms for v in perms if bruhat_less(u, v)]
     # combinatorial census: strata biject with (u,v], Euler characteristic 1
-    censuses = {}
     for u, v in pairs:
-        census = censuses[u, v] = link_census(u, v)
+        census = link_census(u, v)
         run.check(
             min(census.dimensions.values()) >= 0,
             f"dims[{u.serialize()};{v.serialize()}]",
@@ -516,9 +514,9 @@ def suite_link_census(run, rng, count):
     # stratum they were drawn in (an undecidable label counts as drawn),
     # with per-stratum counts stable across epsilon.  The stratum of w in
     # the link of the u-cell is the same for every v >= w, so each u flows
-    # one stack, ``count`` points per w > u, through the radii in turn,
-    # labels and measures the landed stack once per radius, and (u, v)
-    # reads the rows with w in (u, v].  A radius that fails leaves the next
+    # one stack, ``count`` points per w > u, through the radii in turn and
+    # measures the landed stack once per radius, and (u, v) passes the rows
+    # with w in (u, v] to link_census.  A radius that fails leaves the next
     # one to start from the last that landed.
     radii = (0.5, 1.0, 2.0)
     landed = {}
@@ -531,7 +529,7 @@ def suite_link_census(run, rng, count):
             try:
                 x = link_point(x, u, eps)
                 off = np.abs(str_of(x) - (float(str_of(default_base(u))) + eps))
-                landed[u, eps] = list(zip(off.tolist(), cell_of_float(x, labels), labels))
+                landed[u, eps] = list(zip(off.tolist(), x, labels))
             except TnnStrataError as exc:
                 landed[u, eps] = exc
     for u, v in pairs:
@@ -552,7 +550,7 @@ def suite_link_census(run, rng, count):
                 f"level[{u.serialize()};{v.serialize()};eps={eps}]",
                 f"worst={worst}",
             )
-            census = censuses[u, v].counting((got, w) for _, got, w in rows)
+            census = link_census(u, v, [(p, w) for _, p, w in rows])
             per_eps[eps] = census.counts
             run.check(
                 census.labels_ok,

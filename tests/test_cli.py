@@ -17,6 +17,12 @@ UPPER3 = json.dumps(
 BIG3 = json.dumps(
     {"n": 3, "entries": [["1", "1" + "0" * 400, "0"], ["0", "1", "0"], ["0", "0", "1"]]}
 )
+E250, E100 = "1" + "0" * 250, "1" + "0" * 100
+FAR_X3 = json.dumps({"n": 3, "entries": [["1", E250, "0"], ["0", "1", E250], ["0", "0", "1"]]})
+# the top cell point of S3 with every Lusztig parameter 10^100
+FAR_Z3 = json.dumps(
+    {"n": 3, "entries": [["1", "2" + "0" * 100, E100 + "0" * 100], ["0", "1", E100], ["0", "0", "1"]]}
+)
 
 
 @pytest.fixture
@@ -53,6 +59,13 @@ class TestQueries:
         res = runner.invoke(main, ["cell-of"], input=IDENTITY3)
         assert res.exit_code == 0
         assert json.loads(res.output) == {"cell": "1,2,3", "length": 0}
+
+    def test_missing_input_file_exit_2(self, runner, tmp_path):
+        res = runner.invoke(main, ["cell-of", "--in", str(tmp_path / "missing.json")])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "io"
 
     def test_cell_of_guarded_exit_3(self, runner):
         # cell_of runs n^2 + 1 exact eliminations; above perms.INTERVAL_GUARD
@@ -222,6 +235,19 @@ class TestFlowVerbs:
         assert res.stdout == ""
         assert json.loads(res.stderr)["error"] == "PreconditionError"
 
+    # x0 = [[1, -1, 0], [0, 1, 0], [0, 0, 1]] lies at height -1 over its base
+    # I: not totally nonnegative.  Backward once exited 0 with x0 as its own
+    # base, and forward exited 3 saying the field vanishes at x0.
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    def test_negative_height_exit_3(self, runner, direction):
+        x = json.dumps({"n": 3, "entries": [["1", "-1", "0"], ["0", "1", "0"], ["0", "0", "1"]]})
+        argv = ["flow", "--u", "1,2,3", "--direction", direction, "--target-str", "3"]
+        res = runner.invoke(main, argv, input=x)
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        err = json.loads(res.stderr)
+        assert err["error"] == "PreconditionError" and "height -1 over its base, below 0" in err["message"]
+
     # Entries of about 3e32 at height 1e17 leave the float re-projection of
     # the end point no pivot: it once printed NaN entries, which are not
     # JSON, with exit 0 after a numpy RuntimeWarning on stderr
@@ -319,15 +345,19 @@ class TestFlowVerbs:
             "message": "expected a unipotent upper-triangular matrix",
         }
 
-    # a 401-digit entry has no float, in flow's x and in retract's x or z
+    # a 401-digit entry has no float, in flow's x and in retract's x or z;
+    # nor has retract's y = z_tau x_(1-tau) when x and z have entries of
+    # 1e250 and 1e200 (its float product once overflowed with a numpy warning)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "argv, x, z",
         [
             (["flow", "--u", "1,2,3"], BIG3, None),
             (["retract", "--u", "1,2,3", "--v", "3,2,1", "--tau", "0.5"], BIG3, UPPER3),
             (["retract", "--u", "1,2,3", "--v", "2,1,3", "--tau", "0.5"], UPPER3, BIG3),
+            (["retract", "--u", "1,2,3", "--v", "3,2,1", "--tau", "0.5"], FAR_X3, FAR_Z3),
         ],
-        ids=["flow", "retract-x", "retract-z"],
+        ids=["flow", "retract-x", "retract-z", "retract-y"],
     )
     def test_entry_too_large_for_float_exit_2(self, runner, tmp_path, argv, x, z):
         if z is not None:

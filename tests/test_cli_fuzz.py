@@ -16,9 +16,10 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from tnn_strata.cells import lusztig_point
 from tnn_strata.cli import main
 from tnn_strata.flow import LINK_EPSILON_GUARD
-from tnn_strata.perms import Permutation, bruhat_less
+from tnn_strata.perms import Permutation, bruhat_less, reduced_word
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -158,6 +159,10 @@ TOP = {
     2: json.dumps({"n": 2, "entries": [["1", "1"], ["0", "1"]]}),
     3: json.dumps({"n": 3, "entries": [["1", "2", "1"], ["0", "1", "2"], ["0", "0", "1"]]}),
 }
+# far-out targets: the top cell point of S3 with every Lusztig parameter
+# 10^k (at k = 300 an entry has no float)
+W0 = reduced_word(Permutation.longest(3))
+FAR = [json.dumps(lusztig_point(W0, [Fraction(10**k)] * 3).matrix.to_json_obj()) for k in (50, 100, 152, 300)]
 small_sizes = st.sampled_from([3, 2])
 # radii on the link, tiny radii (drawn by name: the derandomized float draws
 # never reach them), radii refused as usage errors, and radii above the guard
@@ -199,6 +204,24 @@ def test_retract(matrix_file, data, n):
     matrix_file.write_text(z)
     argv = ["retract", "--z", str(matrix_file)]
     argv += data.draw(options(u=st.just(u), v=st.just(v), tau=tau, epsilon=epsilons))
+    assert_contract(CliRunner().invoke(main, argv, input=x))
+
+
+# A far-out z is drawn by name, as tiny tau is: the draws above never
+# reach it.  Its scaled point can overflow link_point's RK stages, which
+# once wrote numpy warnings to stderr before the error.  x is often the
+# top cell point, and u < v, tau and epsilon are drawn valid, so most
+# cases reach link_point.
+@settings(FUZZ, max_examples=30)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(data=st.data())
+def test_retract_far_out_target(matrix_file, data):
+    x, z = data.draw(st.just(TOP[3]) | matrix_json(3)), data.draw(st.sampled_from(FAR))
+    u, v = data.draw(st.sampled_from([(u, v) for u in S23 for v in S23 if u.n == v.n == 3 and bruhat_less(u, v)]))
+    tau, epsilon = data.draw(st.floats(0, 1)), data.draw(st.floats(0.1, 3))
+    matrix_file.write_text(z)
+    argv = ["retract", "--z", str(matrix_file), "--u", u.serialize(), "--v", v.serialize()]
+    argv += ["--tau", str(tau), "--epsilon", str(epsilon)]
     assert_contract(CliRunner().invoke(main, argv, input=x))
 
 

@@ -83,6 +83,14 @@ G0U_CASES = [
 
 # the package name tnn_strata.flow is the function flow, not the module
 flow_module = importlib.import_module("tnn_strata.flow")
+fiber_module = importlib.import_module("tnn_strata.fiber")
+
+
+def exact_pi_u(x, u) -> np.ndarray:
+    """The floats of the exact projection onto the u-cell of each row of
+    x, one matrix or a stack, read as the exact rationals of its floats."""
+    rows = x.reshape((-1,) + x.shape[-2:]).tolist()
+    return np.array([pi_u(RatMatrix.from_rows(r), u).to_floats() for r in rows]).reshape(x.shape)
 
 
 def fiber_case(rng, n=3):
@@ -230,10 +238,12 @@ class TestFlow:
         with pytest.raises(InvalidArgument, match="rank mismatch"):
             flow(np.eye(3), Permutation.identity(4), "backward")
 
-    # checked before any work: before the shape and before the field
+    # checked before any work: before the shape, the float label and the
+    # exact factorization
     @pytest.mark.parametrize("direction", ["sideways", "Backward", ""])
     def test_unknown_direction_rejected(self, direction, monkeypatch):
-        monkeypatch.setattr(kernels, "pi_u", None)
+        monkeypatch.setattr(flow_module, "cell_of_float", None)
+        monkeypatch.setattr(fiber_module, "factor_u", None)
         for x in (np.eye(3), np.eye(4)):
             with pytest.raises(InvalidArgument, match="direction"):
                 flow(x, Permutation.identity(3), direction)
@@ -248,10 +258,43 @@ class TestFlow:
         bound = sys.float_info.max ** 0.25
         with np.errstate(all="raise"):
             assert flow(x0, u, "forward", target_str=bound)[-1].str_value >= bound
-        monkeypatch.setattr(kernels, "pi_u", None)
+        monkeypatch.setattr(flow_module, "cell_of_float", None)
+        monkeypatch.setattr(fiber_module, "factor_u", None)
         for target in (np.nextafter(bound, math.inf), 1e200, 1e300):
             with pytest.raises(RankTooLarge, match="target_str"):
                 flow(x0, u, "forward", target_str=target)
+
+    # On the totally nonnegative part the height h0 = str(x^u) grows from 0
+    # at the base along the orbit, so h0 <= -STATIONARY_TOL proves x0 is not
+    # totally nonnegative: rejected in both directions before any step.
+    # Backward once reported such an x0 as its own base, and forward said
+    # the field vanishes there.  The last case is x_u x^u over u = 2,1,3
+    # with x_u12 = 1 and x^u23 = -1.
+    @pytest.mark.parametrize(
+        "rows, u, h0",
+        [
+            ([[1, -1, 0], [0, 1, 0], [0, 0, 1]], "1,2,3", -1),
+            ([[1, 1, 0], [0, 1, -1.5], [0, 0, 1]], "1,2,3", -0.5),
+            ([[1, 1, -1], [0, 1, -1], [0, 0, 1]], "2,1,3", -1),
+        ],
+    )
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    def test_negative_height_rejected_before_any_step(self, rows, u, h0, direction, monkeypatch):
+        monkeypatch.setattr(flow_module, "_orbit_end", None)
+        monkeypatch.setattr(FiberIntegrator, "rk_step", None)
+        x0 = np.array(rows, dtype=float)
+        with pytest.raises(PreconditionError, match=f"height {h0} over its base, below 0"):
+            flow(x0, Permutation.parse(u), direction, target_str=3.0)
+
+    # |h0| below STATIONARY_TOL, on either side of 0, is stationary
+    @pytest.mark.parametrize("x23", [-1 + 5e-11, -1 - 5e-11])
+    def test_height_within_the_tolerance_is_stationary(self, x23):
+        x0 = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, x23], [0.0, 0.0, 1.0]])
+        u = Permutation.identity(3)
+        [start] = flow(x0, u, "backward")
+        assert np.array_equal(start.point, x0)
+        with pytest.raises(PreconditionError, match="the field vanishes at x0"):
+            flow(x0, u, "forward", target_str=3.0)
 
 
     # The field vanishes exactly at the base, so no forward step can rise
@@ -677,7 +720,7 @@ class TestLink:
         again = link_point(on_one, u, eps)
         for (pt, _), pt2 in zip(sample.points, again):
             assert abs(str_of(pt) - (str_of(base) + eps)) <= 1e-12
-            assert np.max(np.abs(kernels.pi_u(pt, u) - base)) <= 1e-9
+            assert np.max(np.abs(exact_pi_u(pt, u) - base)) <= 1e-9
             assert np.max(np.abs(pt2 - pt)) <= 1e-9
 
     # near the base the entries of a point are O(eps) or smaller; the error
@@ -782,7 +825,6 @@ class TestLink:
         assert np.array_equal(stack, np.array(expect))
 
     def test_fiber_points_checks_its_base_once_per_u(self, monkeypatch):
-        fiber_module = importlib.import_module("tnn_strata.fiber")
         seen = []
         monkeypatch.setattr(fiber_module, "cell_of", lambda x: seen.append(x) or cell_of(x))
         flow_module._link_base.cache_clear()
@@ -1251,7 +1293,7 @@ def level_error(u, stages) -> float:
 
 
 def base_error(u, stages) -> float:
-    return float(np.abs(kernels.pi_u(stages, u) - np.array(default_base(u).to_floats())).max())
+    return float(np.abs(exact_pi_u(stages, u) - np.array(default_base(u).to_floats())).max())
 
 
 @pytest.fixture(scope="module")
@@ -1318,11 +1360,26 @@ class TestRetraction:
         monkeypatch.setattr(flow_module, "link_point", lambda x, u, epsilon: x)
         assert level_error(u, retraction_stages(u, v, z, x)) > LEVEL_TOL
 
+    # the exact move into the fiber over another base of the u-cell
     def test_base_check_fails_without_reproject(self, monkeypatch):
         u, v = Permutation.parse("2,1,3"), Permutation.parse("2,3,1")
         x, z = top_points(u)[v], random_cell_point(v, random.Random(8))
-        monkeypatch.setattr(kernels, "rho_move", lambda xt, x_u, u: xt)
+        other = random_cell_point(u, random.Random(1))
+        monkeypatch.setattr(flow_module, "rho_over", lambda a, x_u, a_u, u: rho_over(a, other, base_A(other, u), u))
         assert base_error(u, retraction_stages(u, v, z, x)) > 1e-9
+
+    # z the top-cell point of S3 with huge Lusztig parameters: y lies far
+    # out, and link_point's RK stages overflow.  Each case ends in one
+    # library error, with no numpy RuntimeWarning (an error in this suite);
+    # four warnings once came first.
+    @pytest.mark.parametrize("params", [(10**k,) * 3 for k in (50, 100, 152)] + [(1, 10**300, 1)])
+    @pytest.mark.parametrize("tau", [0.5, 1.0])
+    def test_far_out_target_ends_in_one_library_error(self, params, tau):
+        u, v = Permutation.identity(3), Permutation.longest(3)
+        [x] = [pt for pt, w in link_sample(u, v, 1.0, 1, seed=0).points if w == v]
+        z = lusztig_point(reduced_word(v), [Fraction(p) for p in params]).matrix
+        with pytest.raises((StepUnderflow, PreconditionError)):
+            retraction(x, tau, u, v, z, 1.0)
 
     def test_endpoints(self):
         u = Permutation.identity(3)
@@ -1436,7 +1493,6 @@ def stack_case():
     M, mask = kernels.base_field(base, STACK_U)
     maps = {
         "fiber_A": (rows, lambda x: kernels.fiber_A(x, STACK_U)),
-        "pi_u": (rows, lambda x: kernels.pi_u(x, STACK_U)),
         "rho_move": (rows, lambda x: kernels.rho_move(x, other_base, STACK_U)),
         "psi_tangent": (np.linalg.solve(base, rows), lambda z: kernels.psi_tangent(z, M, mask)),
         "str_of": (rows, str_of),
@@ -1454,7 +1510,7 @@ class TestStackContract:
     cell_of_float and link_point to the same contract."""
 
     @pytest.mark.parametrize(
-        "name", ["fiber_A", "pi_u", "rho_move", "psi_tangent", "str_of", "conj_d_float", "conj_d_float-tau-0"]
+        "name", ["fiber_A", "rho_move", "psi_tangent", "str_of", "conj_d_float", "conj_d_float-tau-0"]
     )
     def test_rows_are_bit_identical(self, stack_case, name):
         x, fn = stack_case[1][name]

@@ -135,21 +135,6 @@ def test_fiber_A_matches_fiber_A(n):
         assert rel_err(kernels.fiber_A(floats(xt), u), floats(fiber_A(xt, u))) <= REL
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_pi_u_matches_pi_u_on_every_pair(n):
-    """kernels.pi_u on a stack of one cell point per w >= u, for every u of
-    S_n, against the exact projection row by row."""
-    rng = random.Random(90 + n)
-    perms = all_permutations(n)
-    for u in perms:
-        xts = [random_cell_point(w, rng) for w in perms if bruhat_leq(u, w)]
-        got = kernels.pi_u(np.stack([floats(xt) for xt in xts]), u)
-        assert got.shape == (len(xts), n, n)
-        for row, xt in zip(got, xts):
-            assert rel_err(row, floats(pi_u(xt, u))) <= REL
-        assert np.array_equal(kernels.pi_u(floats(xts[0]), u), got[0])
-
-
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_rho_move_matches_rho(n):
     for u, xt, base, x in fiber_cases(n, 12, seed=40 + n):

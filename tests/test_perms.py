@@ -137,6 +137,11 @@ class TestWords:
         w0 = Permutation.longest(3)
         assert sorted(all_reduced_words(w0)) == [(1, 2, 1), (2, 1, 2)]
 
+    # S5's longest element has 768 reduced words; above S4 none is listed
+    def test_all_reduced_words_guarded_above_s4(self):
+        with pytest.raises(RankTooLarge):
+            all_reduced_words(Permutation.longest(5))
+
     def test_word_serialize_parse(self):
         rw = reduced_word(Permutation.longest(3))
         back = ReducedWord.parse(rw.serialize(), 3)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tnn_strata import verify
-from tnn_strata.errors import InvalidArgument, RankTooLarge
+from tnn_strata.errors import FlowError, InvalidArgument, RankTooLarge
+from tnn_strata.perms import all_permutations, bruhat_less
 from tnn_strata.verify import RunConfig, VerificationReport, _Run, run_suite
 
 
@@ -95,6 +96,62 @@ def test_census_counts_the_stratum_a_point_lands_in(monkeypatch):
         [rep] = run_suite("link-census", RunConfig(n=3, samples=samples))
         assert rep.failures
         assert {f.case.split("[")[0] for f in rep.failures} == {"labels"}
+
+
+def logged_checks(monkeypatch) -> dict:
+    """{case: ok} of every check a suite makes from now on."""
+    seen, check = {}, _Run.check
+
+    def logged(self, ok, case, detail=""):
+        seen[case] = bool(ok)
+        check(self, ok, case, detail)
+
+    monkeypatch.setattr(_Run, "check", logged)
+    return seen
+
+
+# A FlowError from flow fails the case it hit, backward[i] or forward[i],
+# and the suite goes on to the next point
+@pytest.mark.parametrize("direction", ["backward", "forward"])
+def test_flow_suite_reports_a_flow_error(monkeypatch, direction):
+    real = verify.flow
+
+    def failing(x0, u, way="backward", **kwargs):
+        if way == direction:
+            raise FlowError("injected")
+        return real(x0, u, way, **kwargs)
+
+    monkeypatch.setattr(verify, "flow", failing)
+    [rep] = run_suite("flow", RunConfig(n=3, samples=20))
+    obj = rep.to_json_obj()
+    assert obj["ok"] is False and obj["failures"]
+    assert {f["case"].split("[")[0] for f in obj["failures"]} == {direction}
+    assert all(f["detail"] == "FlowError: injected" for f in obj["failures"])
+
+
+# A radius whose link_point raises fails sample[u;v;eps] for every pair;
+# the next radius starts from the last that landed, so eps = 2 still lands
+# from eps = 0.5, on its level and in its strata
+def test_census_suite_reports_a_failed_radius(monkeypatch):
+    real = verify.link_point
+
+    def failing(x, u, epsilon):
+        if epsilon == 1.0:
+            raise FlowError("injected")
+        return real(x, u, epsilon)
+
+    monkeypatch.setattr(verify, "link_point", failing)
+    seen = logged_checks(monkeypatch)
+    [rep] = run_suite("link-census", RunConfig(n=3))
+    perms = all_permutations(3)
+    pairs = [f"{u.serialize()};{v.serialize()}" for u in perms for v in perms if bruhat_less(u, v)]
+    obj = rep.to_json_obj()
+    assert obj["ok"] is False
+    assert sorted(f["case"] for f in obj["failures"]) == sorted(f"sample[{p};eps=1.0]" for p in pairs)
+    assert all(f["detail"] == "FlowError: injected" for f in obj["failures"])
+    for p in pairs:
+        assert seen[f"level[{p};eps=2.0]"] and seen[f"labels[{p};eps=2.0]"]
+        assert f"eps-stable[{p}]" not in seen
 
 
 def test_retraction_suite_calls_retraction_once_per_tau(monkeypatch):
