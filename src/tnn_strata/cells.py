@@ -4,7 +4,6 @@ identification of the Bruhat cell containing a unipotent matrix."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -20,11 +19,11 @@ from .ratmat import RatMatrix, _eliminate, _of_ints, _work_rows, is_in_N, minor,
 TNN_GUARD = 6
 
 
-@dataclass(frozen=True)
 class CellPoint:
-    matrix: RatMatrix
-    cell: Permutation
-    tnn: bool
+    __slots__ = ("matrix", "cell", "tnn")
+
+    def __init__(self, matrix: RatMatrix, cell: Permutation, tnn: bool):
+        self.matrix, self.cell, self.tnn = matrix, cell, tnn
 
 
 def lusztig_point(word: ReducedWord, params) -> CellPoint:

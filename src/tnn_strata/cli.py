@@ -3,15 +3,20 @@ link sampling, retraction, and the named verification suites.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage or parse error,
 3 violated mathematical precondition.
+
+The parser is the standard library's argparse, with these rules: a value
+option takes the next word whatever it starts with (``--params -1,2``),
+``--opt=value`` works too, only exact option names are accepted, help is
+``--help`` alone, and a bare invocation is a usage error whose message is
+the help text.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
-
-import click
 
 from .cells import cell_of, is_tnn, lusztig_point
 from .errors import InvalidArgument, PreconditionError, TnnStrataError
@@ -29,7 +34,7 @@ EXIT_PRECONDITION = 3
 
 
 def _fail(code: int, kind: str, message: str):
-    click.echo(json.dumps({"error": kind, "message": message}), err=True)
+    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
     sys.exit(code)
 
 
@@ -39,7 +44,8 @@ def _read_matrix(path: str | None) -> RatMatrix:
         return RatMatrix.from_json_obj(json.loads(text))
     except OSError as exc:
         _fail(EXIT_USAGE, "io", str(exc))
-    except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
+    # json's decoder recurses once per level of nesting
+    except (ValueError, KeyError, TypeError, ArithmeticError, RecursionError) as exc:
         _fail(EXIT_USAGE, "parse", f"bad matrix JSON: {exc}")
 
 
@@ -51,7 +57,7 @@ def _parse_perm(text: str, name: str = "permutation") -> Permutation:
 
 
 def _emit(obj):
-    click.echo(json.dumps(obj, sort_keys=True))
+    print(json.dumps(obj, sort_keys=True))
 
 
 def _float_matrix_obj(x) -> dict:
@@ -61,45 +67,106 @@ def _float_matrix_obj(x) -> dict:
 # The one error boundary: the first row whose class matches an error gives
 # its exit code and its JSON "error" kind (None: the error's class name).
 _EXITS = (
-    (click.UsageError, EXIT_USAGE, "usage"),
     (InvalidArgument, EXIT_USAGE, "usage"),
     (PreconditionError, EXIT_PRECONDITION, None),
     (TnnStrataError, EXIT_INVARIANT, None),
-    (click.Abort, EXIT_INVARIANT, "aborted"),
 )
 
 
-class _JsonErrors(click.Group):
-    """A group whose every error, click's own included, leaves as an exit
-    code and one JSON line on stderr, by the table _EXITS."""
-
-    def main(self, args=None, prog_name=None, **extra):
-        try:
-            code = super().main(args, prog_name, standalone_mode=False, **extra)
-        except tuple(cls for cls, _, _ in _EXITS) as exc:
-            code, kind = next((c, k) for cls, c, k in _EXITS if isinstance(exc, cls))
-            message = exc.format_message() if isinstance(exc, click.UsageError) else str(exc)
-            _fail(code, kind or type(exc).__name__, message)
-        sys.exit(code or EXIT_OK)
-
-
-@click.group(cls=_JsonErrors)
-def main():
+def main(args=None, prog_name=None):
     """Exact-arithmetic toolkit for cells of totally nonnegative unipotent
-    matrices: Bruhat combinatorics, cell projections, fiber flows, links."""
+    matrices: Bruhat combinatorics, cell projections, fiber flows, links.
+
+    Runs the verb that ``args`` (default ``sys.argv[1:]``) names and ends
+    in SystemExit with the exit code; every error, a bad command line's
+    included, leaves as one JSON line on stderr, by the table _EXITS."""
+    argv = sys.argv[1:] if args is None else list(args)
+    try:
+        run, kwargs = _parse(argv, prog_name)
+        run(**kwargs)
+    except TnnStrataError as exc:
+        code, kind = next((c, k) for cls, c, k in _EXITS if isinstance(exc, cls))
+        _fail(code, kind or type(exc).__name__, str(exc))
+    except (EOFError, KeyboardInterrupt):
+        print(file=sys.stderr)  # ends the terminal's ^C line
+        _fail(EXIT_INVARIANT, "aborted", "")
+    sys.exit(EXIT_OK)
 
 
-_in_opt = click.option("--in", "path", default=None, help="matrix JSON file ('-' or omitted: stdin)")
-_u_opt = click.option("--u", "u_text", required=True, help="permutation in one-line notation, e.g. 2,1,3")
-_v_opt = click.option("--v", "v_text", required=True, help="upper permutation, one-line notation")
-_epsilon_opt = click.option("--epsilon", type=float, default=1.0, show_default=True)
-_seed_opt = click.option("--seed", type=int, default=0, show_default=True)
+class _Parser(argparse.ArgumentParser):
+    """argparse with ``--help`` and no ``-h``, exact option names only, and
+    its errors raised as InvalidArgument, a usage error."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        raise InvalidArgument(message)
 
 
-@main.command()
-@click.option("--word", required=True, help="reduced word, e.g. s1.s2.s1 (empty string for identity)")
-@click.option("--n", type=int, required=True, help="matrix size")
-@click.option("--params", required=True, help="comma-separated positive rationals, one per letter")
+# verb name -> (function, options); each option is a flag and the keywords
+# of argparse's add_argument, whose dest is the function's parameter.
+_VERBS: dict = {}
+
+
+def _verb(name: str, *options):
+    def register(fn):
+        _VERBS[name] = (fn, options)
+        return fn
+
+    return register
+
+
+def _parse(argv: list[str], prog: str | None):
+    """The function of the verb that argv names, and its keyword arguments.
+    Only that verb's options are built; the list of verbs only for help or
+    a bad first word."""
+    prog = prog or Path(sys.argv[0]).name
+    if argv and argv[0] in _VERBS:
+        fn, options = _VERBS[argv[0]]
+        parser = _Parser(prog=f"{prog} {argv[0]}", description=fn.__doc__)
+        for flag, kwargs in options:
+            parser.add_argument(flag, **kwargs)
+        return fn, vars(parser.parse_args(_joined(argv[1:], options)))
+    top = _Parser(prog=prog, description=main.__doc__.split("\n\n")[0])
+    verbs = top.add_subparsers(title="commands", metavar="COMMAND")
+    for name, (fn, _) in _VERBS.items():
+        verbs.add_parser(name, help=fn.__doc__)
+    top.parse_args(argv)  # --help prints the help; a bad word raises
+    raise InvalidArgument(top.format_help())  # no verb: a bare invocation
+
+
+def _joined(argv: list[str], options) -> list[str]:
+    """argv with each value option joined to the word after it as
+    ``--opt=word``, so that argparse takes the word for the value even
+    when it starts with '-'.  Nothing after '--' is joined."""
+    valued = {flag for flag, kwargs in options if flag[0] == "-" and kwargs.get("action") != "store_true"}
+    out, words = [], iter(argv)
+    for word in words:
+        if word == "--":
+            out += [word, *words]
+        elif word in valued:
+            value = next(words, None)
+            out.append(word if value is None else f"{word}={value}")
+        else:
+            out.append(word)
+    return out
+
+
+_IN = ("--in", {"dest": "path", "metavar": "FILE", "help": "matrix JSON file ('-' or omitted: stdin)"})
+_U = ("--u", {"dest": "u_text", "metavar": "U", "required": True, "help": "permutation in one-line notation, e.g. 2,1,3"})
+_V = ("--v", {"dest": "v_text", "metavar": "V", "required": True, "help": "upper permutation, one-line notation"})
+_EPSILON = ("--epsilon", {"type": float, "default": 1.0, "help": "(default: %(default)s)"})
+_SEED = ("--seed", {"type": int, "default": 0, "help": "(default: %(default)s)"})
+
+
+@_verb(
+    "param",
+    ("--word", {"required": True, "help": "reduced word, e.g. s1.s2.s1 (empty string for identity)"}),
+    ("--n", {"type": int, "required": True, "help": "matrix size"}),
+    ("--params", {"required": True, "help": "comma-separated positive rationals, one per letter"}),
+)
 def param(word, n, params):
     """Build the cell point with the given Lusztig parameters."""
     rw = ReducedWord.parse(word, n)
@@ -114,8 +181,7 @@ def param(word, n, params):
     _emit(obj)
 
 
-@main.command("cell-of")
-@_in_opt
+@_verb("cell-of", _IN)
 def cmd_cell_of(path):
     """Identify which cell a totally nonnegative matrix lies in."""
     x = _read_matrix(path)
@@ -123,17 +189,14 @@ def cmd_cell_of(path):
     _emit({"cell": w.serialize(), "length": w.length})
 
 
-@main.command()
-@_in_opt
+@_verb("tnn", _IN)
 def tnn(path):
     """Test a matrix for total nonnegativity (all minors >= 0)."""
     x = _read_matrix(path)
     _emit({"tnn": is_tnn(x)})
 
 
-@main.command()
-@_in_opt
-@_u_opt
+@_verb("project", _IN, _U)
 def project(path, u_text):
     """Project a matrix onto the u-cell (the x_u factor of x = x_u x^u)."""
     x = _read_matrix(path)
@@ -148,10 +211,7 @@ def project(path, u_text):
     )
 
 
-@main.command("rho")
-@_in_opt
-@_u_opt
-@click.option("--base", "base_path", required=True, help="target fiber base point, matrix JSON file")
+@_verb("rho", _IN, _U, ("--base", {"dest": "base_path", "metavar": "FILE", "required": True, "help": "target fiber base point, matrix JSON file"}))
 def cmd_rho(path, u_text, base_path):
     """Move a point into the fiber over a given base point of the u-cell."""
     xt = _read_matrix(path)
@@ -161,9 +221,7 @@ def cmd_rho(path, u_text, base_path):
     _emit(out.to_json_obj())
 
 
-@main.command("psi")
-@_in_opt
-@_u_opt
+@_verb("psi", _IN, _U)
 def cmd_psi(path, u_text):
     """Evaluate the fiber vector field at a point (exact rational)."""
     x = _read_matrix(path)
@@ -174,12 +232,14 @@ def cmd_psi(path, u_text):
     _emit(obj)
 
 
-@main.command("flow")
-@_in_opt
-@_u_opt
-@click.option("--direction", type=click.Choice(["backward", "forward"]), default="backward", show_default=True)
-@click.option("--target-str", type=float, default=None, help="forward stopping level")
-@click.option("--dump-trajectory", "dump", is_flag=True, help="emit JSON-lines {t, str, entries}")
+@_verb(
+    "flow",
+    _IN,
+    _U,
+    ("--direction", {"choices": ("backward", "forward"), "default": "backward", "help": "(default: %(default)s)"}),
+    ("--target-str", {"type": float, "help": "forward stopping level"}),
+    ("--dump-trajectory", {"dest": "dump", "action": "store_true", "help": "emit JSON-lines {t, str, entries}"}),
+)
 def cmd_flow(path, u_text, direction, target_str, dump):
     """Integrate the gradient-like fiber flow from a point."""
     x = _read_matrix(path)
@@ -188,15 +248,7 @@ def cmd_flow(path, u_text, direction, target_str, dump):
     traj = flow(x.to_floats(), u, direction, target_str=target_str)
     if dump:
         for st in traj:
-            click.echo(
-                json.dumps(
-                    {
-                        "t": st.time,
-                        "str": st.str_value,
-                        "entries": st.point.tolist(),
-                    }
-                )
-            )
+            print(json.dumps({"t": st.time, "str": st.str_value, "entries": st.point.tolist()}))
     final = traj[-1]
     _emit(
         {
@@ -210,12 +262,14 @@ def cmd_flow(path, u_text, direction, target_str, dump):
     )
 
 
-@main.command("link-sample")
-@_u_opt
-@_v_opt
-@_epsilon_opt
-@click.option("--count", type=int, default=3, show_default=True, help="points per stratum, at least 1")
-@_seed_opt
+@_verb(
+    "link-sample",
+    _U,
+    _V,
+    _EPSILON,
+    ("--count", {"type": int, "default": 3, "help": "points per stratum, at least 1 (default: %(default)s)"}),
+    _SEED,
+)
 def cmd_link_sample(u_text, v_text, epsilon, count, seed):
     """Sample points of the link of the u-cell inside Y_[u,v]."""
     u = _parse_perm(u_text, "u")
@@ -243,12 +297,14 @@ def cmd_link_sample(u_text, v_text, epsilon, count, seed):
     )
 
 
-@main.command("link-census")
-@_u_opt
-@_v_opt
-@_epsilon_opt
-@click.option("--count", type=int, default=2, show_default=True, help="points per stratum, at least 1")
-@_seed_opt
+@_verb(
+    "link-census",
+    _U,
+    _V,
+    _EPSILON,
+    ("--count", {"type": int, "default": 2, "help": "points per stratum, at least 1 (default: %(default)s)"}),
+    _SEED,
+)
 def cmd_link_census(u_text, v_text, epsilon, count, seed):
     """Census of link strata over (u, v]: labels, dimensions, sampled
     per-stratum point counts, and the combinatorial Euler characteristic."""
@@ -273,13 +329,15 @@ def cmd_link_census(u_text, v_text, epsilon, count, seed):
         sys.exit(EXIT_INVARIANT)
 
 
-@main.command("retract")
-@_in_opt
-@_u_opt
-@_v_opt
-@click.option("--z", "z_path", required=True, help="retraction target point, matrix JSON file")
-@click.option("--tau", type=float, required=True, help="deformation time in [0, 1]")
-@_epsilon_opt
+@_verb(
+    "retract",
+    _IN,
+    _U,
+    _V,
+    ("--z", {"dest": "z_path", "metavar": "FILE", "required": True, "help": "retraction target point, matrix JSON file"}),
+    ("--tau", {"type": float, "required": True, "help": "deformation time in [0, 1]"}),
+    _EPSILON,
+)
 def cmd_retract(path, u_text, v_text, z_path, tau, epsilon):
     """Evaluate the deformation retraction of the link toward a point z."""
     x = _read_matrix(path)
@@ -301,12 +359,14 @@ _SUITES = (
 )
 
 
-@main.command("verify")
-@click.argument("suite", type=click.Choice(_SUITES))
-@click.option("--n", type=int, default=4, show_default=True)
-@_seed_opt
-@click.option("--samples", type=int, default=0, help="cases per suite, at least 0; 0 uses each suite's default size")
-@click.option("--timings", is_flag=True, help="include wall times (breaks byte-stability)")
+@_verb(
+    "verify",
+    ("suite", {"choices": _SUITES}),
+    ("--n", {"type": int, "default": 4, "help": "(default: %(default)s)"}),
+    _SEED,
+    ("--samples", {"type": int, "default": 0, "help": "cases per suite, at least 0; 0 uses each suite's default size"}),
+    ("--timings", {"action": "store_true", "help": "include wall times (breaks byte-stability)"}),
+)
 def cmd_verify(suite, n, seed, samples, timings):
     """Run a named invariant suite (or 'all'); exit 0 iff no failures."""
     from .verify import RunConfig, run_suite
@@ -317,4 +377,4 @@ def cmd_verify(suite, n, seed, samples, timings):
 
 
 if __name__ == "__main__":
-    main()
+    main(prog_name="python -m tnn_strata.cli")

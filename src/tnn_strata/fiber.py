@@ -5,7 +5,6 @@ matrices, and only then loads numpy."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -35,15 +34,14 @@ from .ratmat import (
 )
 
 
-@dataclass(frozen=True)
 class FiberFrame:
     """The factors of x = x_u x^u at one point, and the intermediates A
     and y = [A]_- that the moves in the fiber over x_u reuse."""
 
-    x_u: RatMatrix
-    x_upper_u: RatMatrix
-    A: RatMatrix
-    y: RatMatrix
+    __slots__ = ("x_u", "x_upper_u", "A", "y")
+
+    def __init__(self, x_u: RatMatrix, x_upper_u: RatMatrix, A: RatMatrix, y: RatMatrix):
+        self.x_u, self.x_upper_u, self.A, self.y = x_u, x_upper_u, A, y
 
 
 def fiber_A(x: RatMatrix, u: Permutation) -> RatMatrix:
@@ -199,8 +197,9 @@ def psi(x: RatMatrix, u: Permutation) -> RatMatrix:
     return x @ pi_n(Ainv_nu @ A)
 
 
-# NamedTuples, not dataclasses: as dataclasses these two cost every exact
-# verb about 1.5 ms at import, and only sign_lemma_check uses them.
+# NamedTuples, and the core's other records plain classes: the exact core
+# imports no dataclasses, which with inspect cost every exact verb about
+# 7 ms at import.
 class SignViolation(NamedTuple):
     i: int
     j: int

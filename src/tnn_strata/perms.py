@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import InvalidArgument, NotComparable, RankTooLarge
@@ -17,13 +16,28 @@ INTERVAL_GUARD = 7
 ALL_WORDS_GUARD = 4
 
 
-@dataclass(frozen=True)
 class Permutation:
-    image: tuple[int, ...]
+    """An immutable permutation of 1..n, ``image`` in one-line notation,
+    equal to and hashed as the same image."""
 
-    def __post_init__(self):
-        if sorted(self.image) != list(range(1, len(self.image) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.image)}: {self.image}")
+    def __init__(self, image: tuple[int, ...]):
+        if sorted(image) != list(range(1, len(image) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(image)}: {image}")
+        object.__setattr__(self, "image", image)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.image == other.image
+
+    def __hash__(self):
+        return hash(self.image)
+
+    def __repr__(self):
+        return f"Permutation(image={self.image!r})"
 
     @property
     def n(self) -> int:
@@ -130,9 +144,11 @@ def all_permutations(n: int) -> tuple[Permutation, ...]:
     return tuple(Permutation(img) for img in itertools.permutations(range(1, n + 1)))
 
 
-@dataclass(frozen=True)
 class BruhatInterval:
-    elements: frozenset[Permutation]
+    __slots__ = ("elements",)
+
+    def __init__(self, elements: frozenset[Permutation]):
+        self.elements = elements
 
 
 def interval(u: Permutation, v: Permutation) -> BruhatInterval:
@@ -162,10 +178,11 @@ def mobius(u: Permutation, v: Permutation) -> int:
     return mu[v]
 
 
-@dataclass(frozen=True)
 class ReducedWord:
-    letters: tuple[int, ...]
-    target: Permutation
+    __slots__ = ("letters", "target")
+
+    def __init__(self, letters: tuple[int, ...], target: Permutation):
+        self.letters, self.target = letters, target
 
     def serialize(self) -> str:
         return ".".join(f"s{a}" for a in self.letters)

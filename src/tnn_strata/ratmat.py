@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import ge, mul
 
@@ -35,14 +34,10 @@ def _rat(v) -> Fraction:
     return Fraction(v)
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class RatMatrix:
     """An immutable square matrix of rationals, built from rows of
     ``Fraction``s or ints.  Row i is ``_num[i]`` over ``_den[i]``, its
-    one representation."""
-
-    _num: tuple[tuple[int, ...], ...]
-    _den: tuple[int, ...]
+    one representation, which ``==`` and ``hash`` read."""
 
     def __init__(self, rows):
         num, den = [], []
@@ -68,6 +63,17 @@ class RatMatrix:
 
     def __repr__(self):
         return f"RatMatrix(rows={self.rows!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._num == other._num and self._den == other._den
+
+    def __hash__(self):
+        return hash((self._num, self._den))
 
     @staticmethod
     def from_rows(rows) -> "RatMatrix":
@@ -274,11 +280,18 @@ def rank(x: RatMatrix, rows=None, cols=None) -> int:
     return len(_eliminate(work, [x._den[i - 1] for i in rows], range(len(cols))))
 
 
-@dataclass(frozen=True)
 class GaussFactors:
-    lower: RatMatrix
-    diag: RatMatrix
-    upper: RatMatrix
+    """x = lower @ diag @ upper, the LDU factors of x."""
+
+    __slots__ = ("lower", "diag", "upper")
+
+    def __init__(self, lower: RatMatrix, diag: RatMatrix, upper: RatMatrix):
+        self.lower, self.diag, self.upper = lower, diag, upper
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lower, self.diag, self.upper) == (other.lower, other.diag, other.upper)
 
 
 def _g0_eliminate(x: RatMatrix, lower=None):

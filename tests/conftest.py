@@ -1,7 +1,9 @@
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -19,6 +21,34 @@ def fresh_python(code, *args):
     library from src/: the completed process, stdout and stderr as bytes."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, timeout=120)
+
+
+class Invocation(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def invoke(main, argv, input=None) -> Invocation:
+    """Run the CLI's ``main`` on argv in this process, with ``input`` as
+    stdin: the exit code of the SystemExit it ends in, and what it wrote.
+    Any other exception propagates, as a traceback would end the process."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(input or ""), out, err
+    try:
+        main(args=argv, prog_name="tnn-strata")
+    except SystemExit as exc:
+        code = exc.code
+    else:
+        raise AssertionError("main returned without SystemExit")
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return Invocation(code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
+from conftest import invoke
 from tnn_strata.cells import lusztig_point
 from tnn_strata.cli import main
 from tnn_strata.fiber import rho
@@ -126,6 +126,6 @@ def test_cli_verbs_reach_their_pins(tracer, tmp_path):
         ["link-sample", "--u", "1,2,3", "--v", "3,2,1", "--count", "1"],
     ]
     with tracer.Tracer() as t:
-        codes = [CliRunner().invoke(main, [str(a) for a in argv]).exit_code for argv in argvs]
+        codes = [invoke(main, [str(a) for a in argv]).exit_code for argv in argvs]
     assert codes == [0] * len(argvs)
     assert t.missing("cli") == []

@@ -13,9 +13,9 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from conftest import invoke
 from tnn_strata.cells import lusztig_point
 from tnn_strata.cli import main
 from tnn_strata.flow import LINK_EPSILON_GUARD
@@ -80,7 +80,6 @@ sizes = st.sampled_from([3, 4, 2, 5, 1, 0])
 
 
 def assert_contract(res):
-    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code in (0, 1, 2, 3)
     if res.exit_code == 0:
         lines = res.stdout.splitlines()
@@ -103,7 +102,7 @@ def matrix_file(tmp_path_factory):
 @given(data=st.data(), n=sizes)
 def test_matrix_queries(verb, data, n):
     x = data.draw(matrix_json(n))
-    assert_contract(CliRunner().invoke(main, [verb], input=x))
+    assert_contract(invoke(main, [verb], input=x))
 
 
 @pytest.mark.parametrize("verb", ["project", "psi"])
@@ -111,7 +110,7 @@ def test_matrix_queries(verb, data, n):
 @given(data=st.data(), n=sizes)
 def test_matrix_and_permutation(verb, data, n):
     x, u = data.draw(matrix_json(n)), data.draw(perm_text(n))
-    assert_contract(CliRunner().invoke(main, [verb, "--u", u], input=x))
+    assert_contract(invoke(main, [verb, "--u", u], input=x))
 
 
 # forward targets from 1e-3 to 1e300, log-uniform; 100 steps keep each case short
@@ -126,7 +125,7 @@ def test_flow(data, n, forward):
     argv = ["flow", "--u", u]
     argv += ["--direction", "forward", "--target-str", data.draw(targets)] if forward else []
     with mock.patch.object(importlib.import_module("tnn_strata.flow"), "MAX_STEPS", 100):
-        assert_contract(CliRunner().invoke(main, argv, input=x))
+        assert_contract(invoke(main, argv, input=x))
 
 
 @FUZZ
@@ -135,7 +134,7 @@ def test_rho(matrix_file, data, n):
     x, base, u = data.draw(matrix_json(n)), data.draw(matrix_json(n)), data.draw(perm_text(n))
     matrix_file.write_text(base)
     assert_contract(
-        CliRunner().invoke(main, ["rho", "--u", u, "--base", str(matrix_file)], input=x)
+        invoke(main, ["rho", "--u", u, "--base", str(matrix_file)], input=x)
     )
 
 
@@ -150,7 +149,7 @@ letters = st.builds(lambda i: f"s{i}", st.integers(0, 5)) | st.text(max_size=3)
 )
 def test_param(word, n, params):
     argv = ["param", "--word", word, "--n", str(n), "--params", params]
-    assert_contract(CliRunner().invoke(main, argv))
+    assert_contract(invoke(main, argv))
 
 
 S23 = [Permutation(p) for k in (2, 3) for p in itertools.permutations(range(1, k + 1))]
@@ -204,7 +203,7 @@ def test_retract(matrix_file, data, n):
     matrix_file.write_text(z)
     argv = ["retract", "--z", str(matrix_file)]
     argv += data.draw(options(u=st.just(u), v=st.just(v), tau=tau, epsilon=epsilons))
-    assert_contract(CliRunner().invoke(main, argv, input=x))
+    assert_contract(invoke(main, argv, input=x))
 
 
 # A far-out z is drawn by name, as tiny tau is: the draws above never
@@ -222,7 +221,7 @@ def test_retract_far_out_target(matrix_file, data):
     matrix_file.write_text(z)
     argv = ["retract", "--z", str(matrix_file), "--u", u.serialize(), "--v", v.serialize()]
     argv += ["--tau", str(tau), "--epsilon", str(epsilon)]
-    assert_contract(CliRunner().invoke(main, argv, input=x))
+    assert_contract(invoke(main, argv, input=x))
 
 
 @pytest.mark.parametrize("verb", ["link-sample", "link-census"])
@@ -232,7 +231,7 @@ def test_retract_far_out_target(matrix_file, data):
 def test_link(verb, data, n):
     (u, v), count = data.draw(perm_pair(n)), st.sampled_from(["1", "2"])
     argv = [verb] + data.draw(options(u=st.just(u), v=st.just(v), epsilon=epsilons, count=count, seed=seeds))
-    assert_contract(CliRunner().invoke(main, argv))
+    assert_contract(invoke(main, argv))
 
 
 @settings(FUZZ, max_examples=20)
@@ -241,4 +240,4 @@ def test_link(verb, data, n):
     argv=options(n=st.sampled_from(["2", "3", "4", "-1", "0", "1"]), samples=st.sampled_from(["1", "2", "-1"]), seed=seeds),
 )
 def test_verify(suite, argv):
-    assert_contract(CliRunner().invoke(main, ["verify", suite] + argv))
+    assert_contract(invoke(main, ["verify", suite] + argv))

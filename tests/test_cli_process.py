@@ -1,15 +1,14 @@
 """The CLI as its own process: a fresh interpreter that has loaded nothing,
 as ``python -m tnn_strata.cli`` starts.  The other CLI tests run in-process
-through ``CliRunner`` after the test session has imported every module, so
-they never see a verb load (or miss) a module itself."""
+through ``conftest.invoke`` after the test session has imported every
+module, so they never see a verb load (or miss) a module itself."""
 
 import importlib
 import json
 
 import pytest
-from click.testing import CliRunner
 
-from conftest import SRC, fresh_python
+from conftest import SRC, fresh_python, invoke
 from tnn_strata import Permutation, default_base, lusztig_point, pi_u, reduced_word, rho
 from tnn_strata.cli import main
 
@@ -90,6 +89,7 @@ codes = [run(argv)[0] for argv in exact[:-1]]
 after_exact = loaded()
 codes.append(run(exact[-1])[0])
 after_psi = loaded()
+slow_imports = sorted({"click", "dataclasses", "inspect"} & set(sys.modules))
 float_codes = [run(argv)[0] for argv in float_argvs]
 after_float = loaded()
 help_code, help_text = run(["verify", "--help"])
@@ -100,6 +100,7 @@ print(json.dumps({
     "codes": codes,
     "after_exact": after_exact,
     "after_psi": after_psi,
+    "slow_imports": slow_imports,
     "float_codes": float_codes,
     "after_float": after_float,
     "flow_is_function": tnn_strata.flow is importlib.import_module("tnn_strata.flow").flow,
@@ -129,13 +130,15 @@ def test_exact_verbs_never_import_numpy(files):
     ]
     # and so does psi, whose field is exact
     assert report["after_psi"] == report["after_exact"]
+    # argparse parses argv, and the exact core's records are plain classes
+    assert report["slow_imports"] == []
     assert report["float_codes"] == [0] * 4
     assert "numpy.linalg" in report["after_float"]
     assert "tnn_strata.verify" not in report["after_float"] + report["after_help"]
     assert report["flow_is_function"]
     assert report["help_code"] == 0
-    usage = "".join(report["help"].split())  # click wraps the usage line
-    assert usage.split("{")[1].split("}")[0].split("|") == report["suites"]
+    usage = "".join(report["help"].split())  # argparse wraps the usage line
+    assert usage.split("{")[1].split("}")[0].split(",") == report["suites"]
 
 
 # Runs in a fresh interpreter: the exact field and str on a RatMatrix, then
@@ -170,10 +173,10 @@ RUN_CLI = "import runpy; runpy.run_module('tnn_strata.cli', run_name='__main__',
 def test_process_matches_clirunner(files, verb):
     [argv] = [a for a in exact_argv(files) + float_argv(files) + [VERIFY_ARGV] if a[0] == verb]
     proc = fresh_python(RUN_CLI, *argv)
-    res = CliRunner().invoke(main, argv)
+    res = invoke(main, argv)
     assert proc.returncode == 0 and res.exit_code == 0
     assert proc.stderr == b""
-    assert proc.stdout == res.stdout_bytes
+    assert proc.stdout == res.stdout.encode()
     assert len(proc.stdout.splitlines()) == 1
 
 

@@ -30,8 +30,8 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import invoke
 from tnn_strata.cli import main
 from tnn_strata.verify import SUITES, RunConfig, _Run, run_suite
 
@@ -44,7 +44,7 @@ FLOAT = json.loads((GOLDEN / "float_verbs.json").read_text())
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]))
 def test_census_stdout_is_pinned(case):
-    res = CliRunner().invoke(main, case["argv"])
+    res = invoke(main, case["argv"])
     assert res.exit_code == 0
     assert res.stdout == case["stdout"]
 
@@ -57,7 +57,7 @@ def run_case(case, tmp_path) -> str:
             path = tmp_path / f"{key}.json"
             path.write_text(json.dumps(case[key]))
             argv += [f"--{key}", str(path)]
-    res = CliRunner().invoke(main, argv, input=json.dumps(case["in"]) if "in" in case else None)
+    res = invoke(main, argv, input=json.dumps(case["in"]) if "in" in case else None)
     assert res.exit_code == 0, res.output
     return res.stdout
 
