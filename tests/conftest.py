@@ -7,6 +7,11 @@ from typing import NamedTuple
 
 import pytest
 
+# Tests leave no bytecode under src/, in this process or in the
+# interpreters fresh_python starts: a benchmark run later in the same
+# checkout would otherwise find it cached on one side only.
+sys.dont_write_bytecode = True
+
 from tnn_strata import cells, ratmat
 from tnn_strata.cells import cell_of
 from tnn_strata.errors import CellMismatch, InvalidArgument
@@ -19,7 +24,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def fresh_python(code, *args):
     """Run ``python -c code args...`` in a new interpreter that imports the
     library from src/: the completed process, stdout and stderr as bytes."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, timeout=120)
 
 

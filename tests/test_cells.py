@@ -84,7 +84,7 @@ class TestLusztig:
         word = reduced_word(w0)
         pt = lusztig_point(word, [Fraction(1), Fraction(1), Fraction(1, 2)])
         assert pt.cell == w0
-        assert pt.tnn
+        assert is_tnn(pt.matrix)
 
     def test_positive_params_required(self):
         word = reduced_word(Permutation.parse("2,1,3"))
@@ -112,7 +112,7 @@ class TestLusztig:
                 for _ in word.letters
             ]
             pt = lusztig_point(word, params)
-            assert pt.tnn
+            assert is_tnn(pt.matrix)
             assert cell_of(pt.matrix) == w
 
     def test_column_operations_match_chevalley_product(self):

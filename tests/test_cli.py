@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 
@@ -465,7 +464,7 @@ class TestLinkVerbs:
         def moved(u, v, epsilon, count, seed):
             ls = real(u, v, epsilon, count, seed)
             (_, w), *rest = ls.points
-            return dataclasses.replace(ls, points=((rest[-1][0], w), *rest))
+            return ls._replace(points=((rest[-1][0], w), *rest))
 
         monkeypatch.setattr(flow_module, "link_sample", moved)
         res = invoke(main, ["link-census", "--u", "1,2,3", "--v", "3,2,1", "--count", "1"])
@@ -546,6 +545,24 @@ class TestVerify:
     def test_unknown_suite_exit_2(self):
         res = invoke(main, ["verify", "nope"])
         assert res.exit_code == 2
+
+    def test_failing_suite_exit_1(self, monkeypatch):
+        def failing(config):
+            report = verify.VerificationReport("gauss", config=config)
+            report.check(False, "injected[0]", "injected")
+            return report.done()
+
+        monkeypatch.setitem(verify.SUITES, "gauss", failing)
+        res = invoke(main, ["verify", "gauss", "--n", "3"])
+        assert res.exit_code == 1
+        assert res.stderr == ""
+        [line] = res.stdout.splitlines()
+        assert json.loads(line) == [{
+            "suite": "gauss",
+            "cases": 1,
+            "ok": False,
+            "failures": [{"case": "injected[0]", "detail": "injected", "repro": "tnn-strata verify gauss --n 3 --seed 0"}],
+        }]
 
     @pytest.mark.parametrize("suite", ["psi-positivity", "all"])
     def test_samples_guarded_exit_3(self, monkeypatch, suite):

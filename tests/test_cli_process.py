@@ -92,10 +92,13 @@ after_psi = loaded()
 slow_imports = sorted({"click", "dataclasses", "inspect"} & set(sys.modules))
 float_codes = [run(argv)[0] for argv in float_argvs]
 after_float = loaded()
+dataclasses_loaded = ["float"] if "dataclasses" in sys.modules else []
 help_code, help_text = run(["verify", "--help"])
 after_help = loaded()
 import tnn_strata
 from tnn_strata import verify
+if "dataclasses" in sys.modules:
+    dataclasses_loaded.append("verify")
 print(json.dumps({
     "codes": codes,
     "after_exact": after_exact,
@@ -103,6 +106,7 @@ print(json.dumps({
     "slow_imports": slow_imports,
     "float_codes": float_codes,
     "after_float": after_float,
+    "dataclasses_loaded": dataclasses_loaded,
     "flow_is_function": tnn_strata.flow is importlib.import_module("tnn_strata.flow").flow,
     "help_code": help_code,
     "help": help_text,
@@ -134,6 +138,8 @@ def test_exact_verbs_never_import_numpy(files):
     assert report["slow_imports"] == []
     assert report["float_codes"] == [0] * 4
     assert "numpy.linalg" in report["after_float"]
+    # the float path's and verify's records are NamedTuples and plain classes
+    assert report["dataclasses_loaded"] == []
     assert "tnn_strata.verify" not in report["after_float"] + report["after_help"]
     assert report["flow_is_function"]
     assert report["help_code"] == 0

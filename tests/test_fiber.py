@@ -15,7 +15,7 @@ from tnn_strata.errors import (
     Singular,
 )
 from tnn_strata.fiber import base_A, conj_d, factor_u, fiber_A, pi_u, recover_shift, rho, rho_over
-from tnn_strata.flow import random_cell_point
+from tnn_strata.flow import default_base, random_cell_point
 from tnn_strata.perms import Permutation, all_permutations, bruhat_leq
 from tnn_strata.ratmat import (
     RatMatrix,
@@ -342,6 +342,39 @@ class TestRhoClosedForm:
                 fr = factor_u(x, u)
                 assert fiber_A(conj_d(tau, x), u) == conj_d(tau, fr.A)
                 assert base_A(fr.x_u, u) == fr.y
+
+
+# The fiber move carries the torus action along a trajectory: over
+# default_base(u), rho(conj_d(sigma, rho(conj_d(tau, x)))) = rho(conj_d(sigma
+# tau, x)), the law by which flow.fiber_points moves a drawn point along its
+# own orbit.
+ORBIT_TAUS = ((Fraction(1, 3), Fraction(2)), (Fraction(5, 2), Fraction(3, 7)))
+
+
+def orbit_law_sides():
+    """(lhs, rhs) of the law for one drawn point of each pair u < w of S3
+    and S4, at each (sigma, tau) of ORBIT_TAUS."""
+    rng = random.Random(107)
+    sides = []
+    for n in (3, 4):
+        perms = all_permutations(n)
+        for u, w in ((u, w) for u in perms for w in perms if u != w and bruhat_leq(u, w)):
+            x, base = random_cell_point(w, rng), default_base(u)
+            for sigma, tau in ORBIT_TAUS:
+                lhs = rho(conj_d(sigma, rho(conj_d(tau, x), base, u)), base, u)
+                sides.append((lhs, rho(conj_d(sigma * tau, x), base, u)))
+    return sides
+
+
+class TestOrbitGroupLaw:
+    def test_every_pair_composes_exactly(self):
+        sides = orbit_law_sides()
+        assert len(sides) == 2 * 202
+        assert all(lhs == rhs for lhs, rhs in sides)
+
+    def test_swapped_shift_breaks_the_law(self, monkeypatch):
+        monkeypatch.setattr(fiber, "_shift_of", MUTANTS["_shift_of"])
+        assert all(lhs != rhs for lhs, rhs in orbit_law_sides())
 
 
 class TestConjD:

@@ -951,13 +951,11 @@ class TestNextStep:
     @pytest.mark.parametrize("err", [float("nan"), float("inf")])
     def test_non_finite_error_shrinks_by_a_fifth(self, err):
         assert flow_module._next_step(0.5, err, "test") == 0.5 * 0.2
-        assert flow_module._next_step(-0.5, err, "test") == -0.5 * 0.2
 
     @pytest.mark.parametrize("err", [0.0, 1e-20, 1e-6, 0.3, 1.0, 2.5, 1e4])
     def test_finite_error_scales_by_the_power_law(self, err):
         grow = min(5.0, max(0.2, 0.9 * (1.0 / max(err, 1e-16)) ** (1 / 6)))
         assert flow_module._next_step(0.125, err, "test") == min(0.125 * grow, 1.0)
-        assert flow_module._next_step(-0.125, err, "test") == -min(0.125 * grow, 1.0)
 
     def test_underflow_raises(self):
         with pytest.raises(StepUnderflow):

@@ -33,7 +33,7 @@ import pytest
 
 from conftest import invoke
 from tnn_strata.cli import main
-from tnn_strata.verify import SUITES, RunConfig, _Run, run_suite
+from tnn_strata.verify import SUITES, RunConfig, VerificationReport, run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "link_census_s3.json").read_text())
@@ -84,13 +84,13 @@ def test_every_suite_is_pinned():
 def test_suite_check_sequence_is_pinned(suite, monkeypatch):
     pin = CHECKS[suite]
     seen = []
-    check = _Run.check
+    check = VerificationReport.check
 
     def logged(self, ok, case, detail=""):
         seen.append(f"{case}\t{bool(ok)}")
         check(self, ok, case, detail)
 
-    monkeypatch.setattr(_Run, "check", logged)
+    monkeypatch.setattr(VerificationReport, "check", logged)
     run_suite(suite, RunConfig(n=pin["n"], seed=0, samples=pin["samples"]))
     assert len(seen) == pin["count"]
     assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == pin["sha256"]

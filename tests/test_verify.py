@@ -6,12 +6,17 @@ import pytest
 from tnn_strata import verify
 from tnn_strata.errors import FlowError, InvalidArgument, RankTooLarge
 from tnn_strata.perms import all_permutations, bruhat_less
-from tnn_strata.verify import RunConfig, VerificationReport, _Run, run_suite
+from tnn_strata.verify import RunConfig, VerificationReport, run_suite
 
 
 def test_report_with_no_cases_fails():
     assert not VerificationReport("empty").ok
     assert VerificationReport("one", cases=1).ok
+
+
+def test_unknown_suite_is_a_library_error():
+    with pytest.raises(InvalidArgument, match="'nope'"):
+        run_suite("nope", RunConfig(n=3))
 
 
 def test_negative_samples_rejected():
@@ -74,9 +79,9 @@ def test_samples_guarded_before_any_suite(monkeypatch, suite):
     ],
 )
 def test_repro_replays_the_sample_size(samples, repro):
-    run = _Run("gauss", RunConfig(n=3, seed=7, samples=samples))
-    run.check(False, "roundtrip[0]")
-    [failure] = run.done().failures
+    report = VerificationReport("gauss", config=RunConfig(n=3, seed=7, samples=samples))
+    report.check(False, "roundtrip[0]")
+    [failure] = report.done().failures
     assert failure.repro == repro
 
 
@@ -100,13 +105,13 @@ def test_census_counts_the_stratum_a_point_lands_in(monkeypatch):
 
 def logged_checks(monkeypatch) -> dict:
     """{case: ok} of every check a suite makes from now on."""
-    seen, check = {}, _Run.check
+    seen, check = {}, VerificationReport.check
 
     def logged(self, ok, case, detail=""):
         seen[case] = bool(ok)
         check(self, ok, case, detail)
 
-    monkeypatch.setattr(_Run, "check", logged)
+    monkeypatch.setattr(VerificationReport, "check", logged)
     return seen
 
 
