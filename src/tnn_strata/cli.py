@@ -6,9 +6,10 @@ Exit codes: 0 success, 1 invariant failure, 2 usage or parse error,
 
 The parser is the standard library's argparse, with these rules: a value
 option takes the next word whatever it starts with (``--params -1,2``),
-``--opt=value`` works too, only exact option names are accepted, help is
-``--help`` alone, and a bare invocation is a usage error whose message is
-the help text.
+except ``--``, which ends the options and is no option's value (``--opt
+--`` and ``--opt=--`` are usage errors), ``--opt=value`` works too, only
+exact option names are accepted, help is ``--help`` alone, and a bare
+invocation is a usage error whose message is the help text.
 """
 
 from __future__ import annotations
@@ -140,17 +141,22 @@ def _parse(argv: list[str], prog: str | None):
 def _joined(argv: list[str], options) -> list[str]:
     """argv with each value option joined to the word after it as
     ``--opt=word``, so that argparse takes the word for the value even
-    when it starts with '-'.  Nothing after '--' is joined."""
+    when it starts with '-'.  Nothing after '--' is joined, and '--' is no
+    option's value: argparse would drop it and pass the option an empty
+    list, past its type."""
     valued = {flag for flag, kwargs in options if flag[0] == "-" and kwargs.get("action") != "store_true"}
     out, words = [], iter(argv)
     for word in words:
         if word == "--":
             out += [word, *words]
-        elif word in valued:
+            break
+        if word in valued:
             value = next(words, None)
-            out.append(word if value is None else f"{word}={value}")
-        else:
-            out.append(word)
+            word = word if value is None else f"{word}={value}"
+        flag, _, value = word.partition("=")
+        if value == "--" and flag in valued:
+            raise InvalidArgument(f"argument {flag}: expected one argument")
+        out.append(word)
     return out
 
 

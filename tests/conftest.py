@@ -1,21 +1,30 @@
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import settings
 
 # Tests leave no bytecode under src/, in this process or in the
 # interpreters fresh_python starts: a benchmark run later in the same
 # checkout would otherwise find it cached on one side only.
 sys.dont_write_bytecode = True
 
+# Every @given test draws the same examples on every run and keeps no
+# database, so two runs compare; loaded before any test module is imported.
+settings.register_profile("fixed", derandomize=True, database=None)
+settings.load_profile("fixed")
+
 from tnn_strata import cells, ratmat
 from tnn_strata.cells import cell_of
 from tnn_strata.errors import CellMismatch, InvalidArgument
 from tnn_strata.fiber import factor_u
+from tnn_strata.flow import random_cell_point
+from tnn_strata.perms import all_permutations, bruhat_less
 from tnn_strata.ratmat import conj_by_perm, gauss_minus, gauss_plus, mul_perm_right
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -54,6 +63,16 @@ def invoke(main, argv, input=None) -> Invocation:
     finally:
         sys.stdin, sys.stdout, sys.stderr = saved
     return Invocation(code, out.getvalue(), err.getvalue())
+
+
+def orbit_starts(seed):
+    """(u, w, x) for each pair u < w of S3 and S4, x a w-cell point drawn
+    from random.Random(seed): the cases of the orbit-identity tests."""
+    rng = random.Random(seed)
+    for n in (3, 4):
+        perms = all_permutations(n)
+        for u, w in ((u, w) for u in perms for w in perms if bruhat_less(u, w)):
+            yield u, w, random_cell_point(w, rng)
 
 
 @pytest.fixture

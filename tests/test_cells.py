@@ -429,7 +429,7 @@ matrices = st.integers(1, 5).flatmap(
 ).map(RatMatrix.from_rows)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None)
 @given(matrices)
 def test_one_pass_paths_match_their_oracles(x):
     assert outcome(cell_of, x) == outcome(cell_of_by_ranks, x)

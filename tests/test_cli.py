@@ -680,7 +680,8 @@ LINK3 = ["link-sample", "--u", "1,2,3", "--v", "3,2,1"]
 
 # argv that argparse's defaults read otherwise than the CLI does: a value
 # option takes the next word whatever it starts with, only exact option
-# names count, there is no -h, and --opt=value works
+# names count, there is no -h, --opt=value works, and a bare invocation's
+# message is the help text
 @pytest.mark.parametrize(
     "argv, code, kind, said",
     [
@@ -695,6 +696,11 @@ LINK3 = ["link-sample", "--u", "1,2,3", "--v", "3,2,1"]
         (["tnn", "--in", "f", "extra"], 2, "usage", "extra"),
         (["verify", "nope"], 2, "usage", "nope"),
         (["nope"], 2, "usage", "nope"),
+        ([], 2, "usage", "usage: tnn-strata [--help] COMMAND"),
+        # nothing after '--' is joined: joined, the last two would read --n=3
+        (["param", "--word", "s1", "--n", "2", "--", "--params", "1"], 2, "usage", "are required: --params"),
+        (["param", "--word", "s1", "--n", "2", "--params", "1", "--", "--n", "3"], 2, "usage",
+         "unrecognized arguments: -- --n 3"),
     ],
 )
 def test_argv_parity_errors(argv, code, kind, said):
@@ -720,6 +726,21 @@ def test_argv_parity_outputs():
     assert joined.exit_code == spaced.exit_code == 0
     assert joined.stdout == spaced.stdout
     assert len(json.loads(joined.stdout)["points"]) == 5  # one per stratum of (u, v]
+    marked = invoke(main, ["verify", "--n", "2", "--", "gauss"])
+    assert marked.exit_code == 0 and marked.stdout == invoke(main, ["verify", "gauss", "--n", "2"]).stdout
+
+
+# argparse drops a '--' given as an option's value and passes the option
+# an empty list, past its type; the check comes before any other
+@pytest.mark.parametrize("tail", ["{} --", "{}=--"], ids=["apart", "joined"])
+@pytest.mark.parametrize("verb, flag", [
+    (verb, flag) for verb, (_, options) in cli._VERBS.items()
+    for flag, kwargs in options if flag[0] == "-" and kwargs.get("action") != "store_true"
+])
+def test_end_of_options_marker_is_no_value(verb, flag, tail):
+    res = invoke(main, [verb, *tail.format(flag).split()])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == json.dumps({"error": "usage", "message": f"argument {flag}: expected one argument"}) + "\n"
 
 
 def test_interrupt_is_one_json_line(monkeypatch):

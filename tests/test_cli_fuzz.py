@@ -21,7 +21,7 @@ from tnn_strata.cli import main
 from tnn_strata.flow import LINK_EPSILON_GUARD
 from tnn_strata.perms import Permutation, bruhat_less, reduced_word
 
-FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+FUZZ = settings(max_examples=100, deadline=None)
 
 HUGE = "1" + "0" * 400  # an integer too large for a float
 rationals = st.builds(

@@ -14,7 +14,7 @@ from tnn_strata.errors import (
     NotUnipotentUpper,
     Singular,
 )
-from tnn_strata.fiber import base_A, conj_d, factor_u, fiber_A, pi_u, recover_shift, rho, rho_over
+from tnn_strata.fiber import base_A, conj_d, factor_u, fiber_A, pi_u, psi, recover_shift, rho, rho_over
 from tnn_strata.flow import default_base, random_cell_point
 from tnn_strata.perms import Permutation, all_permutations, bruhat_leq
 from tnn_strata.ratmat import (
@@ -26,7 +26,7 @@ from tnn_strata.ratmat import (
     mul_perm_right,
 )
 
-from conftest import rho_by_frame, shift_by_frame
+from conftest import orbit_starts, rho_by_frame, shift_by_frame
 
 
 def fiber_case(rng, n=4):
@@ -191,7 +191,7 @@ class TestRhoOracle:
                         xt, base = random_cell_point(w, rng), cell_point(u, rng)
                         assert rho(xt, base, u) == rho_by_frame(xt, base, u)
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
         st.sampled_from(all_permutations(n)), st.sampled_from(all_permutations(n)),
         st.none() | st.sampled_from(all_permutations(n)), st.integers(0, 2**32),
@@ -347,22 +347,20 @@ class TestRhoClosedForm:
 # The fiber move carries the torus action along a trajectory: over
 # default_base(u), rho(conj_d(sigma, rho(conj_d(tau, x)))) = rho(conj_d(sigma
 # tau, x)), the law by which flow.fiber_points moves a drawn point along its
-# own orbit.
+# own orbit.  With the tangent at tau = 1 below, each orbit is a flow line
+# of psi in time log tau.
 ORBIT_TAUS = ((Fraction(1, 3), Fraction(2)), (Fraction(5, 2), Fraction(3, 7)))
 
 
 def orbit_law_sides():
-    """(lhs, rhs) of the law for one drawn point of each pair u < w of S3
-    and S4, at each (sigma, tau) of ORBIT_TAUS."""
-    rng = random.Random(107)
+    """(lhs, rhs) of the law for each point of orbit_starts, at each
+    (sigma, tau) of ORBIT_TAUS."""
     sides = []
-    for n in (3, 4):
-        perms = all_permutations(n)
-        for u, w in ((u, w) for u in perms for w in perms if u != w and bruhat_leq(u, w)):
-            x, base = random_cell_point(w, rng), default_base(u)
-            for sigma, tau in ORBIT_TAUS:
-                lhs = rho(conj_d(sigma, rho(conj_d(tau, x), base, u)), base, u)
-                sides.append((lhs, rho(conj_d(sigma * tau, x), base, u)))
+    for u, _, x in orbit_starts(107):
+        base = default_base(u)
+        for sigma, tau in ORBIT_TAUS:
+            lhs = rho(conj_d(sigma, rho(conj_d(tau, x), base, u)), base, u)
+            sides.append((lhs, rho(conj_d(sigma * tau, x), base, u)))
     return sides
 
 
@@ -375,6 +373,45 @@ class TestOrbitGroupLaw:
     def test_swapped_shift_breaks_the_law(self, monkeypatch):
         monkeypatch.setattr(fiber, "_shift_of", MUTANTS["_shift_of"])
         assert all(lhs != rhs for lhs, rhs in orbit_law_sides())
+
+
+# d/dtau rho(conj_d(tau, x)) = psi(x) at tau = 1, read as the difference
+# quotient at tau = 1 + H in exact rationals: psi to within about H.
+H = Fraction(1, 2**200)
+
+
+def tangent_misses(tau, elsewhere=False):
+    """max |D - psi| / max(1, |psi|), D = (rho(conj_d(tau, x)) - x) / H, for
+    each point x of orbit_starts moved into the fiber over default_base(u);
+    elsewhere, psi at the point before x over the same base instead."""
+    misses, last = [], {}
+    for u, _, x in orbit_starts(5):
+        base = default_base(u)
+        x = rho(x, base, u)
+        moved = rho_over(conj_d(tau, fiber_A(x, u)), base, base_A(base, u), u)
+        at = last.get(u) if elsewhere else x
+        last[u] = x
+        if at is not None:
+            p = psi(at, u).rows
+            worst = max(abs((m - v) / H - f) for r in zip(moved.rows, x.rows, p) for m, v, f in zip(*r))
+            misses.append(worst / max(1, *(abs(f) for r in p for f in r)))
+    return misses
+
+
+class TestOrbitTangent:
+    def test_every_pair_is_tangent_to_psi(self):
+        misses = tangent_misses(1 + H)
+        assert len(misses) == 202 and max(misses) <= 2**-100
+
+    # negative controls: conj_d with exponent 2(j - i) or its sign flipped
+    # (2 psi, -psi), and psi at another point of the fiber
+    @pytest.mark.parametrize(
+        "tau, elsewhere, count", [((1 + H) ** 2, False, 202), (1 / (1 + H), False, 202), (1 + H, True, 174)],
+        ids=["squared", "inverse", "elsewhere"],
+    )
+    def test_controls_miss_psi(self, tau, elsewhere, count):
+        misses = tangent_misses(tau, elsewhere)
+        assert len(misses) == count and min(misses) > 2**-100
 
 
 class TestConjD:

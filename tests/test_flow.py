@@ -72,6 +72,8 @@ from tnn_strata.perms import (
 )
 from tnn_strata.ratmat import RatMatrix, conj_by_perm, gauss_plus, mul_perm_right
 
+from conftest import orbit_starts
+
 
 # x0 outside G_0 u, and the size of the first vanishing leading principal
 # minor of x0 u^-1: the identity, and the 2,1,3-cell point with x12 = 1
@@ -974,17 +976,14 @@ def torus_orbits():
     """(u, x, y, epsilon) for every pair u < w of S3 and S4: x drawn in the
     w-cell and moved into the fiber over default_base(u), y its exact
     orbit point at tau = 1/3 or 2 (alternately), epsilon y's height."""
-    rng = random.Random(5)
     cases = []
-    for n in (3, 4):
-        perms = all_permutations(n)
-        for u, w in ((u, w) for u in perms for w in perms if bruhat_less(u, w)):
-            base = default_base(u)
-            tau = Fraction(1, 3) if len(cases) % 2 == 0 else Fraction(2)
-            x = rho(random_cell_point(w, rng), base, u)
-            y = rho(conj_d(tau, x), base, u)
-            assert cell_of(y) == w
-            cases.append((u, x, y, float(str_of(y) - str_of(base))))
+    for u, w, x in orbit_starts(5):
+        base = default_base(u)
+        tau = Fraction(1, 3) if len(cases) % 2 == 0 else Fraction(2)
+        x = rho(x, base, u)
+        y = rho(conj_d(tau, x), base, u)
+        assert cell_of(y) == w
+        cases.append((u, x, y, float(str_of(y) - str_of(base))))
     return cases
 
 
@@ -1014,8 +1013,8 @@ class TestTorusOrbit:
 # rho(conj_d(e^t, x0), x_u, u), x0 read as the exact rationals of its floats
 # and x_u its exact projection.  It pins forward trajectories against exact
 # arithmetic, whatever digits the integrator gives.  Backward flow evaluates
-# that formula, so TestBackwardOracle checks the formula itself against an
-# integration of the field.
+# that formula; tests/test_fiber.py's TestOrbitGroupLaw and TestOrbitTangent
+# prove exactly that it is a flow line of psi.
 
 
 @pytest.fixture(scope="module")
@@ -1023,17 +1022,14 @@ def flow_orbits():
     """(u, x0, x_u, [(t, x), ...]) for every pair u < w of S3 and S4 and
     both directions, forward to str + 2: the points flow reports from x0, a
     w-cell point, which lies in the fiber over its own projection x_u."""
-    rng = random.Random(5)
     cases = []
-    for n in (3, 4):
-        perms = all_permutations(n)
-        for u, w in ((u, w) for u in perms for w in perms if bruhat_less(u, w)):
-            x = np.array(random_cell_point(w, rng).to_floats())
-            x0 = RatMatrix.from_rows(x.tolist())
-            x_u = pi_u(x0, u)
-            for direction in ("backward", "forward"):
-                traj = flow(x, u, direction, target_str=str_of(x) + 2.0)
-                cases.append((u, x0, x_u, [(s.time, s.point) for s in traj]))
+    for u, _, x in orbit_starts(5):
+        x = np.array(x.to_floats())
+        x0 = RatMatrix.from_rows(x.tolist())
+        x_u = pi_u(x0, u)
+        for direction in ("backward", "forward"):
+            traj = flow(x, u, direction, target_str=str_of(x) + 2.0)
+            cases.append((u, x0, x_u, [(s.time, s.point) for s in traj]))
     return cases
 
 
@@ -1057,50 +1053,6 @@ class TestFlowOrbit:
     # negative control: the orbit read 1e-3 later is missed
     def test_shifted_time_misses_the_orbit(self, flow_orbits):
         assert flow_orbit_error(flow_orbits, shift=1e-3) > 1e-7
-
-
-def integrate_backward(u, x0, x_u) -> list[tuple[float, np.ndarray]]:
-    """(t, x) at each step of the fiber field integrated backward from x0
-    by scipy's DOP853, a stepper the library does not share, over the float
-    x_u: kernels.psi_tangent in fiber coordinates z = x_u^-1 x, until the
-    height str(z) falls to STATIONARY_TOL (a terminal event)."""
-    from scipy.integrate import solve_ivp  # here: the library never imports scipy
-
-    base = np.array(x_u.to_floats())
-    M, mask = kernels.base_field(base, u)
-    n = u.n
-
-    def height(t, z):
-        return str_of(z.reshape(n, n)) - STATIONARY_TOL
-
-    height.terminal = True
-    z0 = np.linalg.solve(base, np.array(x0.to_floats()))
-    sol = solve_ivp(
-        lambda t, z: kernels.psi_tangent(z.reshape(n, n), M, mask).ravel(),
-        (0.0, -1e3), z0.ravel(), method="DOP853", rtol=1e-12, atol=1e-14, events=height,
-    )
-    assert sol.status == 1  # the event ended it
-    return [(t, base @ z.reshape(n, n)) for t, z in zip(sol.t[1:], sol.y.T[1:])]
-
-
-@pytest.fixture(scope="module")
-def backward_orbits(flow_orbits):
-    """(u, x0, x_u, [(t, x), ...]) for the pairs of flow_orbits: each
-    accepted point of an independent backward integration from x0."""
-    return [(u, x0, x_u, integrate_backward(u, x0, x_u)) for u, x0, x_u, _ in flow_orbits[::2]]
-
-
-class TestBackwardOracle:
-    # Every step of the integration lies on the orbit that backward flow
-    # evaluates: 15,233 points, the worst 4.6e-13 off
-    def test_integrated_points_lie_on_the_exact_orbit(self, backward_orbits):
-        assert len(backward_orbits) == 202
-        assert sum(len(traj) for *_, traj in backward_orbits) > 2000
-        assert flow_orbit_error(backward_orbits) <= 1e-7
-
-    # negative control: the orbit read 1e-3 later is missed, on the S3 pairs
-    def test_shifted_time_misses_the_orbit(self, backward_orbits):
-        assert flow_orbit_error(backward_orbits[:19], shift=1e-3) > 1e-7
 
 
 def flows_inputs(seed: int, count: int = 100):
@@ -1366,11 +1318,12 @@ class TestRetraction:
         monkeypatch.setattr(flow_module, "rho_over", lambda a, x_u, a_u, u: rho_over(a, other, base_A(other, u), u))
         assert base_error(u, retraction_stages(u, v, z, x)) > 1e-9
 
-    # z the top-cell point of S3 with huge Lusztig parameters: y lies far
-    # out, and link_point's RK stages overflow.  Each case ends in one
-    # library error, with no numpy RuntimeWarning (an error in this suite);
-    # four warnings once came first.
-    @pytest.mark.parametrize("params", [(10**k,) * 3 for k in (50, 100, 152)] + [(1, 10**300, 1)])
+    # z the top-cell point of S3 with huge Lusztig parameters: from 10^15
+    # on, y's rows start 10^15 or more above the level, and link_point's
+    # step, a fraction of that descent, underflows (no RK stage overflows).
+    # Each case ends in one library error, with no numpy RuntimeWarning (an
+    # error in this suite); four warnings once came first.
+    @pytest.mark.parametrize("params", [(10**k,) * 3 for k in (15, 50, 100, 152)] + [(1, 10**300, 1)])
     @pytest.mark.parametrize("tau", [0.5, 1.0])
     def test_far_out_target_ends_in_one_library_error(self, params, tau):
         u, v = Permutation.identity(3), Permutation.longest(3)

@@ -53,6 +53,11 @@ sparse_matrices = st.integers(1, 5).flatmap(
 ORACLE = settings(max_examples=100, deadline=None)
 
 
+# conftest.py's profile, from which every @given test takes these two
+def test_drawn_examples_are_fixed():
+    assert settings.default.derandomize and settings.default.database is None
+
+
 def is_in_B(x):
     return all(x.rows[i][j] == 0 for i in range(x.n) for j in range(i)) and all(
         x.rows[i][i] != 0 for i in range(x.n)
@@ -441,20 +446,17 @@ def index_set(draw, n, k):
     return sorted(draw(st.sets(st.integers(1, n), min_size=k, max_size=k)))
 
 
-INTEGER_ORACLE = settings(max_examples=100, deadline=None)
-
-
 class TestIntegerCoreOracle:
     """The integer product and fraction-free elimination give exactly what
     Fraction arithmetic gives, errors and witnesses included."""
 
-    @INTEGER_ORACLE
+    @ORACLE
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(oracle_matrices(n), oracle_matrices(n))))
     def test_product(self, pair):
         x, y = pair
         assert x @ y == ref_matmul(x, y)
 
-    @INTEGER_ORACLE
+    @ORACLE
     @given(oracle_matrices(), st.data())
     def test_det_minor_rank(self, x, data):
         n = x.n
@@ -467,12 +469,12 @@ class TestIntegerCoreOracle:
         rows2 = index_set(data.draw, n, data.draw(st.integers(1, n)))
         assert rank(x, rows2, cols) == ref_rank(x, rows2, cols)
 
-    @INTEGER_ORACLE
+    @ORACLE
     @given(oracle_matrices())
     def test_inverse(self, x):
         assert outcome(RatMatrix.inverse, x) == outcome(ref_inverse, x)
 
-    @INTEGER_ORACLE
+    @ORACLE
     @given(oracle_matrices())
     def test_gauss_decompose(self, x):
         assert outcome(gauss_decompose, x) == outcome(ref_gauss_decompose, x)
@@ -481,7 +483,6 @@ class TestIntegerCoreOracle:
 
 # --- the canonical integer form ------------------------------------------
 
-REPRESENTATION = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 NEAR_LIMITS = [Fraction(10**300 + 7, 3), Fraction(-3, 10**300 + 1), Fraction(1, 10**320),
                Fraction(2**1023 * 3 - 1, 2), Fraction(10**308, 10**400 + 1)]
 
@@ -516,7 +517,7 @@ class TestTriangularSolves:
     """The two substitutions give what the inverse and a product give, on
     canonical rows."""
 
-    @settings(REPRESENTATION, max_examples=50)
+    @settings(ORACLE, max_examples=50)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
         oracle_matrices(n), oracle_matrices(n), st.permutations(range(1, n + 1)))))
     def test_unit_solve_in_any_triangular_order(self, case):
@@ -527,7 +528,7 @@ class TestTriangularSolves:
         got = unit_solve(p, b, order)
         assert got == p.inverse() @ b and is_canonical(got)
 
-    @settings(REPRESENTATION, max_examples=50)
+    @settings(ORACLE, max_examples=50)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(oracle_matrices(n), oracle_matrices(n))))
     def test_unit_right_solve(self, case):
         x, p = _triangular(case[0], unit=False), _triangular(case[1], unit=True)
@@ -540,7 +541,7 @@ class TestRepresentation:
     lowest terms; ``.rows`` is the reduced-Fraction view of that form, and
     ``x[i, j]`` its 1-based entry, read from the integers alone."""
 
-    @REPRESENTATION
+    @ORACLE
     @given(oracle_matrices(), st.sampled_from([1, -1, 6, -35]))
     @example(RatMatrix.from_rows([["-6/4"]]), 1)
     @example(RatMatrix.from_rows([[0]]), -1)
@@ -559,7 +560,7 @@ class TestRepresentation:
             assert m == x and hash(m) == hash(x)
             assert is_canonical(m) and m.rows == rows
 
-    @settings(REPRESENTATION, max_examples=50)
+    @settings(ORACLE, max_examples=50)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
         oracle_matrices(n), oracle_matrices(n), st.permutations(range(1, n + 1)))))
     def test_results_are_canonical(self, case):
@@ -586,7 +587,7 @@ class TestRepresentation:
             assert m == ref and hash(m) == hash(ref)
             assert m.rows == fraction_rows(rows)
 
-    @REPRESENTATION
+    @ORACLE
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(
         st.lists(rats | st.sampled_from(NEAR_LIMITS), min_size=n, max_size=n), min_size=n, max_size=n)))
     def test_to_floats_is_float_of_each_fraction(self, rows):
